@@ -163,11 +163,16 @@ func BenchmarkExactMissRate(b *testing.B) {
 // BenchmarkSampledMissRate times one sampled estimate on the same fixture —
 // the per-layout unit of work the sampled Figure 5 grid repeats per run.
 func BenchmarkSampledMissRate(b *testing.B) {
-	_, ev, layout, sim := sampleEvalFixture(b)
+	_, ev, layout, _ := sampleEvalFixture(b)
+	bs := cache.MustNewBatchSim(cache.PaperConfig)
+	layouts := []*Layout{layout}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est := ev.MissRate(sim, layout)
-		if est.RefsReplayed == 0 {
+		ests, err := ev.MissRateBatch(bs, layouts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ests[0].RefsReplayed == 0 {
 			b.Fatal("empty sampled replay")
 		}
 	}
@@ -648,9 +653,10 @@ func batchReplayFixture(b *testing.B) (cache.Config, *cache.CompiledTrace, []*La
 	return cache.PaperConfig, ct, layouts
 }
 
-// BenchmarkRunCompiledSerial16 scores the 16-layout panel the pre-batching
-// way: 16 independent walks of the compiled trace through one reused
-// simulator. The layout·events/sec metric is the BENCH_batch.json baseline.
+// BenchmarkRunCompiledSerial16 scores the 16-layout panel one layout at a
+// time: 16 independent one-lane walks of the compiled trace through one
+// reused simulator. The layout·events/sec metric is the BENCH_batch.json
+// baseline.
 func BenchmarkRunCompiledSerial16(b *testing.B) {
 	cfg, ct, layouts := batchReplayFixture(b)
 	sim := cache.MustNewSim(cfg)

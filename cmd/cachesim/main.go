@@ -9,12 +9,13 @@
 //	cachesim -prog perl.prog -layout a.layout,b.layout -trace perl-test.trace
 //
 // With a comma-separated -layout list every layout is replayed against the
-// same trace: the trace is compiled once and the layouts score in batches
-// of -batch lanes through one shared walk of the compiled trace each
-// (internal/cache BatchSim), so comparing candidate layouts costs one
-// trace load, one compilation, and a fraction of the per-layout replays.
-// -batch 1 falls back to the serial engine (one reused simulator, reset
-// between layouts); the printed figures are byte-identical either way.
+// same trace: the trace is compiled once and the layouts score 16 at a time
+// through one shared walk of the compiled trace each (internal/cache
+// BatchSim), so comparing candidate layouts costs one trace load, one
+// compilation, and a fraction of the per-layout replays. Each layout's
+// figures are identical to a run with that layout alone. Layouts are
+// labelled by file name without extension ("default" for an empty entry),
+// so two layouts whose names would share a label are rejected.
 //
 // -sample replaces the exact replay with the phase-aware sampled estimator
 // (internal/sample): one window plan is built from the trace and each
@@ -31,8 +32,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -53,30 +56,39 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cachesim: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	progPath := flag.String("prog", "", "program description file (required)")
-	layoutPath := flag.String("layout", "", "comma-separated layout files (default: link-order layout)")
-	tracePath := flag.String("trace", "", "binary trace file (required)")
-	cacheBytes := flag.Int("cache", 8192, "cache size in bytes")
-	lineBytes := flag.Int("line", 32, "cache line size in bytes")
-	assoc := flag.Int("assoc", 1, "set associativity (1 = direct-mapped)")
-	classify := flag.Bool("classify", false, "classify misses (cold/capacity/conflict) and attribute them to procedures (slower)")
-	top := flag.Int("top", 10, "with -classify, how many worst procedures to list")
-	statsPath := flag.String("stats", "", "write a JSON run report to this path")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
-	checkFlag := flag.String("check", "fatal", "layout invariant checking: fatal, warn, or off")
-	sampleFlag := flag.Bool("sample", false, "estimate miss rates from sampled trace windows instead of exact replay (incompatible with -classify)")
-	sampleWindows := flag.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
-	sampleInterval := flag.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
-	staticBounds := flag.Bool("static-bounds", false, "also compute static must/may miss-rate bounds per layout and cross-check them against the exact run (incompatible with -sample)")
-	batch := flag.Int("batch", 0, "batched replay lane width for multi-layout runs (0 = default 16, 1 = serial engine); printed figures are identical at every setting")
-	flag.Parse()
+// laneWidth is how many layouts score per walk of the compiled trace.
+const laneWidth = 16
+
+// run parses args and writes the simulation report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cachesim", flag.ContinueOnError)
+	progPath := fs.String("prog", "", "program description file (required)")
+	layoutPath := fs.String("layout", "", "comma-separated layout files (default: link-order layout)")
+	tracePath := fs.String("trace", "", "binary trace file (required)")
+	cacheBytes := fs.Int("cache", 8192, "cache size in bytes")
+	lineBytes := fs.Int("line", 32, "cache line size in bytes")
+	assoc := fs.Int("assoc", 1, "set associativity (1 = direct-mapped)")
+	classify := fs.Bool("classify", false, "classify misses (cold/capacity/conflict) and attribute them to procedures (slower)")
+	top := fs.Int("top", 10, "with -classify, how many worst procedures to list")
+	statsPath := fs.String("stats", "", "write a JSON run report to this path")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
+	checkFlag := fs.String("check", "fatal", "layout invariant checking: fatal, warn, or off")
+	sampleFlag := fs.Bool("sample", false, "estimate miss rates from sampled trace windows instead of exact replay (incompatible with -classify)")
+	sampleWindows := fs.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
+	sampleInterval := fs.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
+	staticBounds := fs.Bool("static-bounds", false, "also compute static must/may miss-rate bounds per layout and cross-check them against the exact run (incompatible with -sample)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	checkMode, err := invariant.ParseMode(*checkFlag)
 	if err != nil {
@@ -90,6 +102,29 @@ func run() error {
 	}
 	if *sampleFlag && *staticBounds {
 		return fmt.Errorf("-static-bounds needs the exact run to cross-check against; drop -sample")
+	}
+	cfg := cache.Config{SizeBytes: *cacheBytes, LineBytes: *lineBytes, Assoc: *assoc}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+
+	// A comma-separated -layout list replays every layout against the same
+	// trace; the empty string selects the link-order layout. Labels key
+	// the printed sections and the report, so they must be unique.
+	layoutPaths := strings.Split(*layoutPath, ",")
+	names := make([]string, len(layoutPaths))
+	labelled := map[string]string{}
+	for i, path := range layoutPaths {
+		path = strings.TrimSpace(path)
+		layoutPaths[i] = path
+		names[i] = "default"
+		if path != "" {
+			names[i] = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+		}
+		if prev, dup := labelled[names[i]]; dup {
+			return fmt.Errorf("layouts %q and %q share the label %q; rename one", prev, path, names[i])
+		}
+		labelled[names[i]] = path
 	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
@@ -114,16 +149,10 @@ func run() error {
 		return err
 	}
 
-	// A comma-separated -layout list replays every layout against the same
-	// trace; the empty string selects the link-order layout.
-	layoutPaths := strings.Split(*layoutPath, ",")
 	layouts := make([]*program.Layout, len(layoutPaths))
-	names := make([]string, len(layoutPaths))
 	for i, path := range layoutPaths {
-		path = strings.TrimSpace(path)
 		if path == "" {
 			layouts[i] = program.DefaultLayout(prog)
-			names[i] = "default"
 			continue
 		}
 		lf, err := os.Open(path)
@@ -141,7 +170,6 @@ func run() error {
 			return err
 		}
 		layouts[i] = layout
-		names[i] = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	}
 
 	tf, err := os.Open(*tracePath)
@@ -159,7 +187,6 @@ func run() error {
 		return err
 	}
 
-	cfg := cache.Config{SizeBytes: *cacheBytes, LineBytes: *lineBytes, Assoc: *assoc}
 	// Universal invariants only: an externally supplied layout carries no
 	// popularity or alignment claims, so gaps are legal — but duplicates,
 	// overlaps, and byte loss never are.
@@ -169,7 +196,7 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Printf("cache: %dB, %dB lines, %d-way\n", cfg.SizeBytes, cfg.LineBytes, cfg.Assoc)
+	fmt.Fprintf(stdout, "cache: %dB, %dB lines, %d-way\n", cfg.SizeBytes, cfg.LineBytes, cfg.Assoc)
 
 	var rep *report.Report
 	var sh *telemetry.Shard
@@ -194,28 +221,9 @@ func run() error {
 	}
 	bench := strings.TrimSuffix(filepath.Base(*progPath), filepath.Ext(*progPath))
 
-	// The trace is compiled once and shared by every layout below; the
-	// non-classified path additionally reuses one simulator across layouts
-	// (RunCompiled resets it between runs).
+	// The trace is compiled once and shared by every layout below.
 	ct := cache.CompileTrace(prog, tr)
 	multi := len(layouts) > 1
-	lanes := *batch
-	if lanes <= 0 {
-		lanes = 16
-	}
-	addBatch := func(d cache.BatchStats) {
-		sh.Add("cache/batch_lanes", d.Lanes)
-		sh.Add("cache/batch_abandoned_lanes", d.AbandonedLanes)
-		sh.Add("cache/batch_lane_events", d.LaneEvents)
-		sh.Add("cache/batch_lane_events_saved", d.LaneEventsSaved)
-	}
-	addReplay := func(rs cache.ReplayStats) {
-		sh.Add("cache/replay_events", rs.Events)
-		sh.Add("cache/replay_fast_events", rs.FastEvents)
-		sh.Add("cache/replay_fallback_events", rs.FallbackEvents)
-		sh.Add("cache/replay_collapsed_repeats", rs.CollapsedRepeats)
-		sh.Add("cache/replay_collapsed_refs", rs.CollapsedRefs)
-	}
 	// The report labels the single-layout run "sim" (the historical name);
 	// multi-layout runs are labelled per layout.
 	label := func(i int) string {
@@ -223,6 +231,11 @@ func run() error {
 			return names[i]
 		}
 		return "sim"
+	}
+	section := func(i int) {
+		if multi {
+			fmt.Fprintf(stdout, "\n== %s ==\n", names[i])
+		}
 	}
 
 	// One static model serves every layout — the class graph and adjacency
@@ -241,7 +254,7 @@ func run() error {
 			return nil
 		}
 		iv := model.Analyze(layout)
-		fmt.Printf("static bounds: [%.4f%%, %.4f%%] (width %.4fpp, %.1f%% of refs classified)\n",
+		fmt.Fprintf(stdout, "static bounds: [%.4f%%, %.4f%%] (width %.4fpp, %.1f%% of refs classified)\n",
 			100*iv.LowerRate(), 100*iv.UpperRate(), 100*iv.Width(), 100*iv.ClassifiedFrac())
 		vs := staticcache.CheckBounds(iv, st)
 		if err := invariant.Enforce(checkMode, "cachesim/staticbounds/"+names[i], vs, log.Printf); err != nil {
@@ -256,28 +269,30 @@ func run() error {
 
 	if *classify {
 		for i, layout := range layouts {
-			if multi {
-				fmt.Printf("\n== %s ==\n", names[i])
-			}
+			section(i)
 			start := time.Now()
 			cs, rs, err := cache.RunCompiledClassified(cfg, ct, layout)
 			if err != nil {
 				return err
 			}
 			sh.AddDuration("cachesim/sim_wall", time.Since(start))
-			fmt.Printf("refs:      %d\n", cs.Refs)
-			fmt.Printf("misses:    %d (cold %d, capacity %d, conflict %d)\n",
+			fmt.Fprintf(stdout, "refs:      %d\n", cs.Refs)
+			fmt.Fprintf(stdout, "misses:    %d (cold %d, capacity %d, conflict %d)\n",
 				cs.Misses, cs.Cold, cs.Capacity, cs.Conflict)
-			fmt.Printf("miss rate: %.4f%%\n", 100*cs.MissRate())
-			fmt.Printf("\nprocedures with the most misses:\n")
+			fmt.Fprintf(stdout, "miss rate: %.4f%%\n", 100*cs.MissRate())
+			fmt.Fprintf(stdout, "\nprocedures with the most misses:\n")
 			for _, p := range cs.TopMissProcs(*top) {
-				fmt.Printf("  %-30s %10d\n", prog.Name(p), cs.PerProc[p])
+				fmt.Fprintf(stdout, "  %-30s %10d\n", prog.Name(p), cs.PerProc[p])
 			}
 			sh.Add("cache/refs", cs.Refs)
 			sh.Add("cache/misses", cs.Misses)
 			sh.Add("cache/cold_misses", cs.Cold)
 			sh.Add("cache/conflict_misses", cs.Conflict)
-			addReplay(rs)
+			sh.Add("cache/replay_events", rs.Events)
+			sh.Add("cache/replay_fast_events", rs.FastEvents)
+			sh.Add("cache/replay_fallback_events", rs.FallbackEvents)
+			sh.Add("cache/replay_collapsed_repeats", rs.CollapsedRepeats)
+			sh.Add("cache/replay_collapsed_refs", rs.CollapsedRefs)
 			if rep != nil {
 				rep.AddMissRate(bench, label(i), cs.MissRate())
 			}
@@ -288,10 +303,7 @@ func run() error {
 		return nil
 	}
 
-	sim, err := cache.NewSim(cfg)
-	if err != nil {
-		return err
-	}
+	var ev *sample.Evaluator
 	if *sampleFlag {
 		plan, err := sample.NewPlan(prog, tr, cfg.LineBytes, sample.Options{
 			Windows:  *sampleWindows,
@@ -300,47 +312,55 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		ev := sample.NewEvaluator(ct, plan)
-		fmt.Printf("sampling: %d of %d windows (interval %d events, warm-up %d), replaying %.1f%% of events\n",
+		ev = sample.NewEvaluator(ct, plan)
+		fmt.Fprintf(stdout, "sampling: %d of %d windows (interval %d events, warm-up %d), replaying %.1f%% of events\n",
 			len(plan.Windows), plan.Partitions, plan.Interval, plan.Warmup, 100*plan.ReplayFraction())
-		// Multi-layout runs score lane-batched: each window walks once for
-		// the whole chunk; the estimates are bit-identical to the serial
-		// evaluator's.
-		ests := make([]sample.Estimate, len(layouts))
-		if multi && lanes > 1 {
-			bs, err := cache.NewBatchSim(cfg)
+	}
+	// Layouts score laneWidth at a time, each chunk sharing one walk of
+	// the compiled trace (or of each sampled window).
+	bs, err := cache.NewBatchSim(cfg)
+	if err != nil {
+		return err
+	}
+	stats := make([]cache.Stats, len(layouts))
+	ests := make([]sample.Estimate, len(layouts))
+	for lo := 0; lo < len(layouts); lo += laneWidth {
+		chunk := layouts[lo:min(lo+laneWidth, len(layouts))]
+		start := time.Now()
+		if ev != nil {
+			e, err := ev.MissRateBatch(bs, chunk)
 			if err != nil {
 				return err
 			}
-			for lo := 0; lo < len(layouts); lo += lanes {
-				hi := min(lo+lanes, len(layouts))
-				start := time.Now()
-				before := bs.Batch()
-				chunk, err := ev.MissRateBatch(bs, layouts[lo:hi])
-				if err != nil {
+			copy(ests[lo:], e)
+		} else {
+			tables := make([]*cache.CompiledLayout, len(chunk))
+			for k, layout := range chunk {
+				if tables[k], err = cache.CompileLayout(cfg, ct, layout); err != nil {
 					return err
 				}
-				sh.AddDuration("cachesim/sim_wall", time.Since(start))
-				d := bs.Batch()
-				sh.Add("cache/batch_lanes", int64(hi-lo))
-				sh.Add("cache/batch_lane_events", d.LaneEvents-before.LaneEvents)
-				copy(ests[lo:hi], chunk)
 			}
-		} else {
-			for i, layout := range layouts {
-				start := time.Now()
-				ests[i] = ev.MissRate(sim, layout)
-				sh.AddDuration("cachesim/sim_wall", time.Since(start))
+			res, err := bs.Run(ct, tables, cache.BatchOptions{})
+			if err != nil {
+				return err
 			}
+			copy(stats[lo:], res.Stats)
 		}
-		for i := range layouts {
-			if multi {
-				fmt.Printf("\n== %s ==\n", names[i])
-			}
+		sh.AddDuration("cachesim/sim_wall", time.Since(start))
+	}
+	d := bs.Batch()
+	sh.Add("cache/batch_lanes", int64(len(layouts)))
+	sh.Add("cache/batch_abandoned_lanes", d.AbandonedLanes)
+	sh.Add("cache/batch_lane_events", d.LaneEvents)
+	sh.Add("cache/batch_lane_events_saved", d.LaneEventsSaved)
+
+	for i, layout := range layouts {
+		section(i)
+		if ev != nil {
 			est := ests[i]
 			lo, hi := est.Interval()
-			fmt.Printf("refs sampled: %d (events replayed %d)\n", est.RefsReplayed, est.EventsReplayed)
-			fmt.Printf("miss rate:    %.4f%% ±%.4f%% [%.4f%%, %.4f%%]\n",
+			fmt.Fprintf(stdout, "refs sampled: %d (events replayed %d)\n", est.RefsReplayed, est.EventsReplayed)
+			fmt.Fprintf(stdout, "miss rate:    %.4f%% ±%.4f%% [%.4f%%, %.4f%%]\n",
 				100*est.MissRate, 100*est.CIHalf, 100*lo, 100*hi)
 			sh.Add("sample/windows", int64(est.Windows))
 			sh.Add("sample/events_replayed", est.EventsReplayed)
@@ -349,51 +369,12 @@ func run() error {
 				rep.AddMissRate(bench, label(i), est.MissRate)
 				rep.AddMissRate(bench, label(i)+"/ci", est.CIHalf)
 			}
-		}
-		return nil
-	}
-	// Multi-layout runs score lane-batched: each chunk shares one walk of
-	// the compiled trace. The per-layout statistics are byte-identical to
-	// the serial engine's, so the printed figures do not depend on -batch.
-	stats := make([]cache.Stats, len(layouts))
-	if multi && lanes > 1 {
-		bs, err := cache.NewBatchSim(cfg)
-		if err != nil {
-			return err
-		}
-		for lo := 0; lo < len(layouts); lo += lanes {
-			hi := min(lo+lanes, len(layouts))
-			tables := make([]*cache.CompiledLayout, hi-lo)
-			for k, layout := range layouts[lo:hi] {
-				if tables[k], err = cache.CompileLayout(cfg, ct, layout); err != nil {
-					return err
-				}
-			}
-			start := time.Now()
-			res, err := bs.Run(ct, tables, cache.BatchOptions{})
-			if err != nil {
-				return err
-			}
-			sh.AddDuration("cachesim/sim_wall", time.Since(start))
-			addBatch(res.Batch)
-			copy(stats[lo:hi], res.Stats)
-		}
-	} else {
-		for i, layout := range layouts {
-			start := time.Now()
-			stats[i] = sim.RunCompiled(ct, layout)
-			sh.AddDuration("cachesim/sim_wall", time.Since(start))
-			addReplay(sim.Replay())
-		}
-	}
-	for i, layout := range layouts {
-		if multi {
-			fmt.Printf("\n== %s ==\n", names[i])
+			continue
 		}
 		st := stats[i]
-		fmt.Printf("refs:      %d\n", st.Refs)
-		fmt.Printf("misses:    %d (cold %d, conflict+capacity %d)\n", st.Misses, st.Cold, st.Conflict())
-		fmt.Printf("miss rate: %.4f%%\n", 100*st.MissRate())
+		fmt.Fprintf(stdout, "refs:      %d\n", st.Refs)
+		fmt.Fprintf(stdout, "misses:    %d (cold %d, conflict+capacity %d)\n", st.Misses, st.Cold, st.Conflict())
+		fmt.Fprintf(stdout, "miss rate: %.4f%%\n", 100*st.MissRate())
 		sh.Add("cache/refs", st.Refs)
 		sh.Add("cache/misses", st.Misses)
 		sh.Add("cache/cold_misses", st.Cold)

@@ -1,0 +1,187 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/program"
+	"repro/internal/tracegen"
+)
+
+// fixture is a small tracegen program, its test trace and three distinct
+// layouts of it, written to a temporary directory.
+type fixture struct {
+	dir, prog, trace string
+	layouts          []string
+}
+
+func newFixture(t *testing.T) *fixture {
+	t.Helper()
+	pair := tracegen.Lookup(tracegen.Suite(0.01), "m88ksim")
+	prog := pair.Bench.Prog
+	f := &fixture{dir: t.TempDir()}
+	f.prog = f.write(t, "m88ksim.prog", prog.WriteDescription)
+	f.trace = f.write(t, "m88ksim.trace", tracegen.Generate(pair.Bench, pair.Test, nil).WriteBinary)
+
+	link := program.DefaultLayout(prog)
+	order := link.OrderByAddress()
+	slices.Reverse(order)
+	reversed, err := program.OrderedLayout(prog, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []struct {
+		name   string
+		layout *program.Layout
+	}{{"link", link}, {"reversed", reversed}, {"padded", link.PadAll(32)}} {
+		f.layouts = append(f.layouts, f.write(t, l.name+".layout", l.layout.WriteLayout))
+	}
+	return f
+}
+
+// write creates name under the fixture directory, fills it, and returns
+// its path.
+func (f *fixture) write(t *testing.T, name string, fill func(io.Writer) error) string {
+	t.Helper()
+	path := filepath.Join(f.dir, name)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fill(file)
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// cachesim runs the command on args and returns what it printed. A panic
+// fails the test: every bad input must come back as an error.
+func cachesim(t *testing.T, args ...string) (out string, err error) {
+	t.Helper()
+	var buf bytes.Buffer
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("cachesim %q panicked: %v", args, r)
+		}
+		out = buf.String()
+	}()
+	return "", run(args, &buf)
+}
+
+// splitHeader splits one run's output into the run header (geometry and
+// sampling plan) and the per-layout figures, which start at "refs".
+func splitHeader(t *testing.T, out string) (header, body string) {
+	t.Helper()
+	i := strings.Index(out, "\nrefs")
+	if i < 0 {
+		t.Fatalf("no figures in output:\n%s", out)
+	}
+	return out[:i+1], out[i+1:]
+}
+
+// A multi-layout run scores its layouts in one batch, so each section
+// must equal the run with that layout alone — exact direct-mapped, LRU,
+// and sampled.
+func TestMultiLayoutMatchesSingleRuns(t *testing.T) {
+	f := newFixture(t)
+	for _, mode := range [][]string{nil, {"-assoc", "2"}, {"-sample"}} {
+		args := append([]string{"-prog", f.prog, "-trace", f.trace}, mode...)
+		var header string
+		var want strings.Builder
+		bodies := map[string]bool{}
+		for i, path := range f.layouts {
+			out, err := cachesim(t, append(args, "-layout", path)...)
+			if err != nil {
+				t.Fatalf("%v %s: %v", mode, path, err)
+			}
+			h, body := splitHeader(t, out)
+			if i == 0 {
+				header = h
+				want.WriteString(h)
+			} else if h != header {
+				t.Errorf("%v: header %q differs from %q", mode, h, header)
+			}
+			name := strings.TrimSuffix(filepath.Base(path), ".layout")
+			fmt.Fprintf(&want, "\n== %s ==\n%s", name, body)
+			bodies[body] = true
+		}
+		if len(bodies) < 2 {
+			t.Fatalf("%v: fixture layouts all score alike", mode)
+		}
+		got, err := cachesim(t, append(args, "-layout", strings.Join(f.layouts, ","))...)
+		if err != nil {
+			t.Fatalf("%v multi-layout: %v", mode, err)
+		}
+		if got != want.String() {
+			t.Errorf("%v: multi-layout output\n%s\nwant the single-layout runs\n%s", mode, got, want.String())
+		}
+	}
+}
+
+// Malformed or mismatched input must fail with an error naming the
+// problem, before anything is printed, and never panic.
+func TestBadInputReturnsError(t *testing.T) {
+	f := newFixture(t)
+	trace, err := os.ReadFile(f.trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := f.write(t, "truncated.trace", func(w io.Writer) error {
+		_, err := w.Write(trace[:len(trace)/2])
+		return err
+	})
+	perl := tracegen.Lookup(tracegen.Suite(0.01), "perl").Bench.Prog
+	foreign := f.write(t, "perl.layout", program.DefaultLayout(perl).WriteLayout)
+	layout, err := os.ReadFile(f.layouts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyLayout := func(w io.Writer) error {
+		_, err := w.Write(layout)
+		return err
+	}
+	dupA := f.write(t, "a/gbsc.layout", copyLayout)
+	dupB := f.write(t, "b/gbsc.layout", copyLayout)
+
+	base := []string{"-prog", f.prog, "-trace", f.trace}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string
+	}{
+		{"truncated trace", []string{"-prog", f.prog, "-trace", truncated}, nil},
+		{"layout of another program", append(base, "-layout", foreign), []string{"unknown procedure"}},
+		{"sample with classify", append(base, "-sample", "-classify"), []string{"-sample"}},
+		{"sample with static bounds", append(base, "-sample", "-static-bounds"), []string{"-static-bounds"}},
+		{"invalid geometry", append(base, "-line", "0"), []string{"non-positive"}},
+		{"duplicate label", append(base, "-layout", dupA+","+dupB), []string{dupA, dupB, `"gbsc"`}},
+		{"removed batch flag", append(base, "-batch", "1"), []string{"flag provided but not defined"}},
+	} {
+		out, err := cachesim(t, tc.args...)
+		if err == nil {
+			t.Errorf("%s: no error", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, w)
+			}
+		}
+		if out != "" {
+			t.Errorf("%s: printed before failing:\n%s", tc.name, out)
+		}
+	}
+}

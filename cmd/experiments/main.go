@@ -72,7 +72,6 @@ func run() error {
 	sampleFlag := flag.Bool("sample", false, "score figure 5 layouts with the phase-aware sampled estimator instead of exact replay; estimates carry <alg>/ci half-widths in the run report")
 	sampleWindows := flag.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
 	sampleInterval := flag.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
-	batch := flag.Int("batch", 0, "batched replay lane width for the multi-layout drivers (0 = default 16, 1 = serial engine); reported rates are identical at every setting")
 	flag.Parse()
 
 	checkMode, err := invariant.ParseMode(*checkFlag)
@@ -93,7 +92,6 @@ func run() error {
 	opts := experiments.Options{
 		Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel, Shards: *shards, Check: checkMode,
 		Sample: *sampleFlag, SampleWindows: *sampleWindows, SampleInterval: *sampleInterval,
-		BatchLanes: *batch,
 	}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
@@ -113,7 +111,6 @@ func run() error {
 		rep.Params["parallel"] = strconv.Itoa(*parallel)
 		rep.Params["shards"] = strconv.Itoa(*shards)
 		rep.Params["sample"] = strconv.FormatBool(*sampleFlag)
-		rep.Params["batch"] = strconv.Itoa(*batch)
 	}
 
 	want := map[string]bool{}

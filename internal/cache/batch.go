@@ -7,22 +7,21 @@ import (
 	"repro/internal/program"
 )
 
-// This file implements layout-batched compiled replay: one walk of a
-// shared CompiledTrace scores K candidate layouts at once. The serial
-// engine (RunCompiled) replays the trace once per layout, so comparing K
-// candidates streams the compiled event arrays K times; at paper scale
-// those arrays dwarf every cache level while a lane's simulated tag state
-// is a few kilobytes. The batch engine inverts the loop nest — events
-// outer, lanes inner — so the trace streams through memory once and the K
-// lane states stay resident, and hoists every layout-independent per-event
-// decision (class lookup, repeat count) out of the per-lane work entirely.
+// This file implements the compiled replay engine: one walk of a shared
+// CompiledTrace scores K candidate layouts at once, and Sim's compiled
+// runs are the K = 1 case. Replaying the trace once per layout would
+// stream the compiled event arrays K times; at paper scale those arrays
+// dwarf every cache level while a lane's simulated tag state is a few
+// kilobytes. The engine's loop nest is events outer, lanes inner, so the
+// trace streams through memory once and the K lane states stay resident,
+// and every layout-independent per-event decision (class lookup, repeat
+// count) is hoisted out of the per-lane work entirely.
 //
-// Per-lane statistics are byte-identical to RunCompiled (hence to the
-// general RunTrace oracle): each lane performs exactly the reference
-// stream's accesses against its own state, including the §4c repeat
-// collapse, which becomes two array loads per (event, lane) because a
-// class's placed span and conflict-freedom are precomputed per layout by
-// CompileLayout.
+// Per-lane statistics are byte-identical to the per-reference RunTrace
+// oracle: each lane performs exactly the reference stream's accesses
+// against its own state, including the §4c repeat collapse, which becomes
+// two array loads per (event, lane) because a class's placed span and
+// conflict-freedom are precomputed per layout by CompileLayout.
 //
 // Early abandonment rides on miss-count monotonicity: a lane's running
 // miss count only grows as the walk proceeds, so once it exceeds a
@@ -53,27 +52,31 @@ func (cl *CompiledLayout) Layout() *program.Layout { return cl.layout }
 
 // CompileLayout compiles layout against ct's activation classes for the
 // given geometry. The per-class resolution (base address → first line,
-// span, conflict-free bit) is exactly what ReplayCompiled derives per
-// event; compiling hoists it out of the walk so a batched replay pays two
-// array loads per (event, lane) instead. The layout must place the
-// program ct was compiled against.
+// span, conflict-free bit) is what a per-event replay would derive for
+// every activation; compiling hoists it out of the walk so the engine
+// pays two array loads per (event, lane) instead. The layout must place
+// the program ct was compiled against.
 func CompileLayout(cfg Config, ct *CompiledTrace, layout *program.Layout) (*CompiledLayout, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cl := &CompiledLayout{}
+	cl.compile(cfg, ct, layout)
+	return cl, nil
+}
+
+// compile fills cl for layout, reusing its per-class arrays when their
+// capacity suffices. cfg must be valid.
+func (cl *CompiledLayout) compile(cfg Config, ct *CompiledTrace, layout *program.Layout) {
 	ct.checkProgram(layout)
-	nc := ct.NumClasses()
-	cl := &CompiledLayout{
-		layout:  layout,
-		classes: ct.classes,
-		cfg:     cfg,
-		first:   make([]int64, nc),
-		span:    make([]int64, nc),
-		free:    make([]bool, nc),
-	}
+	nc := int64(ct.NumClasses())
+	cl.layout, cl.classes, cl.cfg, cl.lines = layout, ct.classes, cfg, 0
+	cl.first = grow(cl.first, nc)
+	cl.span = grow(cl.span, nc)
+	cl.free = grow(cl.free, nc)
 	lb := int64(cfg.LineBytes)
 	limit := int64(cfg.NumLines())
-	for c := 0; c < nc; c++ {
+	for c := range cl.first {
 		base := int64(layout.Addr(ct.classes.proc[c]))
 		ext := int64(ct.classes.ext[c])
 		first := base / lb
@@ -85,7 +88,6 @@ func CompileLayout(cfg Config, ct *CompiledTrace, layout *program.Layout) (*Comp
 			cl.lines = end
 		}
 	}
-	return cl, nil
 }
 
 // blockShift sets the residency memo's invalidation granularity:
@@ -153,16 +155,13 @@ type BatchResult struct {
 // across Bind/Run calls, so a search that scores thousands of candidates
 // in batches allocates per batch only the result slices.
 //
-// A BatchSim is not safe for concurrent use; workers bring their own,
-// exactly like Sim.
+// A BatchSim is not safe for concurrent use; workers bring their own.
 type BatchSim struct {
-	cfg           Config
-	lineBytes     int64
-	numSets       int64
-	setMask       int64
-	setMaskOK     bool
-	assoc         int
-	collapseLimit int64
+	cfg       Config
+	numSets   int64
+	setMask   int64
+	setMaskOK bool
+	assoc     int
 
 	// Current binding: K lanes over one class-table family.
 	tabs    []*CompiledLayout
@@ -171,10 +170,9 @@ type BatchSim struct {
 
 	// Tag state is lane-major: dm[lane*numSets+set] is lane's
 	// direct-mapped tag (-1 empty), so a lane's span walk probes
-	// consecutive words exactly like the serial engine while the K lane
-	// regions stay disjoint and hot. For assoc > 1,
-	// ways[(lane*numSets+set)*assoc+w] holds the MRU-first tags of the
-	// set and wlen[lane*numSets+set] how many are valid.
+	// consecutive words while the K lane regions stay disjoint and hot.
+	// For assoc > 1, ways[(lane*numSets+set)*assoc+w] holds the MRU-first
+	// tags of the set and wlen[lane*numSets+set] how many are valid.
 	dm   []int64
 	ways []int64
 	wlen []int32
@@ -223,12 +221,10 @@ func NewBatchSim(cfg Config) (*BatchSim, error) {
 		return nil, err
 	}
 	bs := &BatchSim{
-		cfg:           cfg,
-		lineBytes:     int64(cfg.LineBytes),
-		numSets:       int64(cfg.NumSets()),
-		assoc:         cfg.Assoc,
-		collapseLimit: int64(cfg.NumLines()),
-		epoch:         1,
+		cfg:     cfg,
+		numSets: int64(cfg.NumSets()),
+		assoc:   cfg.Assoc,
+		epoch:   1,
 	}
 	if _, ok := log2(bs.numSets); ok {
 		bs.setMask, bs.setMaskOK = bs.numSets-1, true
@@ -355,7 +351,7 @@ func (bs *BatchSim) Reset() {
 // Run binds tables, resets, and walks ct once for all lanes, applying
 // opts.Budgets if given. The returned per-lane statistics are
 // byte-identical to RunCompiled of each layout (abandoned lanes report
-// their partial counts). One Run on K lanes replaces K serial replays.
+// their partial counts). One Run on K lanes replaces K one-lane runs.
 func (bs *BatchSim) Run(ct *CompiledTrace, tables []*CompiledLayout, opts BatchOptions) (*BatchResult, error) {
 	if len(opts.Budgets) != 0 && len(opts.Budgets) != len(tables) {
 		return nil, fmt.Errorf("cache: %d budgets for %d lanes", len(opts.Budgets), len(tables))
@@ -387,13 +383,25 @@ func (bs *BatchSim) Run(ct *CompiledTrace, tables []*CompiledLayout, opts BatchO
 	return res, nil
 }
 
+// runLane binds t as the only lane, resets, and walks ct: a one-lane Run
+// without the result allocations, backing Sim's compiled runs.
+func (bs *BatchSim) runLane(ct *CompiledTrace, t *CompiledLayout) Stats {
+	// Bind cannot fail: t is the only lane and Sim compiles it for bs's
+	// own geometry.
+	_ = bs.Bind([]*CompiledLayout{t})
+	bs.replay(ct, nil)
+	return bs.stats[0]
+}
+
 // Replay walks ct for the currently bound lanes WITHOUT resetting first
-// and returns each lane's statistics delta, mirroring Sim.ReplayCompiled:
-// a sequence of Replay calls over consecutive Slices of one compilation
-// is byte-identical per lane to a single Run over the whole trace. This
-// is the windowed entry point of the sampled evaluation path, where one
-// window walk scores several layouts. Budgets do not apply; every lane
-// stays live.
+// and returns each lane's statistics delta: cache contents, first-touch
+// stamps and totals carry over from whatever ran before, so a sequence of
+// Replay calls over consecutive Slices of one compilation is
+// byte-identical per lane to a single Run over the whole trace. This is
+// the windowed entry point of the sampled evaluation path: a warm-up
+// window is replayed first (its delta discarded), and misses on lines it
+// touched count as conflict, not cold, exactly as they would mid-run.
+// Budgets do not apply; every lane stays live.
 func (bs *BatchSim) Replay(ct *CompiledTrace) ([]Stats, error) {
 	if len(bs.tabs) > 0 && ct.classes != bs.classes {
 		return nil, fmt.Errorf("cache: replayed trace is not from the bound compilation family")
@@ -712,42 +720,41 @@ func (bs *BatchSim) walkDM(lane int, first, span, iters int64, st *Stats) {
 
 // walkLRU is walkDM for set-associative geometries: per set and lane, an
 // MRU-first age vector with the same hit-promotion and evict-LRU rules as
-// Sim.accessLine.
+// Sim.Access.
 func (bs *BatchSim) walkLRU(lane int, first, span, iters int64, st *Stats) {
 	sets := bs.numSets
+	mask, maskOK := bs.setMask, bs.setMaskOK
 	assoc := int64(bs.assoc)
 	ways, wlen := bs.ways, bs.wlen
 	laneBase := int64(lane) * sets
 	seen := bs.seen[bs.seenOff[lane]:]
 	epoch := bs.epoch
+	misses, cold := st.Misses, st.Cold
 	last := first + span
 	for it := int64(0); it < iters; it++ {
+	lines:
 		for ln := first; ln < last; ln++ {
 			var set int64
-			if bs.setMaskOK {
-				set = ln & bs.setMask
+			if maskOK {
+				set = ln & mask
 			} else {
 				set = ln % sets
 			}
 			slot := laneBase + set
 			base := slot * assoc
 			l := int64(wlen[slot])
-			hit := false
-			for w := int64(0); w < l; w++ {
-				if ways[base+w] == ln {
-					copy(ways[base+1:base+w+1], ways[base:base+w])
-					ways[base] = ln
-					hit = true
-					break
+			valid := ways[base : base+l]
+			for w, tag := range valid {
+				if tag == ln {
+					copy(valid[1:w+1], valid[:w])
+					valid[0] = ln
+					continue lines
 				}
 			}
-			if hit {
-				continue
-			}
-			st.Misses++
+			misses++
 			if seen[ln] != epoch {
 				seen[ln] = epoch
-				st.Cold++
+				cold++
 			}
 			if l < assoc {
 				l++
@@ -757,6 +764,7 @@ func (bs *BatchSim) walkLRU(lane int, first, span, iters int64, st *Stats) {
 			ways[base] = ln
 		}
 	}
+	st.Misses, st.Cold = misses, cold
 }
 
 // retire removes the lane at position li of the active list, preserving

@@ -1,5 +1,5 @@
 // Differential tests for the layout-batched replay engine: the same
-// randomized program/trace/placement grid as the serial engine's suite,
+// randomized program/trace/placement grid as the one-lane engine's suite,
 // but scored through BatchSim at batch sizes from one lane to several
 // times the algorithm count — every lane must agree byte-for-byte with
 // the general RunTrace oracle, at every geometry, and abandonment must
@@ -17,8 +17,8 @@ import (
 	"repro/internal/program"
 )
 
-// batchSizes spans the interesting regimes: a single lane (the serial
-// degenerate case), small batches, an odd size that never divides the
+// batchSizes spans the interesting regimes: a single lane (Sim's
+// compiled runs), small batches, an odd size that never divides the
 // layout count evenly, the search's default width, and an over-wide
 // batch that forces lane state well past any fixed-size assumption.
 var batchSizes = []int{1, 2, 7, 16, 64}
@@ -230,7 +230,7 @@ func TestBatchAbandonment(t *testing.T) {
 
 // TestBatchSliceWindows verifies the windowed contract the sampled
 // evaluators rely on: binding once and Replaying consecutive Slices of a
-// compilation accumulates, per lane, exactly the serial engine's
+// compilation accumulates, per lane, exactly the per-reference oracle's
 // per-window deltas — and the window sum reproduces the full-trace run.
 func TestBatchSliceWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -257,8 +257,8 @@ func TestBatchSliceWindows(t *testing.T) {
 		if err := bs.Bind(tables); err != nil {
 			t.Fatal(err)
 		}
-		// Serial reference simulators, one per lane, replaying the same
-		// window sequence.
+		// Per-reference oracle simulators, one per lane, replaying the
+		// same window sequence without resets.
 		sims := make([]*cache.Sim, len(base))
 		for i := range sims {
 			sims[i] = cache.MustNewSim(cfg)
@@ -276,9 +276,9 @@ func TestBatchSliceWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, nl := range base {
-				want := sims[i].ReplayCompiled(win, nl.layout)
+				want := sims[i].ReplayWindowOracle(nl.layout, test, lo, hi)
 				if deltas[i] != want {
-					t.Errorf("cfg %+v window [%d:%d) lane %s: batch delta %+v != serial %+v",
+					t.Errorf("cfg %+v window [%d:%d) lane %s: batch delta %+v != oracle %+v",
 						cfg, lo, hi, nl.name, deltas[i], want)
 				}
 				sum[i].Add(deltas[i])

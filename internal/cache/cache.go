@@ -80,9 +80,12 @@ func (s *Stats) Add(other Stats) {
 	s.Cold += other.Cold
 }
 
-// Sim is a functional instruction-cache simulator. The tag stored per way is
-// the line-granular memory address (address / LineBytes), which uniquely
-// identifies the cached content.
+// Sim is a functional instruction-cache simulator. Access is the
+// per-reference specification of the cache: the tag stored per way is the
+// line-granular memory address (address / LineBytes), which uniquely
+// identifies the cached content, and each set is an LRU list. RunTrace and
+// RunCompiled are one-lane runs of the compiled replay engine (BatchSim),
+// which the differential tests hold byte-identical to Access.
 type Sim struct {
 	cfg Config
 	// lineBytes and numSets cache the per-access divisors so Access does
@@ -99,20 +102,6 @@ type Sim struct {
 	lineShiftOK bool
 	setMask     int64
 	setMaskOK   bool
-	// collapseLimit is the largest activation line span that is provably
-	// self-conflict-free in this geometry (distinct sets when
-	// direct-mapped, at most Assoc span lines per set under LRU — both
-	// reduce to NumLines for consecutive line addresses). Spans within the
-	// limit replay repeats 2..r as guaranteed hits in O(1); larger spans
-	// fall back to the general loop.
-	collapseLimit int64
-	// memo caches the most recent trace compilation so hot loops that call
-	// RunTrace repeatedly with the same (program, trace) — the sweep and
-	// figure drivers replay one trace against hundreds of layouts — pay
-	// for compilation once.
-	memo *CompiledTrace
-	// replay counts engine fast-path behaviour for the current run.
-	replay ReplayStats
 	// dm is the direct-mapped fast path: when Assoc == 1 each set holds at
 	// most one line, so dm[s] is that line's tag (-1 when empty; line
 	// addresses are non-negative because layouts start at address 0) and
@@ -129,19 +118,31 @@ type Sim struct {
 	// misses relative to a freshly allocated one.
 	seen  []uint32
 	epoch uint32
+
+	// engine runs the compiled replays on one lane bound to tab, a
+	// compiled-layout buffer reused across runs. memo caches the most
+	// recent trace compilation so hot loops that call RunTrace repeatedly
+	// with the same (program, trace) pay for compilation once; last is the
+	// trace of the latest compiled run (nil after Reset), which Replay
+	// derives its counters from.
+	engine *BatchSim
+	tab    CompiledLayout
+	memo   *CompiledTrace
+	last   *CompiledTrace
 }
 
 // NewSim creates a simulator for the given configuration.
 func NewSim(cfg Config) (*Sim, error) {
-	if err := cfg.Validate(); err != nil {
+	engine, err := NewBatchSim(cfg)
+	if err != nil {
 		return nil, err
 	}
 	s := &Sim{
-		cfg:           cfg,
-		lineBytes:     int64(cfg.LineBytes),
-		numSets:       int64(cfg.NumSets()),
-		collapseLimit: int64(cfg.NumLines()),
-		epoch:         1,
+		cfg:       cfg,
+		lineBytes: int64(cfg.LineBytes),
+		numSets:   int64(cfg.NumSets()),
+		epoch:     1,
+		engine:    engine,
 	}
 	if shift, ok := log2(s.lineBytes); ok {
 		s.lineShift, s.lineShiftOK = shift, true
@@ -198,7 +199,7 @@ func (s *Sim) Reset() {
 		s.sets[i] = s.sets[i][:0]
 	}
 	s.stats = Stats{}
-	s.replay = ReplayStats{}
+	s.last = nil
 	s.epoch++
 	if s.epoch == 0 { // wraparound after ~4e9 Resets: actually clear the stamps
 		for i := range s.seen {
@@ -218,10 +219,9 @@ func (s *Sim) Access(addr int64) bool {
 }
 
 // accessLine references the line with line-granular address lineAddr (i.e.
-// byte address / LineBytes), updating LRU state and statistics. It is the
-// span-batched entry point the replay engine uses: callers that already
-// iterate line addresses skip the per-reference byte→line division that
-// Access performs.
+// byte address / LineBytes), updating LRU state and statistics. Callers
+// that already iterate line addresses (the classifying replay) skip the
+// per-reference byte→line division that Access performs.
 func (s *Sim) accessLine(lineAddr int64) bool {
 	var setIdx int
 	if s.setMaskOK {
@@ -272,30 +272,37 @@ func (s *Sim) miss(lineAddr int64) {
 	}
 }
 
-// ensureSeen grows the cold-miss stamp array to cover every line of the
-// layout up front, so the miss path never reallocates mid-replay. Growth
-// preserves existing stamps; the epoch discipline keeps stale entries
-// inert.
-func (s *Sim) ensureSeen(layout *program.Layout) {
-	ext := int64(layout.Extent())
-	if ext <= 0 {
-		return
-	}
-	lines := (ext-1)/s.lineBytes + 1
-	if lines > int64(len(s.seen)) {
-		grown := make([]uint32, lines)
-		copy(grown, s.seen)
-		s.seen = grown
-	}
-}
-
-// Stats returns the accumulated statistics.
+// Stats returns the accumulated statistics: the references made through
+// Access since the last Reset, or the result of the last compiled run.
 func (s *Sim) Stats() Stats { return s.stats }
 
-// Replay returns the replay-engine counters accumulated since the last
-// Reset (equivalently, for the last RunTrace/RunCompiled call, which Reset
-// first). Runs replayed through the general Access loop leave them zero.
-func (s *Sim) Replay() ReplayStats { return s.replay }
+// Replay returns the replay-engine counters of the last RunTrace or
+// RunCompiled call; they are zero after Reset and for runs made through
+// Access. An activation with repeats collapses (counted in FastEvents,
+// CollapsedRepeats and CollapsedRefs) exactly when its placed span is
+// self-conflict-free, so the counters follow from the compiled layout and
+// the repeat counts alone, in one pass over the trace.
+func (s *Sim) Replay() ReplayStats {
+	ct := s.last
+	if ct == nil {
+		return ReplayStats{}
+	}
+	rs := ReplayStats{Events: int64(ct.n)}
+	for i, c := range ct.classOf {
+		r := int64(ct.reps[i])
+		if r == 1 {
+			continue
+		}
+		if s.tab.free[c] {
+			rs.FastEvents++
+			rs.CollapsedRepeats += r - 1
+			rs.CollapsedRefs += (r - 1) * s.tab.span[c]
+		} else {
+			rs.FallbackEvents++
+		}
+	}
+	return rs
+}
 
 // RunTrace resets the simulator and replays tr (placed by layout) through
 // it, returning the resulting statistics. The layout supplies each
@@ -318,11 +325,7 @@ func (s *Sim) Replay() ReplayStats { return s.replay }
 //
 // Replay runs through the compiled engine (see RunCompiled): the trace is
 // precompiled once per (program, trace) pair — memoized across calls on
-// the same simulator — and activations whose placed line span is
-// self-conflict-free for this geometry account repeat iterations 2..r in
-// O(1) instead of replaying them. The statistics are byte-identical to the
-// general reference loop; differential tests enforce this against the
-// retained oracle.
+// the same simulator.
 func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 	prog := layout.Program()
 	if !s.memo.matches(prog, tr) {
@@ -331,36 +334,16 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 	return s.RunCompiled(s.memo, layout)
 }
 
-// runTraceOracle is the original general replay loop, retained verbatim as
-// the reference implementation the compiled engine is differentially
-// tested against: every activation expands its repeat count into
-// individual Access calls.
-func (s *Sim) runTraceOracle(layout *program.Layout, tr *trace.Trace) Stats {
-	s.Reset()
-	prog := layout.Program()
-	lb := s.lineBytes
-	for _, e := range tr.Events {
-		base := int64(layout.Addr(e.Proc))
-		ext := int64(e.ExtentBytes(prog))
-		first := base / lb
-		last := (base + ext - 1) / lb
-		for r := e.Repeats(); r > 0; r-- {
-			for ln := first; ln <= last; ln++ {
-				s.Access(ln * lb)
-			}
-		}
-	}
-	return s.stats
-}
-
 // RunCompiled resets the simulator and replays the compiled trace placed
-// by layout, returning the resulting statistics — byte-identical to
-// RunTrace on the source trace (same reference stream, same cold/conflict
+// by layout on one lane of the compiled engine (BatchSim), returning the
+// resulting statistics — byte-identical to the per-reference Access loop
+// over the source trace (same reference stream, same cold/conflict
 // split), at a fraction of the cost:
 //
 //   - The effective extent and repeat count of every activation come from
-//     the compilation, not from per-event ExtentBytes/Repeats calls, so one
-//     compiled trace amortizes across every layout that replays it.
+//     the compilation, and each activation class's placed span and
+//     conflict-freedom from the compiled layout, so per event the walk pays
+//     two array loads.
 //   - Repeat collapsing: an activation whose placed span of consecutive
 //     lines is self-conflict-free in this geometry (span ≤ NumLines — which
 //     gives distinct sets when direct-mapped and at most Assoc span lines
@@ -368,89 +351,19 @@ func (s *Sim) runTraceOracle(layout *program.Layout, tr *trace.Trace) Stats {
 //     and each iteration leaves the cache in the same state as the first.
 //     Iterations 2..r are therefore accounted as Refs += (r−1)·span with no
 //     simulation at all, turning O(r·span) into O(span). Spans that exceed
-//     the limit can self-evict, so they fall back to the general loop.
-//   - Set indexing is strength-reduced to shift/mask for power-of-two
-//     geometries, and the direct-mapped span walk is batched (no per-line
-//     Access call).
+//     the limit can self-evict, so they replay every iteration.
+//   - Direct-mapped classes proven still resident settle in O(1) (the
+//     engine's residency memo).
 //
-// The layout must place the program the trace was compiled against.
+// A compiled run resets the per-reference Access state without advancing
+// it; Stats returns the run's statistics. The layout must place the
+// program the trace was compiled against.
 func (s *Sim) RunCompiled(ct *CompiledTrace, layout *program.Layout) Stats {
 	s.Reset()
-	s.ReplayCompiled(ct, layout)
+	s.tab.compile(s.cfg, ct, layout)
+	s.stats = s.engine.runLane(ct, &s.tab)
+	s.last = ct
 	return s.stats
-}
-
-// ReplayCompiled replays the compiled trace placed by layout WITHOUT
-// resetting the simulator first, and returns only the statistics delta this
-// replay contributed. Cache contents, the compulsory-miss epoch, and the
-// accumulated totals all carry over from whatever ran before, so a sequence
-// of ReplayCompiled calls over consecutive windows of one trace is
-// byte-identical to a single RunCompiled over the whole trace.
-//
-// This is the windowed entry point of the sampled evaluation path: a
-// warm-up window is replayed first (its delta discarded) to approximate the
-// cache state the measurement window would have seen mid-trace, then the
-// measurement window's delta is taken as the window's statistics. Misses on
-// lines already touched during warm-up count as conflict, not cold, exactly
-// as they would mid-run.
-func (s *Sim) ReplayCompiled(ct *CompiledTrace, layout *program.Layout) Stats {
-	ct.checkProgram(layout)
-	before := s.stats
-	s.ensureSeen(layout)
-	lb := s.lineBytes
-	for i, p := range ct.procs {
-		base := int64(layout.Addr(p))
-		ext := int64(ct.exts[i])
-		var first, last int64
-		if s.lineShiftOK {
-			first, last = base>>s.lineShift, (base+ext-1)>>s.lineShift
-		} else {
-			first, last = base/lb, (base+ext-1)/lb
-		}
-		span := last - first + 1
-		r := int64(ct.reps[i])
-		s.replay.Events++
-		iters := r
-		collapsed := false
-		if r > 1 {
-			if span <= s.collapseLimit {
-				iters, collapsed = 1, true
-			} else {
-				s.replay.FallbackEvents++
-			}
-		}
-		if s.dm != nil && s.setMaskOK {
-			// Batched direct-mapped span walk: probe the tag array
-			// directly, count the span's references in one add.
-			dm, mask := s.dm, s.setMask
-			for it := int64(0); it < iters; it++ {
-				for ln := first; ln <= last; ln++ {
-					if dm[ln&mask] != ln {
-						dm[ln&mask] = ln
-						s.miss(ln)
-					}
-				}
-			}
-			s.stats.Refs += iters * span
-		} else {
-			for it := int64(0); it < iters; it++ {
-				for ln := first; ln <= last; ln++ {
-					s.accessLine(ln)
-				}
-			}
-		}
-		if collapsed {
-			s.stats.Refs += (r - 1) * span
-			s.replay.FastEvents++
-			s.replay.CollapsedRepeats += r - 1
-			s.replay.CollapsedRefs += (r - 1) * span
-		}
-	}
-	return Stats{
-		Refs:   s.stats.Refs - before.Refs,
-		Misses: s.stats.Misses - before.Misses,
-		Cold:   s.stats.Cold - before.Cold,
-	}
 }
 
 // RunTrace replays tr (placed by layout) through a fresh simulation and

@@ -94,54 +94,11 @@ func RunTraceClassified(cfg Config, layout *program.Layout, tr *trace.Trace) (Cl
 	return cs, err
 }
 
-// runTraceClassifiedOracle is the original classification loop, retained
-// verbatim as the reference the compiled engine is differentially tested
-// against.
-func runTraceClassifiedOracle(cfg Config, layout *program.Layout, tr *trace.Trace) (ClassifiedStats, error) {
-	sim, err := NewSim(cfg)
-	if err != nil {
-		return ClassifiedStats{}, err
-	}
-	prog := layout.Program()
-	cs := ClassifiedStats{PerProc: make([]int64, prog.NumProcs())}
-	shadow := newFullyAssoc(cfg.NumLines())
-	seen := make(map[int64]bool)
-
-	lb := int64(cfg.LineBytes)
-	for _, e := range tr.Events {
-		base := int64(layout.Addr(e.Proc))
-		ext := int64(e.ExtentBytes(prog))
-		first := base / lb
-		last := (base + ext - 1) / lb
-		for r := e.Repeats(); r > 0; r-- {
-			for ln := first; ln <= last; ln++ {
-				faHit := shadow.access(ln)
-				hit := sim.Access(ln * lb)
-				if hit {
-					continue
-				}
-				cs.PerProc[e.Proc]++
-				switch {
-				case !seen[ln]:
-					cs.Cold++
-					seen[ln] = true
-				case faHit:
-					cs.Conflict++
-				default:
-					cs.Capacity++
-				}
-			}
-		}
-	}
-	cs.Stats = sim.Stats()
-	return cs, nil
-}
-
 // RunCompiledClassified replays a precompiled trace with miss
 // classification, returning the classified statistics (byte-identical to
 // RunTraceClassified on the source trace) plus the replay engine counters.
 //
-// Repeat collapsing applies here exactly as in (*Sim).RunCompiled: the
+// Repeat collapsing applies here exactly as in the compiled engine: the
 // fully-associative shadow has the same capacity as the simulated cache
 // (Config.NumLines), so a span within the collapse limit fits the shadow
 // too — iterations 2..r hit in both caches, produce no misses to classify,
@@ -154,34 +111,29 @@ func RunCompiledClassified(cfg Config, ct *CompiledTrace, layout *program.Layout
 		return ClassifiedStats{}, ReplayStats{}, err
 	}
 	ct.checkProgram(layout)
-	sim.ensureSeen(layout)
 	cs := ClassifiedStats{PerProc: make([]int64, ct.prog.NumProcs())}
 	shadow := newFullyAssoc(cfg.NumLines())
 
 	lb := sim.lineBytes
+	limit := int64(cfg.NumLines())
+	var rs ReplayStats
 	var coldSeen []bool
 	if ext := int64(layout.Extent()); ext > 0 {
 		coldSeen = make([]bool, (ext-1)/lb+1)
 	}
 	for i, p := range ct.procs {
 		base := int64(layout.Addr(p))
-		ext := int64(ct.exts[i])
-		var first, last int64
-		if sim.lineShiftOK {
-			first, last = base>>sim.lineShift, (base+ext-1)>>sim.lineShift
-		} else {
-			first, last = base/lb, (base+ext-1)/lb
-		}
+		first, last := base/lb, (base+int64(ct.exts[i])-1)/lb
 		span := last - first + 1
 		r := int64(ct.reps[i])
-		sim.replay.Events++
+		rs.Events++
 		iters := r
 		collapsed := false
 		if r > 1 {
-			if span <= sim.collapseLimit {
+			if span <= limit {
 				iters, collapsed = 1, true
 			} else {
-				sim.replay.FallbackEvents++
+				rs.FallbackEvents++
 			}
 		}
 		for it := int64(0); it < iters; it++ {
@@ -203,14 +155,14 @@ func RunCompiledClassified(cfg Config, ct *CompiledTrace, layout *program.Layout
 			}
 		}
 		if collapsed {
-			sim.stats.Refs += (r - 1) * span
-			sim.replay.FastEvents++
-			sim.replay.CollapsedRepeats += r - 1
-			sim.replay.CollapsedRefs += (r - 1) * span
+			rs.FastEvents++
+			rs.CollapsedRepeats += r - 1
+			rs.CollapsedRefs += (r - 1) * span
 		}
 	}
 	cs.Stats = sim.Stats()
-	return cs, sim.Replay(), nil
+	cs.Refs += rs.CollapsedRefs
+	return cs, rs, nil
 }
 
 // TopMissProcs returns the n procedures with the most attributed misses,

@@ -167,9 +167,10 @@ func TestReplayResetColdMissEpochs(t *testing.T) {
 			t.Fatalf("run %d after Reset: stats %+v != first run %+v", i+2, got, first)
 		}
 	}
-	// Force the epoch wrap path: Reset clears seen wholesale when the
-	// stamp overflows, and cold accounting must survive it.
+	// Force the epoch wrap paths: each Reset clears seen wholesale when
+	// its stamp overflows, and cold accounting must survive it.
 	sim.epoch = ^uint32(0)
+	sim.engine.epoch = ^uint32(0)
 	if got := sim.RunTrace(layout, tr); got != first {
 		t.Errorf("post-wrap run: stats %+v != first run %+v", got, first)
 	}

@@ -39,29 +39,6 @@ func RunTraceTLB(cfg TLBConfig, layout *program.Layout, tr *trace.Trace) (Stats,
 	return st, err
 }
 
-// runTraceTLBOracle is the original iTLB loop, retained verbatim as the
-// reference the compiled engine is differentially tested against.
-func runTraceTLBOracle(cfg TLBConfig, layout *program.Layout, tr *trace.Trace) (Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return Stats{}, err
-	}
-	prog := layout.Program()
-	tlb := newFullyAssoc(cfg.Entries)
-	var st Stats
-	pb := cfg.PageBytes
-	for _, e := range tr.Events {
-		start := layout.Addr(e.Proc)
-		end := start + e.ExtentBytes(prog) - 1
-		for pg := start / pb; pg <= end/pb; pg++ {
-			st.Refs++
-			if !tlb.access(int64(pg)) {
-				st.Misses++
-			}
-		}
-	}
-	return st, nil
-}
-
 // RunCompiledTLB replays a precompiled trace through the iTLB simulation,
 // returning statistics byte-identical to RunTraceTLB on the source trace
 // plus the replay engine counters. The TLB loop visits each page of an

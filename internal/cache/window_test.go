@@ -34,11 +34,38 @@ func windowFixture(seed int64, events int) (*program.Program, *program.Layout, *
 	return prog, program.DefaultLayout(prog), tr
 }
 
-// TestReplayCompiledTilesToRunCompiled verifies the windowed contract:
-// replaying consecutive Slice windows through ReplayCompiled (after one
-// Reset) accumulates byte-identical totals to a single RunCompiled over the
-// whole trace, and the per-window deltas sum to those totals.
-func TestReplayCompiledTilesToRunCompiled(t *testing.T) {
+// oneLane binds layout, compiled against ct for cfg, as the only lane of
+// a fresh batched simulator.
+func oneLane(t *testing.T, cfg cache.Config, ct *cache.CompiledTrace, layout *program.Layout) *cache.BatchSim {
+	t.Helper()
+	tab, err := cache.CompileLayout(cfg, ct, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := cache.MustNewBatchSim(cfg)
+	if err := bs.Bind([]*cache.CompiledLayout{tab}); err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
+
+// replayWindow replays one Slice window through bs's only lane and returns
+// its statistics delta.
+func replayWindow(t *testing.T, bs *cache.BatchSim, win *cache.CompiledTrace) cache.Stats {
+	t.Helper()
+	deltas, err := bs.Replay(win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return deltas[0]
+}
+
+// TestReplayWindowsTileToRun verifies the windowed contract: replaying
+// consecutive Slice windows through BatchSim.Replay (after one Bind)
+// yields per-window deltas equal to the per-reference oracle replaying the
+// same windows without resets, and the deltas sum to a single RunCompiled
+// over the whole trace.
+func TestReplayWindowsTileToRun(t *testing.T) {
 	for _, geom := range []cache.Config{
 		{SizeBytes: 1024, LineBytes: 32, Assoc: 1},
 		{SizeBytes: 1024, LineBytes: 32, Assoc: 2},
@@ -48,45 +75,50 @@ func TestReplayCompiledTilesToRunCompiled(t *testing.T) {
 		ct := cache.CompileTrace(prog, tr)
 		want := cache.MustNewSim(geom).RunCompiled(ct, layout)
 
-		sim := cache.MustNewSim(geom)
-		sim.Reset()
+		bs := oneLane(t, geom, ct, layout)
+		oracle := cache.MustNewSim(geom)
 		var sum cache.Stats
 		lo := 0
 		for _, width := range []int{1, 7, 512, 997, 3483} {
-			hi := lo + width
-			if hi > ct.Len() {
-				hi = ct.Len()
+			hi := min(lo+width, ct.Len())
+			delta := replayWindow(t, bs, ct.Slice(lo, hi))
+			if od := oracle.ReplayWindowOracle(layout, tr, lo, hi); delta != od {
+				t.Errorf("%+v window [%d:%d): delta %+v != oracle %+v", geom, lo, hi, delta, od)
 			}
-			delta := sim.ReplayCompiled(ct.Slice(lo, hi), layout)
 			sum.Add(delta)
 			lo = hi
 		}
 		if lo != ct.Len() {
 			t.Fatalf("tiling bug: covered %d of %d events", lo, ct.Len())
 		}
-		if got := sim.Stats(); got != want {
-			t.Errorf("%+v: tiled totals %+v != full replay %+v", geom, got, want)
-		}
 		if sum != want {
 			t.Errorf("%+v: summed deltas %+v != full replay %+v", geom, sum, want)
+		}
+		if got := oracle.Stats(); got != want {
+			t.Errorf("%+v: oracle totals %+v != full replay %+v", geom, got, want)
 		}
 	}
 }
 
-// TestReplayCompiledWarmupColdAccounting pins the warm-up semantics the
+// TestReplayWindowWarmupColdAccounting pins the warm-up semantics the
 // sampler relies on: a line first touched during a discarded warm-up window
 // must not be counted cold again by the measurement window that follows.
-func TestReplayCompiledWarmupColdAccounting(t *testing.T) {
+func TestReplayWindowWarmupColdAccounting(t *testing.T) {
 	prog, layout, tr := windowFixture(23, 2000)
 	ct := cache.CompileTrace(prog, tr)
 	cfg := cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 1}
 
-	sim := cache.MustNewSim(cfg)
-	sim.Reset()
-	warm := sim.ReplayCompiled(ct.Slice(0, 1000), layout)
-	body := sim.ReplayCompiled(ct.Slice(1000, 2000), layout)
+	bs := oneLane(t, cfg, ct, layout)
+	warm := replayWindow(t, bs, ct.Slice(0, 1000))
+	body := replayWindow(t, bs, ct.Slice(1000, 2000))
+	oracle := cache.MustNewSim(cfg)
+	ow := oracle.ReplayWindowOracle(layout, tr, 0, 1000)
+	ob := oracle.ReplayWindowOracle(layout, tr, 1000, 2000)
+	if warm != ow || body != ob {
+		t.Errorf("warm/body deltas %+v/%+v != oracle %+v/%+v", warm, body, ow, ob)
+	}
 
-	// Oracle: a full run's cold misses split exactly across the two halves.
+	// A full run's cold misses split exactly across the two halves.
 	full := cache.MustNewSim(cfg).RunCompiled(ct, layout)
 	if warm.Cold+body.Cold != full.Cold {
 		t.Errorf("cold split %d+%d != full %d", warm.Cold, body.Cold, full.Cold)
@@ -96,9 +128,8 @@ func TestReplayCompiledWarmupColdAccounting(t *testing.T) {
 	}
 	// A cold start of the same window must see at least as many cold misses
 	// as the warmed continuation (warm-up can only pre-touch lines).
-	coldStart := cache.MustNewSim(cfg)
-	coldStart.Reset()
-	alone := coldStart.ReplayCompiled(ct.Slice(1000, 2000), layout)
+	bs.Reset()
+	alone := replayWindow(t, bs, ct.Slice(1000, 2000))
 	if alone.Cold < body.Cold {
 		t.Errorf("cold-start window cold %d < warmed window cold %d", alone.Cold, body.Cold)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/popular"
+	"repro/internal/program"
 	"repro/internal/sample"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -75,27 +76,6 @@ type Options struct {
 	// defaults (12 windows, trace/256-event intervals).
 	SampleWindows  int
 	SampleInterval int
-	// BatchLanes is the lane width of the batched replay engine used by
-	// the multi-layout drivers (figure5, sweep, padding, setassoc): up to
-	// that many candidate layouts score per walk of the shared compiled
-	// trace. 0 means DefaultBatchLanes; 1 selects the serial per-layout
-	// engine (the reference path CI compares the batched output against).
-	// Every reported miss rate is byte-identical at any setting — only
-	// the cache/batch_* versus cache/replay_* telemetry keys differ.
-	BatchLanes int
-}
-
-// DefaultBatchLanes is the default lane width of the batched drivers:
-// wide enough to amortize the trace stream, narrow enough that the lane
-// states of the paper geometry stay cache resident.
-const DefaultBatchLanes = 16
-
-// batchLanes resolves the lane width; values below 1 mean the default.
-func (o *Options) batchLanes() int {
-	if o.BatchLanes > 0 {
-		return o.BatchLanes
-	}
-	return DefaultBatchLanes
 }
 
 func (o *Options) setDefaults() {
@@ -267,15 +247,60 @@ func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, check i
 	return b, nil
 }
 
-// addReplay records the compiled-replay engine counters for one run into
-// sh (nil-safe). The counters are deterministic per (trace, layout,
-// geometry), so shard merges agree at any worker count.
-func addReplay(sh *telemetry.Shard, rs cache.ReplayStats) {
-	sh.Add("cache/replay_events", rs.Events)
-	sh.Add("cache/replay_fast_events", rs.FastEvents)
-	sh.Add("cache/replay_fallback_events", rs.FallbackEvents)
-	sh.Add("cache/replay_collapsed_repeats", rs.CollapsedRepeats)
-	sh.Add("cache/replay_collapsed_refs", rs.CollapsedRefs)
+// laneWidth is how many layouts score per walk of the shared compiled
+// trace: wide enough to amortize the trace stream, narrow enough that the
+// lane states of the paper geometry stay cache resident.
+const laneWidth = 16
+
+// scoreLayouts scores layouts on b's testing trace under cfg, laneWidth at
+// a time through one batched simulator: the sampled estimate when b was
+// prepared with an evaluator (ci holds the confidence half-widths), exact
+// compiled replay otherwise (ci stays zero). It records the cache/* or
+// sample/* and batch counters into sh (nil-safe).
+func scoreLayouts(cfg cache.Config, b *bench, layouts []*program.Layout, sh *telemetry.Shard) (mr, ci []float64, err error) {
+	bs, err := cache.NewBatchSim(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	mr = make([]float64, len(layouts))
+	ci = make([]float64, len(layouts))
+	for lo := 0; lo < len(layouts); lo += laneWidth {
+		chunk := layouts[lo:min(lo+laneWidth, len(layouts))]
+		if b.evalTest != nil {
+			ests, err := b.evalTest.MissRateBatch(bs, chunk)
+			if err != nil {
+				return nil, nil, err
+			}
+			for k, est := range ests {
+				sh.Add("sample/events_replayed", est.EventsReplayed)
+				sh.Add("sample/refs_replayed", est.RefsReplayed)
+				mr[lo+k], ci[lo+k] = est.MissRate, est.CIHalf
+			}
+			continue
+		}
+		tables := make([]*cache.CompiledLayout, len(chunk))
+		for k, layout := range chunk {
+			if tables[k], err = cache.CompileLayout(cfg, b.ctTest, layout); err != nil {
+				return nil, nil, err
+			}
+		}
+		res, err := bs.Run(b.ctTest, tables, cache.BatchOptions{})
+		if err != nil {
+			return nil, nil, err
+		}
+		for k, st := range res.Stats {
+			sh.Add("cache/refs", st.Refs)
+			sh.Add("cache/misses", st.Misses)
+			sh.Add("cache/cold_misses", st.Cold)
+			sh.Add("cache/conflict_misses", st.Conflict())
+			mr[lo+k] = st.MissRate()
+		}
+	}
+	// Windowed replays do not count lanes the way Run does.
+	d := bs.Batch()
+	d.Lanes = int64(len(layouts))
+	addBatch(sh, d)
+	return mr, ci, nil
 }
 
 // addBatch records the batched replay engine's work counters for one or
@@ -287,18 +312,6 @@ func addBatch(sh *telemetry.Shard, d cache.BatchStats) {
 	sh.Add("cache/batch_abandoned_lanes", d.AbandonedLanes)
 	sh.Add("cache/batch_lane_events", d.LaneEvents)
 	sh.Add("cache/batch_lane_events_saved", d.LaneEventsSaved)
-}
-
-// batchDelta subtracts two cumulative BatchStats snapshots taken around a
-// batched call that does not itself return a delta (sample.MissRateBatch).
-func batchDelta(after, before cache.BatchStats) cache.BatchStats {
-	return cache.BatchStats{
-		Runs:            after.Runs - before.Runs,
-		Lanes:           after.Lanes - before.Lanes,
-		AbandonedLanes:  after.AbandonedLanes - before.AbandonedLanes,
-		LaneEvents:      after.LaneEvents - before.LaneEvents,
-		LaneEventsSaved: after.LaneEventsSaved - before.LaneEventsSaved,
-	}
 }
 
 func pct(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }

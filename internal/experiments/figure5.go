@@ -15,7 +15,6 @@ import (
 	"repro/internal/perturb"
 	"repro/internal/program"
 	"repro/internal/telemetry"
-	"repro/internal/tracegen"
 	"repro/internal/trg"
 )
 
@@ -61,10 +60,13 @@ var figure5Algs = []AlgorithmName{AlgPH, AlgHKC, AlgGBSC}
 // instruction-cache miss rates under randomized profiles for PH, HKC and
 // GBSC on each benchmark.
 //
-// The benchmark × algorithm × run grid is sharded across Options.Parallel
-// workers. Every cell derives its RNG from (Seed, run) alone and writes
-// into an index-addressed slot, so the result — and the rendered output —
-// is byte-identical to the serial run regardless of scheduling.
+// The grid runs in two phases sharded across Options.Parallel workers.
+// Phase one places every benchmark × algorithm × run cell; every cell
+// derives its RNG from (Seed, run) alone. Phase two scores each
+// (benchmark, algorithm) panel's layouts through shared walks of the
+// testing trace — exact replay or the sampled window plan. Results land in
+// index-addressed slots, so the result — and the rendered output — is
+// byte-identical to the serial run regardless of scheduling.
 func Figure5(opts Options) (*Figure5Result, error) {
 	opts.setDefaults()
 	if err := opts.Cache.Validate(); err != nil {
@@ -80,101 +82,6 @@ func Figure5(opts Options) (*Figure5Result, error) {
 	// followed by runs 0..Runs-1.
 	perAlg := opts.Runs + 1
 	perBench := len(figure5Algs) * perAlg
-	unperturbed := make([][]float64, len(pairs))
-	ciHalf := make([][]float64, len(pairs))
-	rates := make([][][]float64, len(pairs))
-	for bi := range pairs {
-		unperturbed[bi] = make([]float64, len(figure5Algs))
-		ciHalf[bi] = make([]float64, len(figure5Algs))
-		rates[bi] = make([][]float64, len(figure5Algs))
-		for ai := range figure5Algs {
-			rates[bi][ai] = make([]float64, opts.Runs)
-		}
-	}
-
-	// record routes one cell's score into its index-addressed slot.
-	record := func(bi, ai, run int, mr, ci float64) {
-		if run < 0 {
-			unperturbed[bi][ai] = mr
-			ciHalf[bi][ai] = ci
-		} else {
-			rates[bi][ai][run] = mr
-		}
-	}
-
-	if lanes := opts.batchLanes(); lanes > 1 {
-		err = figure5Batched(opts, par, lanes, pairs, benches, perBench, perAlg, record)
-	} else {
-		err = runParallel(par, len(pairs)*perBench,
-			func() *figure5State {
-				return &figure5State{sim: cache.MustNewSim(opts.Cache), sh: opts.Telemetry.Shard()}
-			},
-			func(st *figure5State, i int) error {
-				bi, rest := i/perBench, i%perBench
-				ai, run := rest/perAlg, rest%perAlg-1
-				alg := figure5Algs[ai]
-				var rng *rand.Rand
-				if run >= 0 {
-					rng = rand.New(rand.NewSource(opts.Seed + int64(run)*7919))
-				}
-				stop := st.sh.Time("figure5/cell_wall")
-				mr, ci, err := runAlgorithm(alg, benches[bi], opts.Cache, rng, st.sim, st.sh, opts.Check)
-				stop()
-				if err != nil {
-					if run < 0 {
-						return fmt.Errorf("%s/%s unperturbed: %w", pairs[bi].Bench.Name, alg, err)
-					}
-					return fmt.Errorf("%s/%s run %d: %w", pairs[bi].Bench.Name, alg, run, err)
-				}
-				record(bi, ai, run, mr, ci)
-				return nil
-			})
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Figure5Result{Runs: opts.Runs, Scale: opts.Scale, Sampled: opts.Sample}
-	for bi, pair := range pairs {
-		fb := Figure5Bench{
-			Name:        pair.Bench.Name,
-			Sorted:      map[AlgorithmName][]float64{},
-			Unperturbed: map[AlgorithmName]float64{},
-		}
-		if opts.Sample {
-			fb.CIHalf = map[AlgorithmName]float64{}
-		}
-		for ai, alg := range figure5Algs {
-			fb.Unperturbed[alg] = unperturbed[bi][ai]
-			if opts.Sample {
-				fb.CIHalf[alg] = ciHalf[bi][ai]
-			}
-			sort.Float64s(rates[bi][ai])
-			fb.Sorted[alg] = rates[bi][ai]
-		}
-		out.Benches = append(out.Benches, fb)
-	}
-	return out, nil
-}
-
-// figure5State is one worker's scratch: a reusable cache simulator plus a
-// telemetry shard (nil when telemetry is off).
-type figure5State struct {
-	sim *cache.Sim
-	sh  *telemetry.Shard
-}
-
-// figure5Batched is the batched scoring path: the same cell grid split
-// into two phases. Phase one builds every placement (the perturbation,
-// invariant-check and gbsc/* telemetry of the serial path, unchanged);
-// phase two scores each (benchmark, algorithm) panel's Runs+1 layouts in
-// lane-sized chunks through one walk of the testing trace per chunk —
-// exact replay or the sampled window plan. Chunk boundaries are a
-// function of the grid alone, so every score and counter is
-// byte-identical at any parallelism, and identical to the serial path's
-// (which CI pins with a batched-vs-serial output comparison).
-func figure5Batched(opts Options, par, lanes int, pairs []*tracegen.Pair, benches []*bench,
-	perBench, perAlg int, record func(bi, ai, run int, mr, ci float64)) error {
 	layouts := make([][][]*program.Layout, len(pairs)) // [bi][ai][run+1]
 	for bi := range pairs {
 		layouts[bi] = make([][]*program.Layout, len(figure5Algs))
@@ -182,7 +89,7 @@ func figure5Batched(opts Options, par, lanes int, pairs []*tracegen.Pair, benche
 			layouts[bi][ai] = make([]*program.Layout, perAlg)
 		}
 	}
-	err := runParallel(par, len(pairs)*perBench,
+	err = runParallel(par, len(pairs)*perBench,
 		func() *telemetry.Shard { return opts.Telemetry.Shard() },
 		func(sh *telemetry.Shard, i int) error {
 			bi, rest := i/perBench, i%perBench
@@ -205,67 +112,63 @@ func figure5Batched(opts Options, par, lanes int, pairs []*tracegen.Pair, benche
 			return nil
 		})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	return runParallel(par, len(pairs)*len(figure5Algs),
-		func() *figure5BatchState {
-			return &figure5BatchState{bs: cache.MustNewBatchSim(opts.Cache), sh: opts.Telemetry.Shard()}
-		},
-		func(st *figure5BatchState, j int) error {
+	// rates and ciHalf mirror layouts: [bi][ai][run+1].
+	rates := make([][][]float64, len(pairs))
+	ciHalf := make([][][]float64, len(pairs))
+	for bi := range pairs {
+		rates[bi] = make([][]float64, len(figure5Algs))
+		ciHalf[bi] = make([][]float64, len(figure5Algs))
+	}
+	err = runParallel(par, len(pairs)*len(figure5Algs),
+		func() *telemetry.Shard { return opts.Telemetry.Shard() },
+		func(sh *telemetry.Shard, j int) error {
 			bi, ai := j/len(figure5Algs), j%len(figure5Algs)
-			b := benches[bi]
-			panel := layouts[bi][ai]
-			stop := st.sh.Time("figure5/score_wall")
+			stop := sh.Time("figure5/score_wall")
 			defer stop()
-			for lo := 0; lo < len(panel); lo += lanes {
-				hi := min(lo+lanes, len(panel))
-				chunk := panel[lo:hi]
-				if b.evalTest != nil {
-					before := st.bs.Batch()
-					ests, err := b.evalTest.MissRateBatch(st.bs, chunk)
-					if err != nil {
-						return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, figure5Algs[ai], err)
-					}
-					d := batchDelta(st.bs.Batch(), before)
-					d.Lanes = int64(len(chunk))
-					addBatch(st.sh, d)
-					for k, est := range ests {
-						st.sh.Add("sample/events_replayed", est.EventsReplayed)
-						st.sh.Add("sample/refs_replayed", est.RefsReplayed)
-						record(bi, ai, lo+k-1, est.MissRate, est.CIHalf)
-					}
-					continue
-				}
-				tables := make([]*cache.CompiledLayout, len(chunk))
-				for k, layout := range chunk {
-					var err error
-					if tables[k], err = cache.CompileLayout(opts.Cache, b.ctTest, layout); err != nil {
-						return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, figure5Algs[ai], err)
-					}
-				}
-				res, err := st.bs.Run(b.ctTest, tables, cache.BatchOptions{})
-				if err != nil {
-					return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, figure5Algs[ai], err)
-				}
-				addBatch(st.sh, res.Batch)
-				for k, lst := range res.Stats {
-					st.sh.Add("cache/refs", lst.Refs)
-					st.sh.Add("cache/misses", lst.Misses)
-					st.sh.Add("cache/cold_misses", lst.Cold)
-					st.sh.Add("cache/conflict_misses", lst.Conflict())
-					record(bi, ai, lo+k-1, lst.MissRate(), 0)
-				}
+			mr, ci, err := scoreLayouts(opts.Cache, benches[bi], layouts[bi][ai], sh)
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, figure5Algs[ai], err)
 			}
+			rates[bi][ai], ciHalf[bi][ai] = mr, ci
 			return nil
 		})
+	if err != nil {
+		return nil, err
+	}
+
+	out := &Figure5Result{Runs: opts.Runs, Scale: opts.Scale, Sampled: opts.Sample}
+	for bi, pair := range pairs {
+		fb := Figure5Bench{
+			Name:        pair.Bench.Name,
+			Sorted:      map[AlgorithmName][]float64{},
+			Unperturbed: map[AlgorithmName]float64{},
+		}
+		if opts.Sample {
+			fb.CIHalf = map[AlgorithmName]float64{}
+		}
+		for ai, alg := range figure5Algs {
+			fb.Unperturbed[alg] = rates[bi][ai][0]
+			if opts.Sample {
+				fb.CIHalf[alg] = ciHalf[bi][ai][0]
+			}
+			sorted := rates[bi][ai][1:]
+			sort.Float64s(sorted)
+			fb.Sorted[alg] = sorted
+		}
+		out.Benches = append(out.Benches, fb)
+	}
+	return out, nil
 }
 
-// figure5BatchState is one scoring worker's scratch: a reusable batched
-// simulator plus a telemetry shard.
-type figure5BatchState struct {
-	bs *cache.BatchSim
-	sh *telemetry.Shard
+// figure5State is one worker's scratch in the per-cell drivers (sampling,
+// staticbounds): a reusable cache simulator plus a telemetry shard (nil
+// when telemetry is off).
+type figure5State struct {
+	sim *cache.Sim
+	sh  *telemetry.Shard
 }
 
 // buildLayout computes a placement with optionally perturbed profile data
@@ -324,42 +227,6 @@ func buildLayout(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, 
 	}
 	sh.Add("placements/"+string(alg), 1)
 	return layout, nil
-}
-
-// runAlgorithm computes a placement via buildLayout and returns its miss
-// rate on the testing trace: an exact compiled replay normally, or the
-// sampled estimate (with its confidence half-width) when the benchmark was
-// prepared with sampling. ciHalf is 0 on the exact path. A non-nil sim
-// with a matching configuration is reused (via Reset) instead of
-// allocating a fresh simulator; workers pass their own simulator so no
-// state is shared across goroutines.
-func runAlgorithm(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, sim *cache.Sim, sh *telemetry.Shard, check invariant.Mode) (mr, ciHalf float64, err error) {
-	layout, err := buildLayout(alg, b, cfg, rng, sh, check)
-	if err != nil {
-		return 0, 0, err
-	}
-	if sim == nil || sim.Config() != cfg {
-		if sim, err = cache.NewSim(cfg); err != nil {
-			return 0, 0, err
-		}
-	}
-	if b.evalTest != nil {
-		// Sampled scoring. The evaluator resets the simulator per window, so
-		// the cumulative replay-engine counters recorded on the exact path
-		// are meaningless here; the sample/* counters (still deterministic
-		// per cell) take their place.
-		est := b.evalTest.MissRate(sim, layout)
-		sh.Add("sample/events_replayed", est.EventsReplayed)
-		sh.Add("sample/refs_replayed", est.RefsReplayed)
-		return est.MissRate, est.CIHalf, nil
-	}
-	st := sim.RunCompiled(b.ctTest, layout)
-	sh.Add("cache/refs", st.Refs)
-	sh.Add("cache/misses", st.Misses)
-	sh.Add("cache/cold_misses", st.Cold)
-	sh.Add("cache/conflict_misses", st.Conflict())
-	addReplay(sh, sim.Replay())
-	return st.MissRate(), 0, nil
 }
 
 // Render prints, per benchmark, the unperturbed MR table and distribution

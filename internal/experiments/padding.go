@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/tracegen"
@@ -53,30 +52,16 @@ func Padding(opts Options) (*PaddingResult, error) {
 	if err := checkGeneral(opts.Check, pair.Bench.Name+"/padding-padded", pair.Bench.Prog, padded, b.pop, opts.Cache); err != nil {
 		return nil, err
 	}
-	// Both variants score in one walk of the testing trace; BatchLanes 1
-	// keeps the serial per-layout engine.
-	var base, pad float64
-	if opts.batchLanes() > 1 {
-		res, err := cache.RunCompiledBatch(opts.Cache, b.ctTest,
-			[]*program.Layout{layout, padded}, cache.BatchOptions{})
-		if err != nil {
-			return nil, err
-		}
-		addBatch(sh, res.Batch)
-		base, pad = res.Stats[0].MissRate(), res.Stats[1].MissRate()
-	} else {
-		if base, err = cache.MissRateCompiled(opts.Cache, b.ctTest, layout); err != nil {
-			return nil, err
-		}
-		if pad, err = cache.MissRateCompiled(opts.Cache, b.ctTest, padded); err != nil {
-			return nil, err
-		}
+	// Both variants score in one walk of the testing trace.
+	mrs, _, err := scoreLayouts(opts.Cache, b, []*program.Layout{layout, padded}, sh)
+	if err != nil {
+		return nil, err
 	}
 	return &PaddingResult{
 		Benchmark:    pair.Bench.Name,
 		PadBytes:     opts.Cache.LineBytes,
-		BaseMissRate: base,
-		PadMissRate:  pad,
+		BaseMissRate: mrs[0],
+		PadMissRate:  mrs[1],
 	}, nil
 }
 

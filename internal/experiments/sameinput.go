@@ -5,6 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"repro/internal/program"
 	"repro/internal/tracegen"
 )
 
@@ -41,17 +42,24 @@ func SameInput(opts Options) (*SameInputResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	sh := opts.Telemetry.Shard()
+	layouts := make([]*program.Layout, len(figure5Algs))
+	for i, alg := range figure5Algs {
+		if layouts[i], err = buildLayout(alg, b, opts.Cache, nil, sh, opts.Check); err != nil {
+			return nil, err
+		}
+	}
+	mrs, _, err := scoreLayouts(opts.Cache, b, layouts, sh)
+	if err != nil {
+		return nil, err
+	}
 	res := &SameInputResult{
 		Benchmark: pair.Bench.Name,
 		Input:     pair.Train.Name,
 		MissRates: map[AlgorithmName]float64{},
 	}
-	for _, alg := range []AlgorithmName{AlgPH, AlgHKC, AlgGBSC} {
-		mr, _, err := runAlgorithm(alg, b, opts.Cache, nil, nil, opts.Telemetry.Shard(), opts.Check)
-		if err != nil {
-			return nil, err
-		}
-		res.MissRates[alg] = mr
+	for i, alg := range figure5Algs {
+		res.MissRates[alg] = mrs[i]
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cache"
+	"repro/internal/program"
 	"repro/internal/sample"
 )
 
@@ -121,7 +122,11 @@ func Sampling(opts Options) (*SamplingResult, error) {
 				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
 			}
 			exact := st.sim.RunCompiled(b.ctTest, layout).MissRate()
-			est := b.evalTest.MissRate(st.sim, layout)
+			ests, err := b.evalTest.MissRateBatch(cache.MustNewBatchSim(opts.Cache), []*program.Layout{layout})
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
+			}
+			est := ests[0]
 			st.sh.Observe("sample/abs_err_ppm", int64(math.Round(math.Abs(est.MissRate-exact)*1e6)))
 			out.Cells[i] = SamplingCell{Bench: pairs[bi].Bench.Name, Alg: alg, Exact: exact, Est: est}
 			return nil

@@ -88,33 +88,16 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 		}
 
 		// All three candidates score in one walk of the testing trace on
-		// the 2-way geometry (the batched LRU lanes); BatchLanes 1 keeps
-		// the serial per-layout engine.
-		layouts := []*program.Layout{defLayout, dmLayout, asLayout}
-		mrs := make([]float64, len(layouts))
-		if opts.batchLanes() > 1 {
-			res, err := cache.RunCompiledBatch(assocCfg, b.ctTest, layouts, cache.BatchOptions{})
-			if err != nil {
-				return err
-			}
-			addBatch(sh, res.Batch)
-			for k, st := range res.Stats {
-				mrs[k] = st.MissRate()
-			}
-		} else {
-			for k, layout := range layouts {
-				if mrs[k], err = cache.MissRateCompiled(assocCfg, b.ctTest, layout); err != nil {
-					return err
-				}
-			}
+		// the 2-way geometry (the batched LRU lanes).
+		mrs, _, err := scoreLayouts(assocCfg, b, []*program.Layout{defLayout, dmLayout, asLayout}, sh)
+		if err != nil {
+			return err
 		}
-		defMR, dmMR, asMR := mrs[0], mrs[1], mrs[2]
-
 		rows[i] = SetAssocRow{
 			Name:          pair.Bench.Name,
-			DefaultMR:     defMR,
-			DirectGBSCMR:  dmMR,
-			AssocGBSCMR:   asMR,
+			DefaultMR:     mrs[0],
+			DirectGBSCMR:  mrs[1],
+			AssocGBSCMR:   mrs[2],
 			PairDBEntries: db.Len(),
 		}
 		return nil

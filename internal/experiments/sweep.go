@@ -87,25 +87,10 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 			return err
 		}
 		// The cell's three candidates score in one walk of the testing
-		// trace (the 2-way geometries exercise the batched LRU lanes);
-		// BatchLanes 1 keeps the serial per-layout engine.
-		layouts := []*program.Layout{def, phl, gl}
-		rates := make([]float64, len(layouts))
-		if opts.batchLanes() > 1 {
-			res, err := cache.RunCompiledBatch(cfg, b.ctTest, layouts, cache.BatchOptions{})
-			if err != nil {
-				return err
-			}
-			addBatch(sh, res.Batch)
-			for k, st := range res.Stats {
-				rates[k] = st.MissRate()
-			}
-		} else {
-			for k, layout := range layouts {
-				if rates[k], err = cache.MissRateCompiled(cfg, b.ctTest, layout); err != nil {
-					return err
-				}
-			}
+		// trace (the 2-way geometries exercise the batched LRU lanes).
+		rates, _, err := scoreLayouts(cfg, b, []*program.Layout{def, phl, gl}, sh)
+		if err != nil {
+			return err
 		}
 		cell.Default, cell.PH, cell.GBSC = rates[0], rates[1], rates[2]
 		cells[i] = cell

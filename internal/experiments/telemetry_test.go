@@ -97,72 +97,6 @@ func TestTelemetryCoverage(t *testing.T) {
 	}
 }
 
-// TestTelemetryCoverageSerial pins the serial scoring path (BatchLanes
-// 1): the compiled-replay engine counters the batched path replaces with
-// cache/batch_* must still be reported, and no batch counters appear.
-func TestTelemetryCoverageSerial(t *testing.T) {
-	opts := smallOpts()
-	opts.BatchLanes = 1
-	opts.Telemetry = telemetry.NewRegistry()
-	if _, err := Figure5(opts); err != nil {
-		t.Fatal(err)
-	}
-	s := opts.Telemetry.Snapshot()
-	for _, name := range []string{
-		"cache/replay_events", "cache/replay_fast_events",
-		"cache/replay_collapsed_repeats", "cache/replay_collapsed_refs",
-	} {
-		if s.Counters[name] <= 0 {
-			t.Errorf("counter %q = %d, want > 0", name, s.Counters[name])
-		}
-	}
-	for _, name := range []string{"cache/batch_lanes", "cache/batch_lane_events"} {
-		if _, ok := s.Counters[name]; ok {
-			t.Errorf("serial run reported batch counter %q", name)
-		}
-	}
-}
-
-// TestFigure5BatchedMatchesSerial is the batched-vs-serial identity gate
-// in miniature: the rendered Figure 5 panels and every simulation
-// counter shared by the two paths must agree exactly between the default
-// batched run and BatchLanes 1, exact and sampled.
-func TestFigure5BatchedMatchesSerial(t *testing.T) {
-	for _, sampled := range []bool{false, true} {
-		run := func(lanes int) (string, *telemetry.Snapshot) {
-			opts := smallOpts()
-			opts.Sample = sampled
-			opts.BatchLanes = lanes
-			opts.Telemetry = telemetry.NewRegistry()
-			f5, err := Figure5(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := f5.Render(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.String(), opts.Telemetry.Snapshot()
-		}
-		batched, bsnap := run(0)
-		serial, ssnap := run(1)
-		if batched != serial {
-			t.Errorf("sampled=%v: batched and serial Figure 5 output differ:\n%s\n---\n%s",
-				sampled, batched, serial)
-		}
-		shared := []string{"cache/refs", "cache/misses", "cache/cold_misses", "cache/conflict_misses"}
-		if sampled {
-			shared = []string{"sample/events_replayed", "sample/refs_replayed"}
-		}
-		for _, name := range shared {
-			if bsnap.Counters[name] != ssnap.Counters[name] {
-				t.Errorf("sampled=%v: counter %q batched %d != serial %d",
-					sampled, name, bsnap.Counters[name], ssnap.Counters[name])
-			}
-		}
-	}
-}
-
 // TestRecord covers the result→report bridge for the result types that
 // carry miss rates.
 func TestRecord(t *testing.T) {

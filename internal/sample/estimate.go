@@ -62,8 +62,8 @@ type compiledWindow struct {
 // Evaluator holds a plan's windows precompiled for replay. Like a
 // CompiledTrace it depends only on the (program, trace, plan) triple —
 // never on a layout — so one evaluator is shared, concurrently if desired,
-// across every layout evaluated against the trace. Each MissRate call uses
-// the caller's simulator, so workers bring their own.
+// across every layout evaluated against the trace. Each MissRateBatch call
+// uses the caller's simulator, so workers bring their own.
 type Evaluator struct {
 	plan *Plan
 	ct   *cache.CompiledTrace
@@ -93,8 +93,12 @@ func NewEvaluator(ct *cache.CompiledTrace, plan *Plan) *Evaluator {
 // Plan returns the window-selection decision the evaluator replays.
 func (e *Evaluator) Plan() *Plan { return e.plan }
 
-// MissRate replays the plan's windows against layout through sim and
-// returns the weighted miss-rate estimate with its confidence interval.
+// MissRateBatch replays the plan's windows against each layout and
+// returns the weighted miss-rate estimates with their confidence
+// intervals. Each window walks once through bs for every layout (one lane
+// per layout); tables are compiled against the evaluator's own
+// compilation, so the caller only supplies layouts and a simulator of the
+// target geometry.
 //
 // The estimate splits misses by kind. Conflict/capacity misses are
 // measured per window: the simulator is reset, warmed with the window's
@@ -113,28 +117,6 @@ func (e *Evaluator) Plan() *Plan { return e.plan }
 // the window alone, so they are scored at half weight and the other half
 // widens the confidence interval — an interval over the unknown-state
 // ambiguity, not a guess.
-func (e *Evaluator) MissRate(sim *cache.Sim, layout *program.Layout) Estimate {
-	if len(e.wins) == 0 {
-		return e.estimate(layout, nil)
-	}
-	sts := make([]cache.Stats, len(e.wins))
-	for i, w := range e.wins {
-		sim.Reset()
-		if w.warm.Len() > 0 {
-			sim.ReplayCompiled(w.warm, layout)
-		}
-		sts[i] = sim.ReplayCompiled(w.body, layout)
-	}
-	return e.estimate(layout, sts)
-}
-
-// MissRateBatch scores several layouts against the plan in one pass: the
-// windows replay through the batched engine, each walked once for all
-// lanes instead of once per layout. Estimates are bit-identical to
-// MissRate of each layout — the per-lane window deltas equal the serial
-// engine's, and the estimator arithmetic runs per lane in the same order.
-// Tables are compiled against the evaluator's own compilation, so the
-// caller only supplies layouts and a simulator of the target geometry.
 func (e *Evaluator) MissRateBatch(bs *cache.BatchSim, layouts []*program.Layout) ([]Estimate, error) {
 	ests := make([]Estimate, len(layouts))
 	if len(e.wins) == 0 || len(layouts) == 0 {
@@ -179,9 +161,9 @@ func (e *Evaluator) MissRateBatch(bs *cache.BatchSim, layouts []*program.Layout)
 }
 
 // estimate turns one layout's per-window measurement deltas (sts[i] is
-// window i's body replay delta) into the weighted estimate. This is the
-// arithmetic shared verbatim by the serial and batched paths; the float
-// operation order is part of the bit-identity contract between them.
+// window i's body replay delta) into the weighted estimate. It runs per
+// lane in a fixed operation order, so a layout's estimate does not depend
+// on which other layouts share its batch.
 func (e *Evaluator) estimate(layout *program.Layout, sts []cache.Stats) Estimate {
 	est := Estimate{Windows: len(e.wins)}
 	if len(e.wins) == 0 {

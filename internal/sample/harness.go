@@ -216,6 +216,7 @@ func harnessSeed(o HarnessOptions, seed int64, res *HarnessResult) error {
 	layouts = append(layouts, placed{"split", sp.Prog, sl, str})
 
 	sim := cache.MustNewSim(cfg)
+	bs := cache.MustNewBatchSim(cfg)
 	evals := map[*trace.Trace]*Evaluator{}
 	for _, pl := range layouts {
 		ev := evals[pl.tr]
@@ -227,12 +228,15 @@ func harnessSeed(o HarnessOptions, seed int64, res *HarnessResult) error {
 			ev = NewEvaluator(cache.CompileTrace(pl.prog, pl.tr), plan)
 			evals[pl.tr] = ev
 		}
-		exact := sim.RunTrace(pl.layout, pl.tr).MissRate()
+		ests, err := ev.MissRateBatch(bs, []*program.Layout{pl.layout})
+		if err != nil {
+			return fmt.Errorf("%s: %w", pl.alg, err)
+		}
 		res.Cells = append(res.Cells, HarnessCell{
 			Seed:    seed,
 			Alg:     pl.alg,
-			Exact:   exact,
-			Sampled: ev.MissRate(sim, pl.layout),
+			Exact:   sim.RunTrace(pl.layout, pl.tr).MissRate(),
+			Sampled: ests[0],
 		})
 	}
 	return nil
