@@ -24,11 +24,24 @@ vet:
 # Custom analyzers (tools/analyzers): determinism rules over the pipeline
 # packages and the run()-pattern/Close-error rules over cmd binaries. The
 # selftest proves the analyzers still catch the known-bad fixtures before
-# the clean repo run is trusted.
+# the clean repo run is trusted. The layering checks keep the evaluation
+# packages (sampled estimate, static bounds, exhaustive search) free of the
+# placement layer, and randcell — shared test cells — out of every non-test
+# import list.
+PLACEMENT_PKGS = repro/internal/(anneal|baseline|core|split|wcg)
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/repolint -selftest
 	$(GO) run ./cmd/repolint
+	@deps="$$($(GO) list -deps ./internal/sample ./internal/staticcache ./internal/optimal)" || exit 1; \
+	bad="$$(echo "$$deps" | grep -E '^$(PLACEMENT_PKGS)$$')"; \
+	if [ -n "$$bad" ]; then echo "sample/staticcache/optimal depend on the placement layer:"; echo "$$bad"; exit 1; fi
+	@deps="$$($(GO) list -deps ./internal/staticcache ./internal/optimal)" || exit 1; \
+	if echo "$$deps" | grep -qx 'repro/internal/sample'; then \
+		echo "staticcache/optimal depend on repro/internal/sample"; exit 1; fi
+	@imps="$$($(GO) list -f '{{range .Imports}}{{$$.ImportPath}} {{.}}{{"\n"}}{{end}}' ./...)" || exit 1; \
+	bad="$$(echo "$$imps" | awk '$$2 == "repro/internal/randcell" {print $$1}')"; \
+	if [ -n "$$bad" ]; then echo "non-test code imports repro/internal/randcell:"; echo "$$bad"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -80,7 +93,7 @@ BATCH_BENCHES = ^(BenchmarkRunCompiledSerial16|BenchmarkRunCompiledBatch16|Bench
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(GBSC_BENCHES)' -benchmem \
-		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_gbsc.json
+		-benchtime=$(BENCHTIME) . ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_gbsc.json
 	$(GO) test -run '^$$' -bench '$(TRG_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . ./internal/trg/ | $(GO) run ./cmd/benchjson > BENCH_trg.json
 	$(GO) test -run '^$$' -bench '$(SAMPLE_BENCHES)' -benchmem \
@@ -90,7 +103,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench '$(INCR_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_incr.json
 	$(GO) test -run '^$$' -bench '$(BATCH_BENCHES)' -benchmem \
-		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_batch.json
+		-benchtime=$(BENCHTIME) . ./internal/optimal/ | $(GO) run ./cmd/benchjson > BENCH_batch.json
 
 # Regenerate the full paper evaluation (EXPERIMENTS.md numbers).
 experiments:

@@ -20,7 +20,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/incr"
-	"repro/internal/optimal"
 	"repro/internal/popular"
 	"repro/internal/sample"
 	"repro/internal/staticcache"
@@ -326,49 +325,6 @@ func BenchmarkHeaviestEdge(b *testing.B) {
 			g.MergeNodes(e.U, e.V)
 		}
 	}
-}
-
-// BenchmarkBestAlignment times one direct-mapped Figure 4 alignment search
-// of the edge-driven scorer at the midpoint of a perl merge run (both
-// nodes carry many procedures).
-func BenchmarkBestAlignment(b *testing.B) {
-	art := prepareArtifacts(b, "m88ksim", 0.3)
-	search, err := core.NewAlignmentBench(art.pair.Bench.Prog, art.res, art.pop, cache.PaperConfig)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += search()
-	}
-	_ = sink
-}
-
-// BenchmarkBestAlignmentAssoc times one Section 6 set-associative
-// alignment search over the pair database with the buffered scorer.
-func BenchmarkBestAlignmentAssoc(b *testing.B) {
-	pair := tracegen.Lookup(tracegen.Suite(0.1), "perl")
-	tr := pair.Bench.Trace(pair.Train)
-	pop := popular.Select(pair.Bench.Prog, tr, popular.Options{})
-	cfg := cache.Config{SizeBytes: cache.PaperConfig.SizeBytes, LineBytes: cache.PaperConfig.LineBytes, Assoc: 2}
-	res, db, err := trg.BuildPairs(pair.Bench.Prog, tr, trg.Options{
-		CacheBytes: cfg.SizeBytes,
-		Popular:    pop,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	search, err := core.NewAlignmentAssocBench(pair.Bench.Prog, res, db, pop, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += search()
-	}
-	_ = sink
 }
 
 // BenchmarkTRGBuild times TRG_select/TRG_place construction per trace event.
@@ -698,66 +654,6 @@ func BenchmarkRunCompiledBatch16(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(layouts))*float64(ct.Len())*float64(b.N)/b.Elapsed().Seconds(), "layout·events/sec")
-}
-
-// optimalSearchFixture builds the exhaustive-search workload for the batched
-// search benchmarks: one of the optimality experiment's loop-structured tiny
-// programs on the 4-line cache.
-func optimalSearchFixture(b *testing.B) (*Program, *Trace, cache.Config) {
-	b.Helper()
-	tiny := cache.Config{SizeBytes: 128, LineBytes: 32, Assoc: 1}
-	rng := rand.New(rand.NewSource(3))
-	const n = 5
-	procs := make([]Procedure, n)
-	for i := range procs {
-		procs[i] = Procedure{Name: "p" + string(rune('a'+i)), Size: 32 * (rng.Intn(2) + 1)}
-	}
-	prog, err := NewProgram(procs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := &Trace{}
-	for tr.Len() < 500 {
-		if rng.Intn(2) == 0 {
-			sweeps := rng.Intn(8) + 2
-			for s := 0; s < sweeps; s++ {
-				for p := 0; p < n; p++ {
-					tr.Append(Event{Proc: ProcID(p)})
-				}
-			}
-		} else {
-			walk := rng.Intn(20) + 5
-			for i := 0; i < walk; i++ {
-				tr.Append(Event{Proc: ProcID(rng.Intn(n))})
-			}
-		}
-	}
-	return prog, tr, tiny
-}
-
-// BenchmarkOptimalSearchSerial times the screened serial reference search —
-// one replay per surviving candidate (the PR 8 engine).
-func BenchmarkOptimalSearchSerial(b *testing.B) {
-	prog, tr, tiny := optimalSearchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := optimal.SearchReference(prog, tr, tiny); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimalSearchBatched times the production search: 16-lane batched
-// replay with incumbent-budget early abandonment on top of the static
-// screen (acceptance: ≥2× the serial search with a byte-identical winner).
-func BenchmarkOptimalSearchBatched(b *testing.B) {
-	prog, tr, tiny := optimalSearchFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := optimal.Search(prog, tr, tiny); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkCacheSim times the trace-driven simulator in refs/op terms.

@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,28 +52,41 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	run := flag.String("run", "all", "comma-separated experiments to run")
-	scale := flag.Float64("scale", 1.0, "trace length scale factor")
-	runs := flag.Int("runs", 40, "perturbed runs per algorithm (figure 5)")
-	seed := flag.Int64("seed", 1, "randomization seed")
-	benches := flag.String("bench", "", "comma-separated benchmark filter (default all six)")
-	csvPath := flag.String("csv", "", "also write figure 6 points as CSV to this path")
-	parallel := flag.Int("parallel", 0, "experiment worker count (0 = one per CPU, 1 = serial); output is identical at every setting")
-	shards := flag.Int("shards", 0, "TRG build shards per benchmark (0 or 1 = serial builder); output is identical at every setting")
-	statsPath := flag.String("stats", "", "write a JSON run report to this path")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
-	checkFlag := flag.String("check", "fatal", "layout/TRG invariant checking: fatal, warn, or off")
-	sampleFlag := flag.Bool("sample", false, "score figure 5 layouts with the phase-aware sampled estimator instead of exact replay; estimates carry <alg>/ci half-widths in the run report")
-	sampleWindows := flag.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
-	sampleInterval := flag.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
-	flag.Parse()
+// run parses args and writes the selected experiments' tables to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	run := fs.String("run", "all", "comma-separated experiments to run")
+	scale := fs.Float64("scale", 1.0, "trace length scale factor (must be positive)")
+	runs := fs.Int("runs", 40, "perturbed runs per algorithm (figure 5)")
+	seed := fs.Int64("seed", 1, "randomization seed")
+	benches := fs.String("bench", "", "comma-separated benchmark filter (default all six)")
+	csvPath := fs.String("csv", "", "also write figure 6 points as CSV to this path")
+	parallel := fs.Int("parallel", 0, "experiment worker count (0 = one per CPU, 1 = serial); output is identical at every setting")
+	shards := fs.Int("shards", 0, "TRG build shards per benchmark (0 or 1 = serial builder); output is identical at every setting")
+	statsPath := fs.String("stats", "", "write a JSON run report to this path")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
+	checkFlag := fs.String("check", "fatal", "layout/TRG invariant checking: fatal, warn, or off")
+	sampleFlag := fs.Bool("sample", false, "score figure 5 layouts with the phase-aware sampled estimator instead of exact replay; estimates carry <alg>/ci half-widths in the run report")
+	sampleWindows := fs.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
+	sampleInterval := fs.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// Suite generation reads a non-positive scale as full scale; reject it
+	// rather than silently running the full-length workload. The negated
+	// form also rejects NaN.
+	if !(*scale > 0) {
+		return fmt.Errorf("-scale must be positive, got %g", *scale)
+	}
 
 	checkMode, err := invariant.ParseMode(*checkFlag)
 	if err != nil {
@@ -119,6 +133,15 @@ func run() error {
 	}
 	all := want["all"]
 
+	// render adapts the common "result with a Render method" experiment
+	// shape to a step function.
+	render := func(r interface{ Render(w io.Writer) error }, err error) (any, error) {
+		if err != nil {
+			return nil, err
+		}
+		return r, r.Render(stdout)
+	}
+
 	// Each step returns its typed result so the run report can pull
 	// machine-gateable numbers out of it; results without such numbers
 	// pass through experiments.Record as a no-op.
@@ -132,15 +155,15 @@ func run() error {
 			if err != nil {
 				return nil, err
 			}
-			fmt.Println("== Table 1: benchmark details ==")
-			return r, r.Render(os.Stdout)
+			fmt.Fprintln(stdout, "== Table 1: benchmark details ==")
+			return r, r.Render(stdout)
 		}},
 		{"figure5", func() (any, error) {
 			r, err := experiments.Figure5(opts)
 			if err != nil {
 				return nil, err
 			}
-			if err := r.Render(os.Stdout); err != nil {
+			if err := r.Render(stdout); err != nil {
 				return nil, err
 			}
 			if *csvPath != "" {
@@ -155,7 +178,7 @@ func run() error {
 			if err != nil {
 				return nil, err
 			}
-			if err := r.Render(os.Stdout); err != nil {
+			if err := r.Render(stdout); err != nil {
 				return nil, err
 			}
 			if *csvPath != "" {
@@ -209,7 +232,7 @@ func run() error {
 			break
 		}
 		experiments.Record(rep, result)
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		ran++
 	}
 	if stepErr == nil && ran == 0 {
@@ -233,15 +256,6 @@ func run() error {
 		}
 	}
 	return stepErr
-}
-
-// render adapts the common "result with a Render method" experiment shape
-// to a step function.
-func render[T interface{ Render(w io.Writer) error }](r T, err error) (any, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r, r.Render(os.Stdout)
 }
 
 // writeFile creates path, runs fill, and returns the first error among

@@ -12,13 +12,13 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"strconv"
-
 	"time"
 
 	"repro/internal/cache"
@@ -31,22 +31,36 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracegen: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	benchName := flag.String("bench", "perl", "benchmark name (gcc, go, ghostscript, m88ksim, perl, vortex)")
-	input := flag.String("input", "train", "which input to run: train or test")
-	scale := flag.Float64("scale", 1.0, "trace length scale factor")
-	outTrace := flag.String("out", "", "output trace file (binary format); default <bench>-<input>.trace")
-	outProg := flag.String("prog", "", "output program description; default <bench>.prog")
-	statsPath := flag.String("stats", "", "write a JSON run report to this path")
-	shards := flag.Int("shards", 0, "also build the TRG from the generated trace with this many shards (0 = skip, 1 = serial) and report build throughput")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
-	flag.Parse()
+// run parses args, writes the trace and program files, and reports on
+// stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	benchName := fs.String("bench", "perl", "benchmark name (gcc, go, ghostscript, m88ksim, perl, vortex)")
+	input := fs.String("input", "train", "which input to run: train or test")
+	scale := fs.Float64("scale", 1.0, "trace length scale factor (must be positive)")
+	outTrace := fs.String("out", "", "output trace file (binary format); default <bench>-<input>.trace")
+	outProg := fs.String("prog", "", "output program description; default <bench>.prog")
+	statsPath := fs.String("stats", "", "write a JSON run report to this path")
+	shards := fs.Int("shards", 0, "also build the TRG from the generated trace with this many shards (0 = skip, 1 = serial) and report build throughput")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// tracegen.Suite reads a non-positive scale as full scale; reject it
+	// rather than silently writing a full-length trace. The negated form
+	// also rejects NaN.
+	if !(*scale > 0) {
+		return fmt.Errorf("-scale must be positive, got %g", *scale)
+	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -117,7 +131,7 @@ func run() error {
 	stats := tr.ComputeStats(pair.Bench.Prog, 32)
 	sh.Add("tracegen/line_refs", stats.LineRefs)
 	sh.Add("tracegen/unique_procs", int64(stats.UniqueProcs))
-	fmt.Printf("%s/%s: %d events, %d line refs, %d procedures touched → %s, %s\n",
+	fmt.Fprintf(stdout, "%s/%s: %d events, %d line refs, %d procedures touched → %s, %s\n",
 		*benchName, in.Name, stats.Events, stats.LineRefs, stats.UniqueProcs, *outTrace, *outProg)
 
 	// -shards: build the TRG from the freshly generated trace through the
@@ -134,7 +148,7 @@ func run() error {
 		wall := time.Since(start)
 		sh.AddDuration("trg/build_wall", wall)
 		eps := float64(bs.Events) / wall.Seconds()
-		fmt.Printf("trg build (%d shards): %d events in %v (%.0f events/sec), select %d nodes/%d edges, place %d nodes/%d edges\n",
+		fmt.Fprintf(stdout, "trg build (%d shards): %d events in %v (%.0f events/sec), select %d nodes/%d edges, place %d nodes/%d edges\n",
 			*shards, bs.Events, wall.Round(time.Millisecond), eps,
 			res.Select.NumNodes(), res.Select.NumEdges(),
 			res.Place.NumNodes(), res.Place.NumEdges())

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -27,25 +29,40 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("traceinfo: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	progPath := flag.String("prog", "", "program description file (required)")
-	tracePath := flag.String("trace", "", "binary trace file (required)")
-	top := flag.Int("top", 15, "how many of the hottest procedures to list")
-	cacheBytes := flag.Int("cache", 8192, "cache size for the Q statistic")
-	lineBytes := flag.Int("line", 32, "cache line size in bytes")
-	dotPath := flag.String("dot", "", "write TRG_select in Graphviz DOT format to this path")
-	dotMin := flag.Int64("dotmin", 1, "omit TRG edges lighter than this from the DOT output")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
-	flag.Parse()
+// run parses args and writes the trace summary to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("traceinfo", flag.ContinueOnError)
+	progPath := fs.String("prog", "", "program description file (required)")
+	tracePath := fs.String("trace", "", "binary trace file (required)")
+	top := fs.Int("top", 15, "how many of the hottest procedures to list")
+	cacheBytes := fs.Int("cache", 8192, "cache size for the Q statistic")
+	lineBytes := fs.Int("line", 32, "cache line size in bytes")
+	dotPath := fs.String("dot", "", "write TRG_select in Graphviz DOT format to this path")
+	dotMin := fs.Int64("dotmin", 1, "omit TRG edges lighter than this from the DOT output")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *progPath == "" || *tracePath == "" {
 		return fmt.Errorf("-prog and -trace are required")
+	}
+	switch {
+	case *lineBytes <= 0:
+		return fmt.Errorf("-line must be positive, got %d", *lineBytes)
+	case *cacheBytes <= 0:
+		return fmt.Errorf("-cache must be positive, got %d", *cacheBytes)
+	case *top < 0:
+		return fmt.Errorf("-top must not be negative, got %d", *top)
 	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
@@ -91,14 +108,14 @@ func run() error {
 		return err
 	}
 
-	fmt.Printf("program:            %d procedures, %d bytes\n", prog.NumProcs(), prog.TotalSize())
-	fmt.Printf("activations:        %d\n", stats.Events)
-	fmt.Printf("line references:    %d (%d-byte lines)\n", stats.LineRefs, *lineBytes)
-	fmt.Printf("procedures touched: %d\n", stats.UniqueProcs)
-	fmt.Printf("popular set:        %d procedures, %d bytes\n", pop.Len(), pop.TotalSize(prog))
-	fmt.Printf("avg Q population:   %.1f procedures (bound %dB)\n", res.AvgQProcs, 2**cacheBytes)
-	fmt.Printf("TRG_select:         %d nodes, %d edges\n", res.Select.NumNodes(), res.Select.NumEdges())
-	fmt.Printf("TRG_place:          %d chunks, %d edges\n", res.Place.NumNodes(), res.Place.NumEdges())
+	fmt.Fprintf(stdout, "program:            %d procedures, %d bytes\n", prog.NumProcs(), prog.TotalSize())
+	fmt.Fprintf(stdout, "activations:        %d\n", stats.Events)
+	fmt.Fprintf(stdout, "line references:    %d (%d-byte lines)\n", stats.LineRefs, *lineBytes)
+	fmt.Fprintf(stdout, "procedures touched: %d\n", stats.UniqueProcs)
+	fmt.Fprintf(stdout, "popular set:        %d procedures, %d bytes\n", pop.Len(), pop.TotalSize(prog))
+	fmt.Fprintf(stdout, "avg Q population:   %.1f procedures (bound %dB)\n", res.AvgQProcs, 2**cacheBytes)
+	fmt.Fprintf(stdout, "TRG_select:         %d nodes, %d edges\n", res.Select.NumNodes(), res.Select.NumEdges())
+	fmt.Fprintf(stdout, "TRG_place:          %d chunks, %d edges\n", res.Place.NumNodes(), res.Place.NumEdges())
 
 	if *dotPath != "" {
 		f, err := os.Create(*dotPath)
@@ -114,7 +131,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("TRG_select DOT:     %s\n", *dotPath)
+		fmt.Fprintf(stdout, "TRG_select DOT:     %s\n", *dotPath)
 	}
 
 	type hot struct {
@@ -136,8 +153,8 @@ func run() error {
 	if len(hots) > *top {
 		hots = hots[:*top]
 	}
-	fmt.Printf("\nhottest procedures:\n")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "\nhottest procedures:\n")
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "procedure\tactivations\tsize\tpopular")
 	for _, h := range hots {
 		mark := ""

@@ -774,21 +774,3 @@ func (bs *BatchSim) retire(li int) {
 	bs.alive[lane] = false
 	bs.active = append(bs.active[:li], bs.active[li+1:]...)
 }
-
-// RunCompiledBatch compiles each layout against ct and scores all of them
-// in one walk through a fresh BatchSim. Callers batching repeatedly (a
-// search over thousands of candidates) should hold one BatchSim and call
-// Run to reuse its state buffers.
-func RunCompiledBatch(cfg Config, ct *CompiledTrace, layouts []*program.Layout, opts BatchOptions) (*BatchResult, error) {
-	bs, err := NewBatchSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tables := make([]*CompiledLayout, len(layouts))
-	for i, layout := range layouts {
-		if tables[i], err = CompileLayout(cfg, ct, layout); err != nil {
-			return nil, err
-		}
-	}
-	return bs.Run(ct, tables, opts)
-}

@@ -118,32 +118,6 @@ func TestBatchMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRunCompiledBatchConvenience covers the package-level wrapper on the
-// paper geometry.
-func TestRunCompiledBatchConvenience(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	prog := randProgram(rng, 40)
-	train := randTrace(rng, prog, 200)
-	test := randTrace(rng, prog, 200)
-	base := sortedLayouts(diffLayouts(t, rng, prog, train))
-	layouts := make([]*program.Layout, len(base))
-	for i, nl := range base {
-		layouts[i] = nl.layout
-	}
-	ct := cache.CompileTrace(prog, test)
-	cfg := cache.PaperConfig
-	res, err := cache.RunCompiledBatch(cfg, ct, layouts, cache.BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nl := range base {
-		want := cache.MustNewSim(cfg).RunTraceOracle(nl.layout, test)
-		if res.Stats[i] != want {
-			t.Errorf("lane %s: %+v != oracle %+v", nl.name, res.Stats[i], want)
-		}
-	}
-}
-
 // TestBatchAbandonment pins the abandonment contract: with each lane's
 // budget set to its own final miss count, no lane retires and the stats
 // stay byte-identical; with the budget one below, every lane with at
@@ -349,7 +323,8 @@ func TestBatchEmpty(t *testing.T) {
 	ct := cache.CompileTrace(prog, test)
 	cfg := cache.PaperConfig
 
-	res, err := cache.RunCompiledBatch(cfg, ct, nil, cache.BatchOptions{})
+	bs := cache.MustNewBatchSim(cfg)
+	res, err := bs.Run(ct, nil, cache.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +332,12 @@ func TestBatchEmpty(t *testing.T) {
 		t.Errorf("zero-lane run produced %+v", res)
 	}
 
-	layout := program.DefaultLayout(prog)
-	res, err = cache.RunCompiledBatch(cfg, ct.Slice(0, 0), []*program.Layout{layout}, cache.BatchOptions{})
+	empty := ct.Slice(0, 0)
+	cl, err := cache.CompileLayout(cfg, empty, program.DefaultLayout(prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = bs.Run(empty, []*cache.CompiledLayout{cl}, cache.BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -388,24 +388,15 @@ func MissRate(cfg Config, layout *program.Layout, tr *trace.Trace) (float64, err
 	return st.MissRate(), nil
 }
 
-// RunCompiled replays a precompiled trace through a fresh simulation.
-// Callers replaying the same trace against many layouts should compile it
-// once (CompileTrace) and use this instead of RunTrace so the per-event
-// extent/repeat resolution is not repeated per layout.
-func RunCompiled(cfg Config, ct *CompiledTrace, layout *program.Layout) (Stats, error) {
-	sim, err := NewSim(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	return sim.RunCompiled(ct, layout), nil
-}
-
-// MissRateCompiled is a convenience wrapper around RunCompiled returning
-// only the miss rate.
+// MissRateCompiled replays a precompiled trace through a fresh simulation
+// and returns the miss rate. Callers replaying the same trace against many
+// layouts should compile it once (CompileTrace) and use this instead of
+// MissRate so the per-event extent/repeat resolution is not repeated per
+// layout.
 func MissRateCompiled(cfg Config, ct *CompiledTrace, layout *program.Layout) (float64, error) {
-	st, err := RunCompiled(cfg, ct, layout)
+	sim, err := NewSim(cfg)
 	if err != nil {
 		return 0, err
 	}
-	return st.MissRate(), nil
+	return sim.RunCompiled(ct, layout).MissRate(), nil
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // This file holds the fast alignment engines behind the GBSC merge loop.
-// The naive scorers in merge.go rebuild both nodes' line occupancy from the
-// chunker and walk all C² line pairs with map lookups on every merge,
-// costing O(C²·occ²) per alignment search; they are retained as reference
-// oracles. The engines here keep each working node's chunk→line assignment
+// The naive scorers the tests keep as reference oracles (oracle_test.go)
+// rebuild both nodes' line occupancy from the chunker and walk all C² line
+// pairs with map lookups on every merge, costing O(C²·occ²) per alignment
+// search. The engines here keep each working node's chunk→line assignment
 // incrementally up to date across shift/absorb and score alignments by
 // iterating only the TRG_place cross-edges between the two nodes into a
 // reusable cost buffer (cost[(l1-l2) mod C] += w), so a direct-mapped
@@ -496,4 +496,28 @@ func (e *assocEngine) bestOffset(u, v graph.NodeID) int {
 		}
 	}
 	return best
+}
+
+// assocSetCost sums, for every block p in own, the D(p,{r,s}) counts over
+// pairs {r,s} drawn from own∪other with at least one member in other.
+func assocSetCost(own, other []program.ChunkID, db *trg.PairDB) int64 {
+	var total int64
+	for _, p := range own {
+		// Pairs with both members in other.
+		for i := 0; i < len(other); i++ {
+			for j := i + 1; j < len(other); j++ {
+				total += db.Count(trg.BlockID(p), trg.BlockID(other[i]), trg.BlockID(other[j]))
+			}
+		}
+		// Mixed pairs: one member from own (not p itself), one from other.
+		for _, r := range own {
+			if r == p {
+				continue
+			}
+			for _, s := range other {
+				total += db.Count(trg.BlockID(p), trg.BlockID(r), trg.BlockID(s))
+			}
+		}
+	}
+	return total
 }

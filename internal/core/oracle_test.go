@@ -11,10 +11,9 @@ import (
 // the offset with the lowest conflict metric, taking the first of equal-cost
 // offsets.
 //
-// This is the naive O(C²·occ²) implementation, retained (together with
+// This is the naive O(C²·occ²) implementation, kept (together with
 // occupancy and bestAlignmentAssoc) as the reference oracle for the
-// edge-driven fast engines in align.go; the production merge loop no
-// longer calls it. The metric for offset i is
+// edge-driven fast engines in align.go. The metric for offset i is
 //
 //	Σ_j Σ_{p1 ∈ c1[(j+i) mod C]} Σ_{p2 ∈ c2[j]} W_place(p1, p2)
 //
@@ -96,26 +95,19 @@ func bestAlignmentAssoc(n1, n2 *node, db *trg.PairDB, chunker *program.Chunker, 
 	return best, bestCost
 }
 
-// assocSetCost sums, for every block p in own, the D(p,{r,s}) counts over
-// pairs {r,s} drawn from own∪other with at least one member in other.
-func assocSetCost(own, other []program.ChunkID, db *trg.PairDB) int64 {
-	var total int64
-	for _, p := range own {
-		// Pairs with both members in other.
-		for i := 0; i < len(other); i++ {
-			for j := i + 1; j < len(other); j++ {
-				total += db.Count(trg.BlockID(p), trg.BlockID(other[i]), trg.BlockID(other[j]))
-			}
-		}
-		// Mixed pairs: one member from own (not p itself), one from other.
-		for _, r := range own {
-			if r == p {
-				continue
-			}
-			for _, s := range other {
-				total += db.Count(trg.BlockID(p), trg.BlockID(r), trg.BlockID(s))
-			}
+// occupancy computes the line→chunks map for a node. For each procedure at
+// offset o, line o+i holds the chunk covering byte i*lineBytes of the
+// procedure. period is the number of cache lines for direct-mapped
+// placement and the number of sets for the set-associative variant.
+func occupancy(n *node, chunker *program.Chunker, prog *program.Program, lineBytes, period int) lineOccupancy {
+	occ := make(lineOccupancy, period)
+	for _, pp := range n.procs {
+		lines := prog.SizeLines(pp.Proc, lineBytes)
+		for i := 0; i < lines; i++ {
+			idx := mod(pp.Line+i, period)
+			chunk := chunker.ChunkAtOffset(pp.Proc, i*lineBytes)
+			occ[idx] = append(occ[idx], chunk)
 		}
 	}
-	return total
+	return occ
 }

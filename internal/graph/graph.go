@@ -176,8 +176,9 @@ func (g *Graph) Edges() []Edge {
 // The first call builds an indexed max-heap over the edges in O(E);
 // afterwards selection is O(log E) amortized because mutations push fresh
 // entries and stale ones are discarded lazily at the top. The returned edge
-// is byte-identical to the retained O(E) scan oracle (heaviestEdgeScan)
-// under the same (W desc, U asc, V asc) total order.
+// is byte-identical to the O(E) scan oracle the tests keep
+// (heaviestEdgeScan in heap_test.go) under the same (W desc, U asc, V asc)
+// total order.
 func (g *Graph) HeaviestEdge() (e Edge, ok bool) {
 	if g.sel == nil {
 		g.buildSelector()

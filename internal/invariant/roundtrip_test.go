@@ -5,38 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/anneal"
-	"repro/internal/baseline"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/optimal"
-	"repro/internal/popular"
-	"repro/internal/program"
-	"repro/internal/split"
-	"repro/internal/trace"
+	"repro/internal/randcell"
 	"repro/internal/trg"
-	"repro/internal/wcg"
 )
-
-func randomProgram(rng *rand.Rand, n int) *program.Program {
-	procs := make([]program.Procedure, n)
-	for i := range procs {
-		procs[i] = program.Procedure{
-			Name: fmt.Sprintf("p%02d", i),
-			Size: 32 + rng.Intn(480),
-		}
-	}
-	return program.MustNew(procs)
-}
-
-func randomTrace(rng *rand.Rand, prog *program.Program, events int) *trace.Trace {
-	tr := &trace.Trace{}
-	for i := 0; i < events; i++ {
-		tr.Append(trace.Event{Proc: program.ProcID(rng.Intn(prog.NumProcs()))})
-	}
-	return tr
-}
 
 func mustClean(t *testing.T, alg string, vs []invariant.Violation) {
 	t.Helper()
@@ -53,30 +28,16 @@ func TestAllAlgorithmsSatisfyInvariants(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			prog := randomProgram(rng, 12)
-			tr := randomTrace(rng, prog, 4000)
+			prog := randcell.Program(rng, 12)
+			tr := randcell.PhasedTrace(rng, prog, 4000)
 			cfg := cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1}
-			pop := popular.Select(prog, tr, popular.Options{})
-
-			// Link order and Pettis-Hansen produce packed permutations.
-			mustClean(t, "default", invariant.CheckLayout(prog, program.DefaultLayout(prog),
-				invariant.LayoutOptions{RequirePacked: true}))
-			phl, err := baseline.PHLayout(prog, wcg.Build(tr))
+			cells, err := randcell.Layouts(prog, tr, cfg, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustClean(t, "ph", invariant.CheckLayout(prog, phl, invariant.LayoutOptions{RequirePacked: true}))
+			pop := cells[0].Popular
 
-			// HKC only aligns the compound procedures it colors, so it gets
-			// the universal checks.
-			hkcl, err := baseline.HKC(prog, wcg.BuildFiltered(tr, pop.Contains), pop, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustClean(t, "hkc", invariant.CheckLayout(prog, hkcl, invariant.LayoutOptions{Cache: cfg, Popular: pop}))
-
-			// The GBSC family goes through place.Emit: every popular
-			// procedure line-aligned on its assigned cache line.
+			// The cells share one TRG; its build accounting must hold.
 			res, bs, err := trg.BuildWithStats(prog, tr, trg.Options{
 				CacheBytes: cfg.SizeBytes, Popular: pop,
 			})
@@ -85,34 +46,38 @@ func TestAllAlgorithmsSatisfyInvariants(t *testing.T) {
 			}
 			mustClean(t, "trg", invariant.CheckTRG(prog, res, bs, pop))
 
-			items, err := core.Assign(prog, res, pop, cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, c := range cells {
+				opts := invariant.LayoutOptions{Cache: cfg, Popular: c.Popular}
+				switch c.Alg {
+				case "default", "ph":
+					// Link order and Pettis-Hansen produce packed
+					// permutations.
+					opts = invariant.LayoutOptions{RequirePacked: true}
+				case "hkc":
+					// HKC only aligns the compound procedures it colors,
+					// so it gets the universal checks.
+				case "gbsc", "split":
+					// The GBSC family goes through place.Emit: every
+					// popular procedure line-aligned on its assigned
+					// cache line, chunked by its own TRG. Splitting
+					// transforms the program first, so its cell carries
+					// the split program's popular set and TRG.
+					opts.Chunker = c.TRG.Chunker
+					opts.RequireAlignedPopular = true
+					if c.Alg == "gbsc" {
+						items, err := core.Assign(c.Prog, c.TRG, c.Popular, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.Placed = items
+					}
+				case "pagelocal", "anneal":
+					opts.RequireAlignedPopular = true
+				default:
+					t.Fatalf("no invariant class for algorithm %q", c.Alg)
+				}
+				mustClean(t, c.Alg, invariant.CheckLayout(c.Prog, c.Layout, opts))
 			}
-			gl, err := core.Linearize(prog, items, pop, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustClean(t, "gbsc", invariant.CheckLayout(prog, gl, invariant.LayoutOptions{
-				Cache: cfg, Popular: pop, Placed: items,
-				Chunker: res.Chunker, RequireAlignedPopular: true,
-			}))
-
-			pgl, err := core.PlacePageAware(prog, res, pop, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustClean(t, "pagelocal", invariant.CheckLayout(prog, pgl, invariant.LayoutOptions{
-				Cache: cfg, Popular: pop, RequireAlignedPopular: true,
-			}))
-
-			al, err := anneal.Place(prog, res, pop, cfg, anneal.Options{Steps: 400, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustClean(t, "anneal", invariant.CheckLayout(prog, al, invariant.LayoutOptions{
-				Cache: cfg, Popular: pop, RequireAlignedPopular: true,
-			}))
 
 			// Set-associative variant (Section 6): period is the set count.
 			cfg2 := cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 2}
@@ -130,32 +95,6 @@ func TestAllAlgorithmsSatisfyInvariants(t *testing.T) {
 				Cache: cfg2, Popular: pop, Period: cfg2.NumSets(),
 				RequireAlignedPopular: true,
 			}))
-
-			// Splitting transforms the program first; the checks run against
-			// the split program and its own popular set.
-			sp, err := split.Split(prog, tr, split.Options{Align: cfg.LineBytes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			strain, err := sp.TransformTrace(prog, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spop := popular.Select(sp.Prog, strain, popular.Options{})
-			sres, err := trg.Build(sp.Prog, strain, trg.Options{
-				CacheBytes: cfg.SizeBytes, Popular: spop,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sl, err := core.Place(sp.Prog, sres, spop, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustClean(t, "splitting", invariant.CheckLayout(sp.Prog, sl, invariant.LayoutOptions{
-				Cache: cfg, Popular: spop, Chunker: sres.Chunker,
-				RequireAlignedPopular: true,
-			}))
 		})
 	}
 
@@ -163,8 +102,8 @@ func TestAllAlgorithmsSatisfyInvariants(t *testing.T) {
 	// place.Linearize with every procedure popular.
 	rng := rand.New(rand.NewSource(42))
 	tiny := cache.Config{SizeBytes: 96, LineBytes: 32, Assoc: 1}
-	prog := randomProgram(rng, 4)
-	tr := randomTrace(rng, prog, 400)
+	prog := randcell.Program(rng, 4)
+	tr := randcell.PhasedTrace(rng, prog, 400)
 	opt, err := optimal.Search(prog, tr, tiny)
 	if err != nil {
 		t.Fatal(err)

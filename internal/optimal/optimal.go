@@ -42,11 +42,10 @@ type Result struct {
 	Pruned    int64
 	// Abandoned counts evaluated candidates whose replay retired mid-walk
 	// because the running miss count already exceeded the incumbent's —
-	// a subset of Evaluated. Zero for SearchReference.
+	// a subset of Evaluated.
 	Abandoned int64
-	// Batch is the batched engine's work accounting (zero for
-	// SearchReference): how many lane-events were walked versus saved by
-	// early abandonment.
+	// Batch is the batched engine's work accounting: how many lane-events
+	// were walked versus saved by early abandonment.
 	Batch cache.BatchStats
 }
 
@@ -116,7 +115,8 @@ func candidates(prog *program.Program, cfg cache.Config, yield func(*program.Lay
 // modest line count; the space is at most lines^(n-1) candidates.
 //
 // Three amortizations stack, and each preserves the first-minimal winner
-// of the plain serial search (SearchReference) byte-for-byte:
+// of the plain serial search (SearchReference, kept in the tests)
+// byte-for-byte:
 //
 //   - Candidates are pre-screened with the static analysis: a layout whose
 //     sound lower miss bound (staticcache) already exceeds the best
@@ -200,43 +200,6 @@ func Search(prog *program.Program, tr *trace.Trace, cfg cache.Config) (*Result, 
 		return nil, err
 	}
 	if err := flush(); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SearchReference is the frozen serial baseline search: the same static
-// prescreen, but every surviving candidate replayed one at a time with
-// cache.RunTrace — a fresh simulator and a fresh trace memoization per
-// candidate, exactly the shape Search had before batching. Search must
-// return a byte-identical winner; the reference exists for that
-// differential and as the baseline the batched speedup is measured
-// against, so it deliberately keeps the per-candidate costs the batch
-// engine amortizes away (one compilation, one state buffer, one shared
-// walk).
-func SearchReference(prog *program.Program, tr *trace.Trace, cfg cache.Config) (*Result, error) {
-	model, err := validate(prog, tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Misses: math.MaxInt64}
-	err = candidates(prog, cfg, func(layout *program.Layout) (bool, error) {
-		if res.Layout != nil && model.Analyze(layout).LowerMisses > res.Misses {
-			res.Pruned++
-			return true, nil
-		}
-		st, err := cache.RunTrace(cfg, layout, tr)
-		if err != nil {
-			return false, err
-		}
-		res.Evaluated++
-		if st.Misses < res.Misses {
-			res.Misses = st.Misses
-			res.Layout = layout
-		}
-		return true, nil
-	})
-	if err != nil {
 		return nil, err
 	}
 	return res, nil

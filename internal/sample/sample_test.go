@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/program"
+	"repro/internal/randcell"
 	"repro/internal/trace"
 )
 
@@ -15,7 +16,7 @@ var testCache = cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1}
 
 func testProgram(t testing.TB) *program.Program {
 	t.Helper()
-	return randomProgram(rand.New(rand.NewSource(7)), 20)
+	return randcell.Program(rand.New(rand.NewSource(7)), 20)
 }
 
 // uniformTrace is phase-free: one hot procedure forever.
@@ -119,7 +120,7 @@ func TestPlanWindowLongerThanTrace(t *testing.T) {
 
 func TestSingleMidTraceWindowIsVacuous(t *testing.T) {
 	prog := testProgram(t)
-	tr := PhasedTrace(rand.New(rand.NewSource(3)), prog, 4000)
+	tr := randcell.PhasedTrace(rand.New(rand.NewSource(3)), prog, 4000)
 	p := mustPlan(t, prog, tr, Options{Windows: 1, Interval: 128})
 	if len(p.Windows) != 1 {
 		t.Fatalf("got %d windows, want 1", len(p.Windows))
@@ -188,7 +189,7 @@ func TestSystematicFallbackOnPhaseFreeTrace(t *testing.T) {
 
 func TestClusteringSelectsPhases(t *testing.T) {
 	prog := testProgram(t)
-	tr := PhasedTrace(rand.New(rand.NewSource(5)), prog, 20000)
+	tr := randcell.PhasedTrace(rand.New(rand.NewSource(5)), prog, 20000)
 	p := mustPlan(t, prog, tr, Options{})
 	if !p.Clustered {
 		t.Fatal("phased trace fell back to systematic selection")
@@ -218,7 +219,7 @@ func TestClusteringSelectsPhases(t *testing.T) {
 
 func TestPlanDeterminism(t *testing.T) {
 	prog := testProgram(t)
-	tr := PhasedTrace(rand.New(rand.NewSource(5)), prog, 12000)
+	tr := randcell.PhasedTrace(rand.New(rand.NewSource(5)), prog, 12000)
 	a := mustPlan(t, prog, tr, Options{})
 	b := mustPlan(t, prog, tr, Options{})
 	if !reflect.DeepEqual(a, b) {
@@ -251,7 +252,7 @@ func TestNewEvaluatorMismatchPanics(t *testing.T) {
 
 func TestWarmupDisabled(t *testing.T) {
 	prog := testProgram(t)
-	tr := PhasedTrace(rand.New(rand.NewSource(2)), prog, 8000)
+	tr := randcell.PhasedTrace(rand.New(rand.NewSource(2)), prog, 8000)
 	p := mustPlan(t, prog, tr, Options{Warmup: -1})
 	if p.Warmup != 0 {
 		t.Fatalf("Warmup -1 resolved to %d, want 0", p.Warmup)
@@ -299,7 +300,7 @@ func batchTestLayouts(prog *program.Program, n int) []*program.Layout {
 // arithmetic).
 func TestMissRateBatchBitIdentical(t *testing.T) {
 	prog := testProgram(t)
-	tr := PhasedTrace(rand.New(rand.NewSource(5)), prog, 20000)
+	tr := randcell.PhasedTrace(rand.New(rand.NewSource(5)), prog, 20000)
 	p := mustPlan(t, prog, tr, Options{})
 	if !p.Clustered || len(p.Windows) < 2 {
 		t.Fatalf("want a clustered multi-window plan, got %d windows", len(p.Windows))
