@@ -64,10 +64,9 @@ bench:
 BENCHTIME ?= 1s
 GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace)$$
 
-# TRG ingest throughput (BENCH_trg.json): serial vs sharded build in
-# events/sec on the paper-scale vortex trace, plus the sequential
-# coordinator scan whose throughput bounds the sharded speedup (Amdahl).
-TRG_BENCHES = ^(BenchmarkTRGBuildSerial|BenchmarkTRGBuildSharded8|BenchmarkShardCoordinatorScan)$$
+# TRG ingest throughput (BENCH_trg.json): the one TRG builder in
+# events/sec on the paper-scale vortex training trace.
+TRG_BENCHES = ^(BenchmarkTRGBuildSerial)$$
 
 # Sampled evaluation (BENCH_sample.json): the exact-vs-sampled per-layout
 # replay pair on the scale-1.0 trace (the ≥10× speedup headline), plan
@@ -95,7 +94,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench '$(GBSC_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_gbsc.json
 	$(GO) test -run '^$$' -bench '$(TRG_BENCHES)' -benchmem \
-		-benchtime=$(BENCHTIME) . ./internal/trg/ | $(GO) run ./cmd/benchjson > BENCH_trg.json
+		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_trg.json
 	$(GO) test -run '^$$' -bench '$(SAMPLE_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_sample.json
 	$(GO) test -run '^$$' -bench '$(STATIC_BENCHES)' -benchmem \

@@ -343,49 +343,29 @@ func BenchmarkTRGBuild(b *testing.B) {
 	}
 }
 
-// trgIngestFixture prepares the paper-scale workload for the TRG ingest
-// throughput benchmarks: the full vortex training trace (the suite's
-// largest), with the popularity filter the real pipeline applies.
-func trgIngestFixture(b *testing.B) (*Program, *Trace, trg.Options) {
-	b.Helper()
+// BenchmarkTRGBuildSerial runs one TRG build per iteration over the
+// paper-scale vortex training trace (the suite's largest), with the
+// popularity filter the real pipeline applies, and reports ingest
+// throughput as events/sec (the BENCH_trg.json headline metric).
+func BenchmarkTRGBuildSerial(b *testing.B) {
 	pair := tracegen.Lookup(tracegen.Suite(1.0), "vortex")
 	if pair == nil {
 		b.Fatal("unknown benchmark vortex")
 	}
 	tr := pair.Bench.Trace(pair.Train)
-	pop := popular.Select(pair.Bench.Prog, tr, popular.Options{})
-	return pair.Bench.Prog, tr, trg.Options{
+	opts := trg.Options{
 		CacheBytes: cache.PaperConfig.SizeBytes,
-		Popular:    pop,
+		Popular:    popular.Select(pair.Bench.Prog, tr, popular.Options{}),
 	}
-}
-
-// benchTRGIngest runs one TRG build per iteration and reports ingest
-// throughput as events/sec (the BENCH_trg.json headline metric).
-func benchTRGIngest(b *testing.B, shards int) {
-	prog, tr, opts := trgIngestFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if shards <= 1 {
-			_, _, err = trg.BuildWithStats(prog, tr, opts)
-		} else {
-			_, _, err = trg.BuildSharded(prog, tr, opts, trg.ShardOptions{Shards: shards})
-		}
-		if err != nil {
+		if _, _, err := trg.BuildWithStats(pair.Bench.Prog, tr, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
-
-// BenchmarkTRGBuildSerial is the serial-ingest baseline for BENCH_trg.json.
-func BenchmarkTRGBuildSerial(b *testing.B) { benchTRGIngest(b, 1) }
-
-// BenchmarkTRGBuildSharded8 is the sharded ingest path at 8 shards; the
-// acceptance bar is ≥2× the serial events/sec on this workload.
-func BenchmarkTRGBuildSharded8(b *testing.B) { benchTRGIngest(b, 8) }
 
 // --- Incremental re-placement (internal/incr) -----------------------------
 

@@ -97,6 +97,14 @@ func run(args []string, stdout io.Writer) error {
 	if *progPath == "" || *tracePath == "" {
 		return fmt.Errorf("-prog and -trace are required")
 	}
+	switch {
+	case *top < 0:
+		return fmt.Errorf("-top must not be negative, got %d", *top)
+	case *sampleWindows < 0:
+		return fmt.Errorf("-sample-windows must not be negative, got %d", *sampleWindows)
+	case *sampleInterval < 0:
+		return fmt.Errorf("-sample-interval must not be negative, got %d", *sampleInterval)
+	}
 	if *sampleFlag && *classify {
 		return fmt.Errorf("-sample cannot classify misses; drop one of the flags")
 	}

@@ -169,6 +169,9 @@ func TestBadInputReturnsError(t *testing.T) {
 		{"invalid geometry", append(base, "-line", "0"), []string{"non-positive"}},
 		{"duplicate label", append(base, "-layout", dupA+","+dupB), []string{dupA, dupB, `"gbsc"`}},
 		{"removed batch flag", append(base, "-batch", "1"), []string{"flag provided but not defined"}},
+		{"negative top", append(base, "-classify", "-top", "-1"), []string{"-top"}},
+		{"negative sample windows", append(base, "-sample", "-sample-windows", "-3"), []string{"-sample-windows"}},
+		{"negative sample interval", append(base, "-sample", "-sample-interval", "-5"), []string{"-sample-interval"}},
 	} {
 		out, err := cachesim(t, tc.args...)
 		if err == nil {

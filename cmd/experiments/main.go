@@ -7,7 +7,6 @@
 //	experiments -run table1,figure5 -scale 1.0 -runs 40
 //	experiments -run figure6 -csv fig6.csv
 //	experiments -run all -parallel 1   # serial; output identical to parallel
-//	experiments -run all -shards 8     # sharded TRG builds; output identical
 //	experiments -run all -stats report.json -cpuprofile cpu.pprof
 //
 // Available experiments: table1, figure5, figure6, padding, sameinput,
@@ -65,12 +64,11 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	run := fs.String("run", "all", "comma-separated experiments to run")
 	scale := fs.Float64("scale", 1.0, "trace length scale factor (must be positive)")
-	runs := fs.Int("runs", 40, "perturbed runs per algorithm (figure 5)")
+	runs := fs.Int("runs", 40, "perturbed runs per algorithm (figure 5, must be positive)")
 	seed := fs.Int64("seed", 1, "randomization seed")
 	benches := fs.String("bench", "", "comma-separated benchmark filter (default all six)")
 	csvPath := fs.String("csv", "", "also write figure 6 points as CSV to this path")
 	parallel := fs.Int("parallel", 0, "experiment worker count (0 = one per CPU, 1 = serial); output is identical at every setting")
-	shards := fs.Int("shards", 0, "TRG build shards per benchmark (0 or 1 = serial builder); output is identical at every setting")
 	statsPath := fs.String("stats", "", "write a JSON run report to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
@@ -86,6 +84,16 @@ func run(args []string, stdout io.Writer) error {
 	// form also rejects NaN.
 	if !(*scale > 0) {
 		return fmt.Errorf("-scale must be positive, got %g", *scale)
+	}
+	// Options.Runs reads 0 as the paper's 40; a run count the user typed
+	// must be taken literally or rejected.
+	switch {
+	case *runs < 1:
+		return fmt.Errorf("-runs must be positive, got %d", *runs)
+	case *sampleWindows < 0:
+		return fmt.Errorf("-sample-windows must not be negative, got %d", *sampleWindows)
+	case *sampleInterval < 0:
+		return fmt.Errorf("-sample-interval must not be negative, got %d", *sampleInterval)
 	}
 
 	checkMode, err := invariant.ParseMode(*checkFlag)
@@ -104,7 +112,7 @@ func run(args []string, stdout io.Writer) error {
 	}()
 
 	opts := experiments.Options{
-		Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel, Shards: *shards, Check: checkMode,
+		Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel, Check: checkMode,
 		Sample: *sampleFlag, SampleWindows: *sampleWindows, SampleInterval: *sampleInterval,
 	}
 	if *benches != "" {
@@ -123,7 +131,6 @@ func run(args []string, stdout io.Writer) error {
 		rep.Params["seed"] = strconv.FormatInt(*seed, 10)
 		rep.Params["bench"] = *benches
 		rep.Params["parallel"] = strconv.Itoa(*parallel)
-		rep.Params["shards"] = strconv.Itoa(*shards)
 		rep.Params["sample"] = strconv.FormatBool(*sampleFlag)
 	}
 

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// Suite generation reads a non-positive scale as full scale, so -scale
-// must be positive; like an unknown check mode, a bad value fails before
-// any experiment runs or any file is written.
+// Suite generation reads a non-positive scale as full scale and
+// Options.Runs reads 0 as 40, so -scale and -runs must be positive; like
+// an unknown check mode or a negative sampling override, a bad value fails
+// before any experiment runs or any file is written.
 func TestBadFlagsReturnError(t *testing.T) {
 	dir := t.TempDir()
 	files := []string{"-stats", filepath.Join(dir, "report.json"), "-csv", filepath.Join(dir, "fig.csv")}
@@ -22,6 +23,12 @@ func TestBadFlagsReturnError(t *testing.T) {
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"unknown check mode", []string{"-check", "loud"}, "loud"},
+		{"zero runs", []string{"-runs", "0"}, "-runs"},
+		{"negative runs", []string{"-runs", "-1"}, "-runs"},
+		{"runs below -1", []string{"-runs", "-2"}, "-runs"},
+		{"negative sample windows", []string{"-sample", "-sample-windows", "-1"}, "-sample-windows"},
+		{"negative sample interval", []string{"-sample", "-sample-interval", "-5"}, "-sample-interval"},
+		{"removed shards flag", []string{"-shards", "4"}, "flag provided but not defined"},
 	} {
 		var out bytes.Buffer
 		err := run(append(append(tc.args, "-run", "table1", "-bench", "perl"), files...), &out)

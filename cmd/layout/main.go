@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,27 +36,35 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("layout: ")
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	progPath := flag.String("prog", "", "program description file (required)")
-	tracePath := flag.String("trace", "", "binary trace file (required except for -alg default)")
-	alg := flag.String("alg", "gbsc", "placement algorithm: gbsc, gbsc2, ph, hkc, default")
-	out := flag.String("out", "", "output layout file (default stdout)")
-	format := flag.String("format", "layout", "output format: layout (name address), order (symbol-ordering file), ldscript (GNU ld SECTIONS fragment)")
-	cacheBytes := flag.Int("cache", 8192, "cache size in bytes")
-	lineBytes := flag.Int("line", 32, "cache line size in bytes")
-	chunk := flag.Int("chunk", 256, "TRG_place chunk size in bytes")
-	pageAware := flag.Bool("pagelocal", false, "use the page-locality linearization (gbsc only)")
-	incrFrom := flag.String("incr-from", "", "previous-profile trace file: place it first, then update incrementally to -trace via delta-driven merge-log replay (gbsc only; result is byte-identical to placing -trace from scratch)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this path")
-	checkFlag := flag.String("check", "fatal", "layout invariant checking: fatal, warn, or off")
-	staticBounds := flag.Bool("static-bounds", false, "print the static must/may miss-rate interval of the produced layout (requires -trace)")
-	flag.Parse()
+// run parses args, places the program, and writes the layout to -out, or
+// to stdout when -out is empty. Progress lines go to stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("layout", flag.ContinueOnError)
+	progPath := fs.String("prog", "", "program description file (required)")
+	tracePath := fs.String("trace", "", "binary trace file (required except for -alg default)")
+	alg := fs.String("alg", "gbsc", "placement algorithm: gbsc, gbsc2, ph, hkc, default")
+	out := fs.String("out", "", "output layout file (default stdout)")
+	format := fs.String("format", "layout", "output format: layout (name address), order (symbol-ordering file), ldscript (GNU ld SECTIONS fragment)")
+	cacheBytes := fs.Int("cache", 8192, "cache size in bytes")
+	lineBytes := fs.Int("line", 32, "cache line size in bytes")
+	chunk := fs.Int("chunk", 256, "TRG_place chunk size in bytes (must be positive)")
+	pageAware := fs.Bool("pagelocal", false, "use the page-locality linearization (gbsc only)")
+	incrFrom := fs.String("incr-from", "", "previous-profile trace file: place it first, then update incrementally to -trace via delta-driven merge-log replay (gbsc only; result is byte-identical to placing -trace from scratch)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
+	checkFlag := fs.String("check", "fatal", "layout invariant checking: fatal, warn, or off")
+	staticBounds := fs.Bool("static-bounds", false, "print the static must/may miss-rate interval of the produced layout (requires -trace)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	checkMode, err := invariant.ParseMode(*checkFlag)
 	if err != nil {
@@ -63,6 +72,30 @@ func run() error {
 	}
 	if *progPath == "" {
 		return fmt.Errorf("-prog is required")
+	}
+	// These flag checks run before any input is read or -out is created,
+	// so a bad flag never leaves a truncated output file behind. A zero
+	// -chunk would otherwise fall back to the 256-byte default.
+	var emit func(l *program.Layout, w io.Writer) error
+	switch *format {
+	case "layout":
+		emit = (*program.Layout).WriteLayout
+	case "order":
+		emit = (*program.Layout).WriteOrder
+	case "ldscript":
+		emit = func(l *program.Layout, w io.Writer) error { return l.WriteLinkerScript(w, 0x400000) }
+	default:
+		return fmt.Errorf("unknown format %q", *format)
+	}
+	switch {
+	case *chunk <= 0:
+		return fmt.Errorf("-chunk must be positive, got %d", *chunk)
+	case *pageAware && *alg != "gbsc":
+		return fmt.Errorf("-pagelocal is only supported with -alg gbsc")
+	case *incrFrom != "" && *alg != "gbsc":
+		return fmt.Errorf("-incr-from is only supported with -alg gbsc")
+	case *incrFrom != "" && *pageAware:
+		return fmt.Errorf("-incr-from cannot be combined with -pagelocal")
 	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
@@ -109,10 +142,6 @@ func run() error {
 		return fmt.Errorf("-static-bounds needs -trace to bound the layout against")
 	}
 
-	if *incrFrom != "" && *alg != "gbsc" {
-		return fmt.Errorf("-incr-from is only supported with -alg gbsc")
-	}
-
 	cfg := cache.Config{SizeBytes: *cacheBytes, LineBytes: *lineBytes, Assoc: 1}
 	if *alg == "gbsc2" {
 		cfg.Assoc = 2
@@ -146,9 +175,6 @@ func run() error {
 		if err == nil {
 			switch {
 			case *incrFrom != "":
-				if *pageAware {
-					return fmt.Errorf("-incr-from cannot be combined with -pagelocal")
-				}
 				l, err = incrLayout(prog, res, pop, cfg, *incrFrom, *chunk)
 			case *pageAware:
 				l, err = core.PlacePageAware(prog, res, pop, cfg)
@@ -189,26 +215,14 @@ func run() error {
 		return err
 	}
 
-	emit := func(w io.Writer) error {
-		switch *format {
-		case "layout":
-			return l.WriteLayout(w)
-		case "order":
-			return l.WriteOrder(w)
-		case "ldscript":
-			return l.WriteLinkerScript(w, 0x400000)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
-		}
-	}
 	if *out == "" {
-		err = emit(os.Stdout)
+		err = emit(l, stdout)
 	} else {
 		var f *os.File
 		if f, err = os.Create(*out); err != nil {
 			return err
 		}
-		err = emit(f)
+		err = emit(l, f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

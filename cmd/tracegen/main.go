@@ -7,7 +7,6 @@
 //
 //	tracegen -bench perl -input train -scale 1.0 -out perl.trace -prog perl.prog
 //	tracegen -bench perl -input train -stats report.json
-//	tracegen -bench vortex -shards 8   # also build the TRG sharded, report events/sec
 package main
 
 import (
@@ -19,13 +18,10 @@ import (
 	"log"
 	"os"
 	"strconv"
-	"time"
 
-	"repro/internal/cache"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/report"
 	"repro/internal/tracegen"
-	"repro/internal/trg"
 )
 
 func main() {
@@ -49,7 +45,6 @@ func run(args []string, stdout io.Writer) error {
 	outTrace := fs.String("out", "", "output trace file (binary format); default <bench>-<input>.trace")
 	outProg := fs.String("prog", "", "output program description; default <bench>.prog")
 	statsPath := fs.String("stats", "", "write a JSON run report to this path")
-	shards := fs.Int("shards", 0, "also build the TRG from the generated trace with this many shards (0 = skip, 1 = serial) and report build throughput")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
 	if err := fs.Parse(args); err != nil {
@@ -133,26 +128,6 @@ func run(args []string, stdout io.Writer) error {
 	sh.Add("tracegen/unique_procs", int64(stats.UniqueProcs))
 	fmt.Fprintf(stdout, "%s/%s: %d events, %d line refs, %d procedures touched → %s, %s\n",
 		*benchName, in.Name, stats.Events, stats.LineRefs, stats.UniqueProcs, *outTrace, *outProg)
-
-	// -shards: build the TRG from the freshly generated trace through the
-	// sharded ingest path and report throughput. The ingest counters
-	// (trg/shard_*) land in the run report when -stats is also given.
-	if *shards > 0 {
-		start := time.Now()
-		res, bs, err := trg.BuildSharded(pair.Bench.Prog, tr, trg.Options{
-			CacheBytes: cache.PaperConfig.SizeBytes,
-		}, trg.ShardOptions{Shards: *shards, Telemetry: sh})
-		if err != nil {
-			return fmt.Errorf("building TRG: %w", err)
-		}
-		wall := time.Since(start)
-		sh.AddDuration("trg/build_wall", wall)
-		eps := float64(bs.Events) / wall.Seconds()
-		fmt.Fprintf(stdout, "trg build (%d shards): %d events in %v (%.0f events/sec), select %d nodes/%d edges, place %d nodes/%d edges\n",
-			*shards, bs.Events, wall.Round(time.Millisecond), eps,
-			res.Select.NumNodes(), res.Select.NumEdges(),
-			res.Place.NumNodes(), res.Place.NumEdges())
-	}
 	return nil
 }
 

@@ -88,6 +88,7 @@ func TestBadFlagsReturnError(t *testing.T) {
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
 		{"unknown benchmark", []string{"-bench", "nope"}, "nope"},
 		{"unknown input", []string{"-input", "ref"}, "ref"},
+		{"removed shards flag", []string{"-shards", "1"}, "flag provided but not defined"},
 	} {
 		out, err := tracegenRun(t, append(tc.args, files...)...)
 		if err == nil {

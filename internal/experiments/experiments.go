@@ -32,7 +32,7 @@ type Options struct {
 	// with 32-byte lines, as in the paper.
 	Cache cache.Config
 	// Runs is the number of perturbed profiles per algorithm in Figure 5.
-	// Default 40, as in the paper.
+	// Default 40, as in the paper; Figure5 rejects a negative count.
 	Runs int
 	// Seed drives perturbation and Figure 6 randomization. Default 1.
 	Seed int64
@@ -43,12 +43,6 @@ type Options struct {
 	// any larger value is used as given. Results are index-addressed, so
 	// rendered output is byte-identical at every setting.
 	Parallel int
-	// Shards selects sharded TRG construction (trg.BuildSharded) for the
-	// per-benchmark graph builds: 0 or 1 keeps the serial builder, larger
-	// values split each training trace into that many contiguous shards
-	// built in parallel. The graphs are byte-identical at every setting —
-	// CI pins this with a sharded-vs-serial output comparison.
-	Shards int
 	// Telemetry, when non-nil, receives counters, timers and histograms
 	// from the pipeline (trace generation, TRG builds, the GBSC merge
 	// loop, cache simulations). Workers record into per-worker shards that
@@ -141,7 +135,7 @@ func (o *Options) prepareSuite(cfg cache.Config, par int) (pairs []*tracegen.Pai
 	err = runParallel(par, len(pairs),
 		func() *telemetry.Shard { return o.Telemetry.Shard() },
 		func(sh *telemetry.Shard, i int) error {
-			b, err := prepare(pairs[i], cfg, sh, o.Check, o.Shards, o.sampleOptions())
+			b, err := prepare(pairs[i], cfg, sh, o.Check, o.sampleOptions())
 			if err != nil {
 				return err
 			}
@@ -184,7 +178,7 @@ type bench struct {
 // histogram is a deterministic function of the benchmark, so shard merges
 // agree at any worker count. The freshly built TRGs are verified under
 // check before any placement consumes them.
-func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, check invariant.Mode, shards int, smp *sample.Options) (*bench, error) {
+func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, check invariant.Mode, smp *sample.Options) (*bench, error) {
 	stopPrep := sh.Time("prepare/wall")
 	defer stopPrep()
 	b := &bench{pair: pair}
@@ -199,24 +193,10 @@ func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, check i
 	sh.Add("wcg/full_edges", int64(b.wcgFull.NumEdges()))
 	sh.Add("wcg/popular_edges", int64(b.wcgPop.NumEdges()))
 	stopTRG := sh.Time("trg/build_wall")
-	topts := trg.Options{
+	res, bs, err := trg.BuildWithStats(pair.Bench.Prog, b.train, trg.Options{
 		CacheBytes: cfg.SizeBytes,
 		Popular:    b.pop,
-	}
-	var (
-		res *trg.Result
-		bs  trg.BuildStats
-		err error
-	)
-	if shards > 1 {
-		// The shard-scheduling counters are deliberately not recorded into
-		// sh: run reports must stay key-for-key comparable between serial
-		// and sharded runs so the CI benchdiff gate sees zero drift. The
-		// ingest telemetry is exercised by tracegen -shards instead.
-		res, bs, err = trg.BuildSharded(pair.Bench.Prog, b.train, topts, trg.ShardOptions{Shards: shards})
-	} else {
-		res, bs, err = trg.BuildWithStats(pair.Bench.Prog, b.train, topts)
-	}
+	})
 	stopTRG()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: building TRG for %s: %w", pair.Bench.Name, err)

@@ -131,6 +131,17 @@ func TestFigure5Deterministic(t *testing.T) {
 	}
 }
 
+// A negative run count is an error, not a panic inside the grid.
+func TestFigure5RejectsNegativeRuns(t *testing.T) {
+	for _, runs := range []int{-1, -2} {
+		opts := smallOpts()
+		opts.Runs = runs
+		if _, err := Figure5(opts); err == nil || !strings.Contains(err.Error(), "run count") {
+			t.Errorf("Runs %d: error %v, want a run-count error", runs, err)
+		}
+	}
+}
+
 func TestFigure6(t *testing.T) {
 	// Figure 6 always uses go; it needs moderately long traces for the
 	// conflict statistics to converge.

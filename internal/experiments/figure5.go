@@ -69,6 +69,9 @@ var figure5Algs = []AlgorithmName{AlgPH, AlgHKC, AlgGBSC}
 // byte-identical to the serial run regardless of scheduling.
 func Figure5(opts Options) (*Figure5Result, error) {
 	opts.setDefaults()
+	if opts.Runs < 0 {
+		return nil, fmt.Errorf("experiments: negative perturbed run count %d", opts.Runs)
+	}
 	if err := opts.Cache.Validate(); err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 	rows := make([]HeadroomRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), opts.Check, opts.Shards, nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
 		if err != nil {
 			return err
 		}

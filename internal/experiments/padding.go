@@ -35,7 +35,7 @@ func Padding(opts Options) (*PaddingResult, error) {
 		return nil, fmt.Errorf("experiments: benchmark missing from suite")
 	}
 	sh := opts.Telemetry.Shard()
-	b, err := prepare(pair, opts.Cache, sh, opts.Check, opts.Shards, nil)
+	b, err := prepare(pair, opts.Cache, sh, opts.Check, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func SameInput(opts Options) (*SameInputResult, error) {
 	same.Test = same.Train
 	// Always exact: this aside reproduces three paper numbers, so it never
 	// routes through the sampled estimator.
-	b, err := prepare(&same, opts.Cache, opts.Telemetry.Shard(), opts.Check, opts.Shards, nil)
+	b, err := prepare(&same, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func (c SamplingCell) AbsErr() float64 { return math.Abs(c.Est.MissRate - c.Exac
 // its output is identical in exact and sampled runs; it deliberately
 // records nothing into the run report (the benchdiff gate compares the
 // Figure 5 cells instead). Render emits no wall-clock values — the
-// serial/parallel/sharded byte-identity gates cover this output too.
+// serial/parallel byte-identity gate covers this output too.
 type SamplingResult struct {
 	Scale float64
 	Cells []SamplingCell

@@ -46,7 +46,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
 		sh := opts.Telemetry.Shard()
-		b, err := prepare(pair, opts.Cache, sh, opts.Check, opts.Shards, nil)
+		b, err := prepare(pair, opts.Cache, sh, opts.Check, nil)
 		if err != nil {
 			return err
 		}

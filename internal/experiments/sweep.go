@@ -49,7 +49,7 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 	err = forEach(opts.parallelism(), len(cells), func(i int) error {
 		sh := opts.Telemetry.Shard()
 		pair, cfg := pairs[i/len(geometries)], geometries[i%len(geometries)]
-		b, err := prepare(pair, cfg, sh, opts.Check, opts.Shards, nil)
+		b, err := prepare(pair, cfg, sh, opts.Check, nil)
 		if err != nil {
 			return err
 		}

@@ -238,23 +238,6 @@ func (g *Graph) RemoveNode(n NodeID) {
 	delete(g.adj, n)
 }
 
-// AddGraph merges src into g: nodes are unioned and the weights of edges
-// present in both are summed. Addition is commutative and associative, so
-// folding any partition of a graph back together yields the same result in
-// any merge order — the property the sharded TRG builder relies on (the
-// same snapshot-merge discipline as telemetry.Registry.Snapshot). src is
-// not modified.
-func (g *Graph) AddGraph(src *Graph) {
-	for u, m := range src.adj {
-		g.AddNode(u)
-		for v, w := range m {
-			if u < v {
-				g.AddEdgeWeight(u, v, w)
-			}
-		}
-	}
-}
-
 // Clone returns a deep copy. The copy's adjacency maps are preallocated to
 // the source's sizes; the heaviest-edge selector is not copied (the clone
 // rebuilds it lazily on its first HeaviestEdge call).

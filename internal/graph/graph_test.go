@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -209,55 +208,5 @@ func TestGreedyMergeTerminatesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddGraphSumsPartition(t *testing.T) {
-	// Build one graph serially and the same edges split across two
-	// partials; folding the partials in either order must reproduce it.
-	whole := New()
-	p1, p2 := New(), New()
-	edges := []struct {
-		u, v NodeID
-		w    int64
-	}{{1, 2, 3}, {2, 3, 1}, {1, 3, 7}, {4, 5, 2}}
-	for i, e := range edges {
-		whole.AddEdgeWeight(e.u, e.v, e.w)
-		if i%2 == 0 {
-			p1.AddEdgeWeight(e.u, e.v, e.w)
-		} else {
-			p2.AddEdgeWeight(e.u, e.v, e.w)
-		}
-	}
-	// Shared edge contributed by both partials: weights must sum.
-	whole.AddEdgeWeight(1, 2, 5)
-	p2.AddEdgeWeight(1, 2, 5)
-	p1.AddNode(9) // isolated nodes must union too
-	whole.AddNode(9)
-
-	for _, order := range [][2]*Graph{{p1, p2}, {p2, p1}} {
-		got := New()
-		got.AddGraph(order[0])
-		got.AddGraph(order[1])
-		if !reflect.DeepEqual(got.Edges(), whole.Edges()) {
-			t.Fatalf("merged edges %v, want %v", got.Edges(), whole.Edges())
-		}
-		if !reflect.DeepEqual(got.Nodes(), whole.Nodes()) {
-			t.Fatalf("merged nodes %v, want %v", got.Nodes(), whole.Nodes())
-		}
-	}
-}
-
-func TestAddGraphLeavesSourceUntouched(t *testing.T) {
-	src := New()
-	src.AddEdgeWeight(1, 2, 4)
-	dst := New()
-	dst.AddEdgeWeight(1, 2, 1)
-	dst.AddGraph(src)
-	if w := src.Weight(1, 2); w != 4 {
-		t.Fatalf("source weight mutated to %d", w)
-	}
-	if w := dst.Weight(1, 2); w != 5 {
-		t.Fatalf("destination weight %d, want 5", w)
 	}
 }

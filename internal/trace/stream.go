@@ -176,33 +176,6 @@ func (r *Reader) Next() (Event, error) {
 	}, nil
 }
 
-// Index returns the number of events decoded so far — the position the
-// next event would have.
-func (r *Reader) Index() int64 { return r.index }
-
-// ReadChunk fills dst with consecutive events and returns how many were
-// decoded. It returns (0, io.EOF) once the stream is exhausted and a
-// short count with a nil error at the final partial chunk, so callers loop
-// exactly as with io.Reader. This is the ingestion primitive for chunked
-// multi-GB processing: memory use is bounded by len(dst) regardless of
-// trace length.
-func (r *Reader) ReadChunk(dst []Event) (int, error) {
-	for n := range dst {
-		e, err := r.Next()
-		if err == io.EOF {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		dst[n] = e
-	}
-	return len(dst), nil
-}
-
 // ReadAll drains the reader into an in-memory Trace. The declared count of
 // a counted trace is used only as a capped allocation hint
 // (maxPreallocEvents): a lying header cannot trigger a giant allocation,

@@ -194,66 +194,6 @@ func TestWriterRejectsNegativeFields(t *testing.T) {
 	}
 }
 
-func TestReadChunk(t *testing.T) {
-	for _, streamed := range []bool{false, true} {
-		var buf bytes.Buffer
-		events := make([]Event, 10)
-		for i := range events {
-			events[i] = Event{Proc: program.ProcID(i), Extent: int32(i * 3)}
-		}
-		if streamed {
-			w, err := NewWriter(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range events {
-				if err := w.Write(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := (&Trace{Events: events}).WriteBinary(&buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Event
-		chunk := make([]Event, 4)
-		var sizes []int
-		for {
-			n, err := r.ReadChunk(chunk)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			sizes = append(sizes, n)
-			got = append(got, chunk[:n]...)
-		}
-		if len(got) != len(events) {
-			t.Fatalf("streamed=%v: got %d events, want %d", streamed, len(got), len(events))
-		}
-		for i := range events {
-			if got[i] != events[i] {
-				t.Errorf("streamed=%v: event %d = %+v, want %+v", streamed, i, got[i], events[i])
-			}
-		}
-		if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
-			t.Errorf("streamed=%v: chunk sizes %v, want [4 4 2]", streamed, sizes)
-		}
-		if r.Index() != 10 {
-			t.Errorf("streamed=%v: Index = %d, want 10", streamed, r.Index())
-		}
-	}
-}
-
 // Property: streamed writes round trip through the incremental reader.
 func TestStreamRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {

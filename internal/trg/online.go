@@ -17,7 +17,6 @@ import (
 // materialized.
 type Builder struct {
 	prog    *program.Program
-	opts    Options
 	chunker *program.Chunker
 	keep    func(program.ProcID) bool
 
@@ -69,7 +68,6 @@ func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder,
 	bound := opts.CacheBytes * opts.QFactor
 	b := &Builder{
 		prog:    prog,
-		opts:    opts,
 		chunker: chunker,
 		keep: func(p program.ProcID) bool {
 			return opts.Popular == nil || opts.Popular.Contains(p)
@@ -125,48 +123,6 @@ func (b *Builder) Observe(e trace.Event) {
 			b.qPlace.Touch(cid, b.chunker.ChunkBytes(c), inc)
 		}
 	}
-}
-
-// Warm feeds one activation through the Q structures only: queues advance
-// exactly as in Observe, but no nodes, edges, stats, or pairs are
-// recorded. The sharded builder uses it to replay the boundary-overlap
-// events that reconstruct the Q state at a shard cut; the shard then
-// contributes each of its own events exactly once via Observe. Warm must
-// mirror Observe's Q discipline precisely (same popularity filter, same
-// extent and chunk charging) — the differential shard-vs-serial tests
-// pin the two together.
-func (b *Builder) Warm(e trace.Event) {
-	p := e.Proc
-	if !b.keep(p) {
-		return
-	}
-	ext := e.ExtentBytes(b.prog)
-	b.qSel.Touch(BlockID(p), ext, nil)
-	n := program.CeilDiv(ext, b.chunker.ChunkSize())
-	first := b.chunker.FirstChunk(p)
-	for i := 0; i < n; i++ {
-		c := first + program.ChunkID(i)
-		b.qPlace.Touch(BlockID(c), b.chunker.ChunkBytes(c), nil)
-	}
-}
-
-// qBound returns the configured Q size bound in bytes.
-func (b *Builder) qBound() int { return b.opts.CacheBytes * b.opts.QFactor }
-
-// resetQueues replaces both Q structures, either with the given seeds (a
-// snapshot of the serial Q state at some trace position) or, when nil,
-// with fresh empty queues. Graphs and stats are left untouched: a worker
-// in the sharded builder reuses one Builder across many shards, resetting
-// the position-dependent Q state per shard while the graphs accumulate.
-func (b *Builder) resetQueues(sel, place *Queue) {
-	if sel == nil {
-		sel = NewQueue(b.qBound())
-	}
-	if place == nil {
-		place = NewQueue(b.qBound())
-	}
-	b.qSel = sel
-	b.qPlace = place
 }
 
 // Events returns the number of activations observed (after popularity

@@ -49,31 +49,6 @@ func (q *Queue) Contains(id BlockID) bool {
 	return ok
 }
 
-// Front returns the oldest block in Q, or ok=false when Q is empty. Its
-// last reference is the oldest among all Q members, which is what the
-// sharded builder's warm-up planner needs: replaying the trace from that
-// reference reconstructs Q exactly.
-func (q *Queue) Front() (id BlockID, ok bool) {
-	e := q.ll.Front()
-	if e == nil {
-		return 0, false
-	}
-	return e.Value.(qEntry).id, true
-}
-
-// Clone returns an independent deep copy of Q: same bound, same members in
-// the same order with the same charged sizes. Touches on the copy do not
-// affect the original.
-func (q *Queue) Clone() *Queue {
-	c := NewQueue(q.bound)
-	for e := q.ll.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(qEntry)
-		c.byID[ent.id] = c.ll.PushBack(ent)
-	}
-	c.totSize = q.totSize
-	return c
-}
-
 // Blocks returns the block IDs oldest-first; for tests and debugging.
 func (q *Queue) Blocks() []BlockID {
 	out := make([]BlockID, 0, q.ll.Len())

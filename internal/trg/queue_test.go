@@ -167,46 +167,3 @@ func TestQueueInvariantsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQueueFront(t *testing.T) {
-	q := NewQueue(100)
-	if _, ok := q.Front(); ok {
-		t.Fatal("empty queue reported a front")
-	}
-	q.Touch(5, 10, nil)
-	q.Touch(6, 10, nil)
-	if id, ok := q.Front(); !ok || id != 5 {
-		t.Fatalf("front = %d,%v, want 5,true", id, ok)
-	}
-	q.Touch(5, 10, nil) // re-reference moves 5 to the back
-	if id, ok := q.Front(); !ok || id != 6 {
-		t.Fatalf("front after re-touch = %d,%v, want 6,true", id, ok)
-	}
-}
-
-func TestQueueCloneIsIndependentAndExact(t *testing.T) {
-	q := NewQueue(50)
-	q.Touch(1, 20, nil)
-	q.Touch(2, 20, nil)
-	q.Touch(3, 20, nil)
-	c := q.Clone()
-	if !reflect.DeepEqual(c.Blocks(), q.Blocks()) {
-		t.Fatalf("clone order %v, want %v", c.Blocks(), q.Blocks())
-	}
-	if c.TotalSize() != q.TotalSize() || c.Len() != q.Len() {
-		t.Fatalf("clone size/len %d/%d, want %d/%d",
-			c.TotalSize(), c.Len(), q.TotalSize(), q.Len())
-	}
-	// Mutating the clone must not leak into the original, and the clone
-	// must keep the original's bound (evicts on further touches).
-	c.Touch(4, 20, nil)
-	if q.Contains(4) {
-		t.Fatal("touching the clone mutated the original")
-	}
-	if c.Contains(1) {
-		t.Fatal("clone did not inherit the eviction bound")
-	}
-	if !q.Contains(1) {
-		t.Fatal("original lost a member after clone mutation")
-	}
-}
