@@ -668,6 +668,7 @@ func BenchmarkQueueTouch(b *testing.B) {
 		sizes[i] = rng.Intn(2000) + 64
 	}
 	q := trg.NewQueue(16384)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i % len(ids)

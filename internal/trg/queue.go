@@ -5,55 +5,60 @@
 // set-associative extension (Section 6).
 package trg
 
-import "container/list"
-
 // BlockID is a code-block identifier at whatever granularity the caller
 // tracks (program.ProcID for TRG_select, program.ChunkID for TRG_place).
+// It is a dense non-negative index: Q and the builder keep per-ID slot
+// arrays grown to the largest ID seen.
 type BlockID = int32
 
-type qEntry struct {
-	id   BlockID
-	size int
-}
+// none terminates Q's linked list.
+const none BlockID = -1
 
 // Queue is the ordered set Q of recently referenced code blocks. Blocks are
 // ordered oldest → newest; each block appears at most once; the total byte
 // size of the retained blocks is kept just above a bound (twice the cache
 // size in the paper) by evicting the oldest entries.
+//
+// Q is a doubly linked list threaded through per-ID slot arrays, so moving
+// a block to the newest end or evicting one is O(1) and allocates nothing
+// once the arrays cover every ID touched.
 type Queue struct {
-	bound   int
-	ll      *list.List // of qEntry, front = oldest
-	byID    map[BlockID]*list.Element
+	bound int
+	next  []BlockID // next[id]: the next-newer block in Q, or none
+	prev  []BlockID // prev[id]: the next-older block in Q, or none
+	size  []int     // size[id]: the byte size id was charged when appended
+	inQ   []bool
+	head  BlockID // oldest block, or none
+	tail  BlockID // newest block, or none
+	n     int     // blocks in Q
+	// totSize is the summed size of the blocks in Q.
 	totSize int
+	// between is TouchPairs' buffer for the blocks it pairs up.
+	between []BlockID
 }
 
 // NewQueue creates a Q with the given total-size bound in bytes.
 // The paper uses 2× the cache size (Section 3).
 func NewQueue(bound int) *Queue {
-	return &Queue{
-		bound: bound,
-		ll:    list.New(),
-		byID:  make(map[BlockID]*list.Element),
-	}
+	return &Queue{bound: bound, head: none, tail: none}
 }
 
 // Len returns the number of blocks currently in Q.
-func (q *Queue) Len() int { return q.ll.Len() }
+func (q *Queue) Len() int { return q.n }
 
 // TotalSize returns the summed byte size of the blocks in Q.
 func (q *Queue) TotalSize() int { return q.totSize }
 
 // Contains reports whether block id is in Q.
 func (q *Queue) Contains(id BlockID) bool {
-	_, ok := q.byID[id]
-	return ok
+	return int(id) < len(q.inQ) && q.inQ[id]
 }
 
 // Blocks returns the block IDs oldest-first; for tests and debugging.
 func (q *Queue) Blocks() []BlockID {
-	out := make([]BlockID, 0, q.ll.Len())
-	for e := q.ll.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(qEntry).id)
+	out := make([]BlockID, 0, q.n)
+	for b := q.head; b != none; b = q.next[b] {
+		out = append(out, b)
 	}
 	return out
 }
@@ -70,17 +75,27 @@ func (q *Queue) Blocks() []BlockID {
 //
 // fn may be nil when the caller only wants Q maintenance.
 func (q *Queue) Touch(id BlockID, size int, fn func(between BlockID)) {
-	if prev, ok := q.byID[id]; ok {
+	if q.Contains(id) {
 		if fn != nil {
-			for e := prev.Next(); e != nil; e = e.Next() {
-				fn(e.Value.(qEntry).id)
+			for b := q.next[id]; b != none; b = q.next[b] {
+				fn(b)
 			}
 		}
-		q.totSize -= prev.Value.(qEntry).size
-		q.ll.Remove(prev)
-		delete(q.byID, id)
+		q.unlink(id)
+	} else {
+		q.grow(id)
 	}
-	q.byID[id] = q.ll.PushBack(qEntry{id: id, size: size})
+	q.inQ[id] = true
+	q.size[id] = size
+	q.next[id] = none
+	q.prev[id] = q.tail
+	if q.tail == none {
+		q.head = id
+	} else {
+		q.next[q.tail] = id
+	}
+	q.tail = id
+	q.n++
 	q.totSize += size
 	q.evict()
 }
@@ -93,29 +108,51 @@ func (q *Queue) Touch(id BlockID, size int, fn func(between BlockID)) {
 // intervening block, allowing one pass to feed both the 1-way TRG and the
 // pair database.
 func (q *Queue) TouchPairs(id BlockID, size int, fn func(between BlockID), pairFn func(r, s BlockID)) {
-	if prev, ok := q.byID[id]; ok {
-		var between []BlockID
-		for e := prev.Next(); e != nil; e = e.Next() {
-			b := e.Value.(qEntry).id
-			if fn != nil {
-				fn(b)
-			}
-			between = append(between, b)
+	between := q.between[:0]
+	q.Touch(id, size, func(b BlockID) {
+		if fn != nil {
+			fn(b)
 		}
-		if pairFn != nil {
-			for i := 0; i < len(between); i++ {
-				for j := i + 1; j < len(between); j++ {
-					pairFn(between[i], between[j])
-				}
+		between = append(between, b)
+	})
+	q.between = between
+	if pairFn != nil {
+		for i := 0; i < len(between); i++ {
+			for j := i + 1; j < len(between); j++ {
+				pairFn(between[i], between[j])
 			}
 		}
-		q.totSize -= prev.Value.(qEntry).size
-		q.ll.Remove(prev)
-		delete(q.byID, id)
 	}
-	q.byID[id] = q.ll.PushBack(qEntry{id: id, size: size})
-	q.totSize += size
-	q.evict()
+}
+
+// grow extends the slot arrays to cover id.
+func (q *Queue) grow(id BlockID) {
+	if int(id) < len(q.inQ) {
+		return
+	}
+	n := max(int(id)+1, 2*len(q.inQ))
+	q.next = append(q.next, make([]BlockID, n-len(q.next))...)
+	q.prev = append(q.prev, make([]BlockID, n-len(q.prev))...)
+	q.size = append(q.size, make([]int, n-len(q.size))...)
+	q.inQ = append(q.inQ, make([]bool, n-len(q.inQ))...)
+}
+
+// unlink removes block id, which must be in Q.
+func (q *Queue) unlink(id BlockID) {
+	p, nx := q.prev[id], q.next[id]
+	if p == none {
+		q.head = nx
+	} else {
+		q.next[p] = nx
+	}
+	if nx == none {
+		q.tail = p
+	} else {
+		q.prev[nx] = p
+	}
+	q.inQ[id] = false
+	q.n--
+	q.totSize -= q.size[id]
 }
 
 // evict removes the oldest entries while doing so leaves the total size of
@@ -124,14 +161,7 @@ func (q *Queue) TouchPairs(id BlockID, size int, fn func(between BlockID), pairF
 // cause the total size of remaining code blocks in Q to be less than twice
 // the cache size.")
 func (q *Queue) evict() {
-	for q.ll.Len() > 1 {
-		oldest := q.ll.Front()
-		sz := oldest.Value.(qEntry).size
-		if q.totSize-sz < q.bound {
-			return
-		}
-		q.totSize -= sz
-		delete(q.byID, oldest.Value.(qEntry).id)
-		q.ll.Remove(oldest)
+	for q.n > 1 && q.totSize-q.size[q.head] >= q.bound {
+		q.unlink(q.head)
 	}
 }

@@ -1,6 +1,7 @@
 package trg
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -165,5 +166,71 @@ func TestQueueInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Random Touch/TouchPairs sequences must leave Q exactly as the Section 3
+// oracle does after every touch, and report the same intervening blocks
+// and pairs. IDs are sparse so the slot arrays grow mid-sequence, and a
+// block's size varies between touches.
+func TestQueueMatchesOracle(t *testing.T) {
+	for seed := 0; seed < trgSeeds(t); seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		bound := rng.Intn(1500) + 1
+		q, o := NewQueue(bound), newOracleQueue(bound)
+		ids, stride := rng.Intn(60)+1, rng.Intn(40)+1
+		for step := 0; step < 400; step++ {
+			ctx := fmt.Sprintf("seed %d step %d", seed, step)
+			id := BlockID(rng.Intn(ids) * stride)
+			size := rng.Intn(300)
+			var got, want []BlockID
+			var gotPairs, wantPairs [][2]BlockID
+			switch rng.Intn(3) {
+			case 0:
+				q.Touch(id, size, nil)
+				o.Touch(id, size, nil)
+			case 1:
+				q.Touch(id, size, func(b BlockID) { got = append(got, b) })
+				o.Touch(id, size, func(b BlockID) { want = append(want, b) })
+			default:
+				q.TouchPairs(id, size, func(b BlockID) { got = append(got, b) },
+					func(r, s BlockID) { gotPairs = append(gotPairs, [2]BlockID{r, s}) })
+				o.TouchPairs(id, size, func(b BlockID) { want = append(want, b) },
+					func(r, s BlockID) { wantPairs = append(wantPairs, [2]BlockID{r, s}) })
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotPairs, wantPairs) {
+				t.Fatalf("%s: between %v pairs %v, oracle %v %v", ctx, got, gotPairs, want, wantPairs)
+			}
+			if !reflect.DeepEqual(q.Blocks(), o.Blocks()) || q.Len() != o.Len() || q.TotalSize() != o.TotalSize() {
+				t.Fatalf("%s: Q %v (len %d, %d B), oracle %v (len %d, %d B)", ctx,
+					q.Blocks(), q.Len(), q.TotalSize(), o.Blocks(), o.Len(), o.TotalSize())
+			}
+			if probe := BlockID(rng.Intn(ids*stride + 10)); q.Contains(probe) != o.Contains(probe) {
+				t.Fatalf("%s: Contains(%d) = %v, oracle %v", ctx, probe, q.Contains(probe), o.Contains(probe))
+			}
+		}
+	}
+}
+
+// Once the slot arrays cover every ID, touching allocates nothing, with or
+// without callbacks, and TouchPairs reuses its buffer.
+func TestTouchAllocatesNothing(t *testing.T) {
+	q := NewQueue(2000)
+	var seen int
+	count := func(BlockID) { seen++ }
+	pair := func(r, s BlockID) { seen++ }
+	touchAll := func() {
+		for id := BlockID(0); id < 100; id++ {
+			q.Touch(id, int(id%7)*50+10, nil)
+			q.Touch(99-id, 40, count)
+			q.TouchPairs(id/2, 30, count, pair)
+		}
+	}
+	touchAll()
+	if n := testing.AllocsPerRun(10, touchAll); n != 0 {
+		t.Errorf("Touch/TouchPairs allocated %v times per run in steady state", n)
+	}
+	if seen == 0 {
+		t.Fatal("callbacks never invoked")
 	}
 }
