@@ -74,7 +74,7 @@ TRG_BENCHES = ^(BenchmarkTRGBuildSerial)$$
 SAMPLE_BENCHES = ^(BenchmarkSampledFigure5|BenchmarkSamplePlan|BenchmarkExactMissRate|BenchmarkSampledMissRate)$$
 
 # Static must/may bounds (BENCH_static.json): model construction, the
-# per-layout Analyze screening cost vs the exact replay it replaces, and
+# per-layout Analyze cost beside one exact replay of the same layout, and
 # the staticbounds experiment grid end to end.
 STATIC_BENCHES = ^(BenchmarkStaticModel|BenchmarkStaticAnalyze|BenchmarkStaticExactReplay|BenchmarkStaticBoundsGrid)$$
 
@@ -83,12 +83,6 @@ STATIC_BENCHES = ^(BenchmarkStaticModel|BenchmarkStaticAnalyze|BenchmarkStaticEx
 # run it replaces. The acceptance headline is Incremental ≥5× faster than
 # Scratch at ≤5% select-weight drift (the fixture reports its drift%).
 INCR_BENCHES = ^(BenchmarkIncrementalReplace|BenchmarkScratchReplace)$$
-
-# Layout-batched replay (BENCH_batch.json): the 16-lane batched walk vs
-# 16 sequential RunCompiled walks of the same GBSC layout panel (the ≥3×
-# layout·events/sec headline), and the batched+abandoning exhaustive
-# search vs its frozen serial baseline (the ≥2× wall-time headline).
-BATCH_BENCHES = ^(BenchmarkRunCompiledSerial16|BenchmarkRunCompiledBatch16|BenchmarkOptimalSearchSerial|BenchmarkOptimalSearchBatched)$$
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(GBSC_BENCHES)' -benchmem \
@@ -101,8 +95,6 @@ bench-json:
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_static.json
 	$(GO) test -run '^$$' -bench '$(INCR_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_incr.json
-	$(GO) test -run '^$$' -bench '$(BATCH_BENCHES)' -benchmem \
-		-benchtime=$(BENCHTIME) . ./internal/optimal/ | $(GO) run ./cmd/benchjson > BENCH_batch.json
 
 # Regenerate the full paper evaluation (EXPERIMENTS.md numbers).
 experiments:

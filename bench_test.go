@@ -560,13 +560,13 @@ func BenchmarkCompileTrace(b *testing.B) {
 	}
 }
 
-// --- Layout-batched replay (internal/cache BatchSim) -----------------------
+// --- Multi-layout replay (internal/cache BatchSim) -------------------------
 
-// batchReplayFixture builds the multi-layout scoring workload for the
-// batched-replay benchmarks: the m88ksim testing trace compiled once, plus
-// 16 perturbed variants of the GBSC placement — the candidate panel a
-// Figure 5 run scores against one trace (placed layouts from jittered
-// profiles, all scored on the same testing trace).
+// batchReplayFixture builds the multi-layout scoring workload: the m88ksim
+// testing trace compiled once, plus 16 perturbed variants of the GBSC
+// placement — the candidate panel a Figure 5 run scores against one trace
+// (placed layouts from jittered profiles, all scored on the same testing
+// trace).
 func batchReplayFixture(b *testing.B) (cache.Config, *cache.CompiledTrace, []*Layout) {
 	b.Helper()
 	art := prepareArtifacts(b, "m88ksim", 0.3)
@@ -590,9 +590,8 @@ func batchReplayFixture(b *testing.B) (cache.Config, *cache.CompiledTrace, []*La
 }
 
 // BenchmarkRunCompiledSerial16 scores the 16-layout panel one layout at a
-// time: 16 independent one-lane walks of the compiled trace through one
-// reused simulator. The layout·events/sec metric is the BENCH_batch.json
-// baseline.
+// time: 16 independent walks of the compiled trace through one reused
+// simulator, reported as layout·events/sec.
 func BenchmarkRunCompiledSerial16(b *testing.B) {
 	cfg, ct, layouts := batchReplayFixture(b)
 	sim := cache.MustNewSim(cfg)
@@ -603,33 +602,6 @@ func BenchmarkRunCompiledSerial16(b *testing.B) {
 			if st.Refs == 0 {
 				b.Fatal("empty replay")
 			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(layouts))*float64(ct.Len())*float64(b.N)/b.Elapsed().Seconds(), "layout·events/sec")
-}
-
-// BenchmarkRunCompiledBatch16 scores the same panel in one walk of the
-// compiled trace with 16 interleaved cache states, layout compilation
-// included in the timed loop (acceptance: ≥3× the serial layout·events/sec).
-func BenchmarkRunCompiledBatch16(b *testing.B) {
-	cfg, ct, layouts := batchReplayFixture(b)
-	bs := cache.MustNewBatchSim(cfg)
-	tables := make([]*cache.CompiledLayout, len(layouts))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		for k, l := range layouts {
-			if tables[k], err = cache.CompileLayout(cfg, ct, l); err != nil {
-				b.Fatal(err)
-			}
-		}
-		res, err := bs.Run(ct, tables, cache.BatchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Stats[0].Refs == 0 {
-			b.Fatal("empty replay")
 		}
 	}
 	b.StopTimer()

@@ -9,13 +9,13 @@
 //	cachesim -prog perl.prog -layout a.layout,b.layout -trace perl-test.trace
 //
 // With a comma-separated -layout list every layout is replayed against the
-// same trace: the trace is compiled once and the layouts score 16 at a time
-// through one shared walk of the compiled trace each (internal/cache
-// BatchSim), so comparing candidate layouts costs one trace load, one
-// compilation, and a fraction of the per-layout replays. Each layout's
-// figures are identical to a run with that layout alone. Layouts are
-// labelled by file name without extension ("default" for an empty entry),
-// so two layouts whose names would share a label are rejected.
+// same trace: the trace is compiled once and each layout is scored by its
+// own walk of the compiled trace through one reused simulator
+// (internal/cache BatchSim), so comparing candidate layouts costs one
+// trace load and one compilation. Each layout's figures are identical to
+// a run with that layout alone. Layouts are labelled by file name without
+// extension ("default" for an empty entry), so two layouts whose names
+// would share a label are rejected.
 //
 // -sample replaces the exact replay with the phase-aware sampled estimator
 // (internal/sample): one window plan is built from the trace and each
@@ -63,9 +63,6 @@ func main() {
 		log.Fatal(err)
 	}
 }
-
-// laneWidth is how many layouts score per walk of the compiled trace.
-const laneWidth = 16
 
 // run parses args and writes the simulation report to stdout.
 func run(args []string, stdout io.Writer) error {
@@ -324,38 +321,33 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "sampling: %d of %d windows (interval %d events, warm-up %d), replaying %.1f%% of events\n",
 			len(plan.Windows), plan.Partitions, plan.Interval, plan.Warmup, 100*plan.ReplayFraction())
 	}
-	// Layouts score laneWidth at a time, each chunk sharing one walk of
-	// the compiled trace (or of each sampled window).
+	// Layouts score one after another through one simulator, each walking
+	// the compiled trace (or every sampled window).
 	bs, err := cache.NewBatchSim(cfg)
 	if err != nil {
 		return err
 	}
-	stats := make([]cache.Stats, len(layouts))
-	ests := make([]sample.Estimate, len(layouts))
-	for lo := 0; lo < len(layouts); lo += laneWidth {
-		chunk := layouts[lo:min(lo+laneWidth, len(layouts))]
-		start := time.Now()
-		if ev != nil {
-			e, err := ev.MissRateBatch(bs, chunk)
-			if err != nil {
-				return err
-			}
-			copy(ests[lo:], e)
-		} else {
-			tables := make([]*cache.CompiledLayout, len(chunk))
-			for k, layout := range chunk {
-				if tables[k], err = cache.CompileLayout(cfg, ct, layout); err != nil {
-					return err
-				}
-			}
-			res, err := bs.Run(ct, tables, cache.BatchOptions{})
-			if err != nil {
-				return err
-			}
-			copy(stats[lo:], res.Stats)
+	var stats []cache.Stats
+	var ests []sample.Estimate
+	start := time.Now()
+	if ev != nil {
+		if ests, err = ev.MissRateBatch(bs, layouts); err != nil {
+			return err
 		}
-		sh.AddDuration("cachesim/sim_wall", time.Since(start))
+	} else {
+		tables := make([]*cache.CompiledLayout, len(layouts))
+		for k, layout := range layouts {
+			if tables[k], err = cache.CompileLayout(cfg, ct, layout); err != nil {
+				return err
+			}
+		}
+		res, err := bs.Run(ct, tables, cache.BatchOptions{})
+		if err != nil {
+			return err
+		}
+		stats = res.Stats
 	}
+	sh.AddDuration("cachesim/sim_wall", time.Since(start))
 	d := bs.Batch()
 	sh.Add("cache/batch_lanes", int64(len(layouts)))
 	sh.Add("cache/batch_abandoned_lanes", d.AbandonedLanes)

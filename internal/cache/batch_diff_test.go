@@ -1,10 +1,10 @@
-// Differential tests for the layout-batched replay engine: the same
-// randomized program/trace/placement grid as the one-lane engine's suite,
-// but scored through BatchSim at batch sizes from one lane to several
-// times the algorithm count — every lane must agree byte-for-byte with
-// the general RunTrace oracle, at every geometry, and abandonment must
-// never change a surviving lane or retire a lane whose final count was
-// within budget.
+// Differential tests for the compiled replay engine: the same randomized
+// program/trace/placement grid as Sim's suite, but scored through
+// BatchSim — a pool of layouts walked one after another by one simulator,
+// and windowed replays of a bound layout — must agree byte-for-byte with
+// the per-reference oracles at every geometry, and abandonment must never
+// change a completed walk or stop a walk whose final count was within
+// budget.
 package cache_test
 
 import (
@@ -17,11 +17,9 @@ import (
 	"repro/internal/program"
 )
 
-// batchSizes spans the interesting regimes: a single lane (Sim's
-// compiled runs), small batches, an odd size that never divides the
-// layout count evenly, the search's default width, and an over-wide
-// batch that forces lane state well past any fixed-size assumption.
-var batchSizes = []int{1, 2, 7, 16, 64}
+// poolSize is how many layouts TestBatchMatchesOracle scores per geometry:
+// every placement algorithm's layout plus perturbed copies.
+const poolSize = 64
 
 // namedLayout pairs a layout with its algorithm name for error messages.
 type namedLayout struct {
@@ -39,9 +37,9 @@ func sortedLayouts(m map[string]*program.Layout) []namedLayout {
 	return out
 }
 
-// lanePool repeats the placed layouts (with distinct perturbed copies, so
-// wide batches are not all-identical lanes) until at least n lanes exist.
-func lanePool(rng *rand.Rand, prog *program.Program, base []namedLayout, n int) []namedLayout {
+// layoutPool repeats the placed layouts (with distinct perturbed copies,
+// so the pool is not a handful of identical layouts) until n exist.
+func layoutPool(rng *rand.Rand, prog *program.Program, base []namedLayout, n int) []namedLayout {
 	pool := append([]namedLayout(nil), base...)
 	for i := 0; len(pool) < n; i++ {
 		src := base[i%len(base)]
@@ -56,10 +54,12 @@ func lanePool(rng *rand.Rand, prog *program.Program, base []namedLayout, n int) 
 }
 
 // TestBatchMatchesOracle is the main differential grid: randomized
-// programs × every placement algorithm × every geometry × every batch
-// size, each lane's Stats byte-identical to the general RunTrace oracle.
-// One BatchSim is reused across batch sizes within a config, so the
-// epoch-stamped Reset and buffer-growth paths are part of what is
+// programs × every placement algorithm (and perturbed copies) × every
+// geometry, the whole pool scored by one Run per geometry and each
+// layout's Stats byte-identical to the general RunTrace oracle. The one
+// simulator walks every layout in turn, so buffer reuse across layouts
+// with different line extents — first-touch stamps grown or resliced,
+// residency stamps left by the previous binding — is part of what is
 // verified.
 func TestBatchMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -71,47 +71,36 @@ func TestBatchMatchesOracle(t *testing.T) {
 			train := randTrace(rng, prog, 300)
 			test := randTrace(rng, prog, 300)
 			base := sortedLayouts(diffLayouts(t, rng, prog, train))
-			maxK := batchSizes[len(batchSizes)-1]
-			pool := lanePool(rng, prog, base, maxK)
+			pool := layoutPool(rng, prog, base, poolSize)
 			ct := cache.CompileTrace(prog, test)
 
 			for _, cfg := range diffConfigs {
-				// Oracle stats per lane, computed once per config.
-				want := make([]cache.Stats, len(pool))
+				tables := make([]*cache.CompiledLayout, len(pool))
 				for i, nl := range pool {
-					want[i] = cache.MustNewSim(cfg).RunTraceOracle(nl.layout, test)
-				}
-				bs := cache.MustNewBatchSim(cfg)
-				for _, k := range batchSizes {
-					tables := make([]*cache.CompiledLayout, k)
-					for i := 0; i < k; i++ {
-						var err error
-						if tables[i], err = cache.CompileLayout(cfg, ct, pool[i].layout); err != nil {
-							t.Fatal(err)
-						}
-					}
-					res, err := bs.Run(ct, tables, cache.BatchOptions{})
-					if err != nil {
+					var err error
+					if tables[i], err = cache.CompileLayout(cfg, ct, nl.layout); err != nil {
 						t.Fatal(err)
 					}
-					if len(res.Stats) != k {
-						t.Fatalf("cfg %+v k=%d: %d lane stats", cfg, k, len(res.Stats))
+				}
+				res, err := cache.MustNewBatchSim(cfg).Run(ct, tables, cache.BatchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Stats) != len(pool) {
+					t.Fatalf("cfg %+v: %d stats for %d layouts", cfg, len(res.Stats), len(pool))
+				}
+				for i, nl := range pool {
+					if res.Abandoned[i] {
+						t.Errorf("cfg %+v layout %s: abandoned without a budget", cfg, nl.name)
 					}
-					for i := 0; i < k; i++ {
-						if res.Abandoned[i] {
-							t.Errorf("cfg %+v k=%d lane %s: abandoned without a budget", cfg, k, pool[i].name)
-						}
-						if res.Stats[i] != want[i] {
-							t.Errorf("cfg %+v k=%d lane %s: batch stats %+v != oracle %+v",
-								cfg, k, pool[i].name, res.Stats[i], want[i])
-						}
+					if want := cache.MustNewSim(cfg).RunTraceOracle(nl.layout, test); res.Stats[i] != want {
+						t.Errorf("cfg %+v layout %s: engine stats %+v != oracle %+v",
+							cfg, nl.name, res.Stats[i], want)
 					}
-					if res.Batch.Lanes != int64(k) || res.Batch.Runs != 1 {
-						t.Errorf("cfg %+v k=%d: batch accounting %+v", cfg, k, res.Batch)
-					}
-					if got := res.Batch.LaneEvents; got != int64(k*ct.Len()) {
-						t.Errorf("cfg %+v k=%d: walked %d lane-events, want %d", cfg, k, got, k*ct.Len())
-					}
+				}
+				n := int64(len(pool))
+				if want := (cache.BatchStats{Runs: 1, Lanes: n, LaneEvents: n * int64(ct.Len())}); res.Batch != want {
+					t.Errorf("cfg %+v: work accounting %+v, want %+v", cfg, res.Batch, want)
 				}
 			}
 		})
@@ -203,9 +192,10 @@ func TestBatchAbandonment(t *testing.T) {
 }
 
 // TestBatchSliceWindows verifies the windowed contract the sampled
-// evaluators rely on: binding once and Replaying consecutive Slices of a
-// compilation accumulates, per lane, exactly the per-reference oracle's
+// evaluators rely on: binding a layout once and Replaying consecutive
+// Slices of its compilation yields exactly the per-reference oracle's
 // per-window deltas — and the window sum reproduces the full-trace run.
+// One simulator is rebound per layout.
 func TestBatchSliceWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	prog := randProgram(rng, 50)
@@ -215,60 +205,45 @@ func TestBatchSliceWindows(t *testing.T) {
 	ct := cache.CompileTrace(prog, test)
 
 	for _, cfg := range diffConfigs {
-		tables := make([]*cache.CompiledLayout, len(base))
-		for i, nl := range base {
-			var err error
-			if tables[i], err = cache.CompileLayout(cfg, ct, nl.layout); err != nil {
-				t.Fatal(err)
-			}
-		}
-		full, err := cache.MustNewBatchSim(cfg).Run(ct, tables, cache.BatchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-
 		bs := cache.MustNewBatchSim(cfg)
-		if err := bs.Bind(tables); err != nil {
-			t.Fatal(err)
-		}
-		// Per-reference oracle simulators, one per lane, replaying the
-		// same window sequence without resets.
-		sims := make([]*cache.Sim, len(base))
-		for i := range sims {
-			sims[i] = cache.MustNewSim(cfg)
-			sims[i].Reset()
-		}
-		sum := make([]cache.Stats, len(base))
-		for lo := 0; lo < ct.Len(); lo += 40 {
-			hi := lo + 40
-			if hi > ct.Len() {
-				hi = ct.Len()
-			}
-			win := ct.Slice(lo, hi)
-			deltas, err := bs.Replay(win)
+		for _, nl := range base {
+			tab, err := cache.CompileLayout(cfg, ct, nl.layout)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, nl := range base {
-				want := sims[i].ReplayWindowOracle(nl.layout, test, lo, hi)
-				if deltas[i] != want {
-					t.Errorf("cfg %+v window [%d:%d) lane %s: batch delta %+v != oracle %+v",
-						cfg, lo, hi, nl.name, deltas[i], want)
-				}
-				sum[i].Add(deltas[i])
+			if err := bs.Bind(tab); err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i, nl := range base {
-			if sum[i] != full.Stats[i] {
-				t.Errorf("cfg %+v lane %s: window sum %+v != full run %+v",
-					cfg, nl.name, sum[i], full.Stats[i])
+			// The per-reference oracle replays the same window sequence
+			// without resets.
+			oracle := cache.MustNewSim(cfg)
+			var sum cache.Stats
+			for lo := 0; lo < ct.Len(); lo += 40 {
+				hi := min(lo+40, ct.Len())
+				delta, err := bs.Replay(ct.Slice(lo, hi))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := oracle.ReplayWindowOracle(nl.layout, test, lo, hi); delta != want {
+					t.Errorf("cfg %+v window [%d:%d) layout %s: delta %+v != oracle %+v",
+						cfg, lo, hi, nl.name, delta, want)
+				}
+				sum.Add(delta)
+			}
+			if full := cache.MustNewSim(cfg).RunTraceOracle(nl.layout, test); sum != full {
+				t.Errorf("cfg %+v layout %s: window sum %+v != full run %+v", cfg, nl.name, sum, full)
 			}
 		}
 	}
 }
 
-// TestBatchBindErrors covers the binding misuse guards: geometry
-// mismatch, mixed compilation families, and a budget/lane count mismatch.
+// TestBatchBindErrors covers the misuse guards: geometry mismatch at Bind
+// and Run, a Replay before any Bind, a budget/table count mismatch, and
+// traces outside a table's compilation family at Run and Replay. A table
+// from another compilation of the same program indexes classes the
+// replayed trace numbers differently: against a trace with more classes
+// it would read past its arrays, against one with fewer it would score
+// the wrong spans.
 func TestBatchBindErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	prog := randProgram(rng, 20)
@@ -279,30 +254,44 @@ func TestBatchBindErrors(t *testing.T) {
 
 	cfgA := cache.Config{SizeBytes: 8192, LineBytes: 32, Assoc: 1}
 	cfgB := cache.Config{SizeBytes: 3072, LineBytes: 32, Assoc: 1}
-	ta, err := cache.CompileLayout(cfgA, ct, layout)
-	if err != nil {
-		t.Fatal(err)
+	compile := func(cfg cache.Config, ct *cache.CompiledTrace) *cache.CompiledLayout {
+		t.Helper()
+		tab, err := cache.CompileLayout(cfg, ct, layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
 	}
-	tb, err := cache.CompileLayout(cfgB, ct, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t2, err := cache.CompileLayout(cfgA, ct2, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ta, tb, t2 := compile(cfgA, ct), compile(cfgB, ct), compile(cfgA, ct2)
 
 	bs := cache.MustNewBatchSim(cfgA)
-	if err := bs.Bind([]*cache.CompiledLayout{tb}); err == nil {
+	if _, err := bs.Replay(ct); err == nil {
+		t.Error("replayed before any Bind")
+	}
+	if err := bs.Bind(tb); err == nil {
 		t.Error("bound a table compiled for another geometry")
 	}
-	if err := bs.Bind([]*cache.CompiledLayout{ta, t2}); err == nil {
-		t.Error("bound tables from different compilation families")
+	if _, err := bs.Run(ct, []*cache.CompiledLayout{ta, tb}, cache.BatchOptions{}); err == nil {
+		t.Error("ran a table compiled for another geometry")
+	}
+	if _, err := bs.Run(ct, []*cache.CompiledLayout{ta, t2}, cache.BatchOptions{}); err == nil {
+		t.Error("ran a table from another compilation family")
 	}
 	if _, err := bs.Run(ct, []*cache.CompiledLayout{ta}, cache.BatchOptions{Budgets: []int64{1, 2}}); err == nil {
 		t.Error("accepted a budget vector of the wrong length")
 	}
-	if err := bs.Bind([]*cache.CompiledLayout{ta}); err != nil {
+
+	ctLong := cache.CompileTrace(prog, randTrace(rng, prog, 200))
+	ctOne := cache.CompileTrace(prog, randTrace(rng, prog, 1))
+	ctFive := cache.CompileTrace(prog, randTrace(rng, prog, 5))
+	if _, err := bs.Run(ctLong, []*cache.CompiledLayout{compile(cfgA, ctOne)}, cache.BatchOptions{}); err == nil {
+		t.Error("ran a 1-event compilation's table on a 200-event compilation")
+	}
+	if _, err := bs.Run(ctFive, []*cache.CompiledLayout{compile(cfgA, ctLong)}, cache.BatchOptions{}); err == nil {
+		t.Error("ran a 200-event compilation's table on a 5-event compilation")
+	}
+
+	if err := bs.Bind(ta); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bs.Replay(ct2); err == nil {

@@ -84,8 +84,8 @@ func (s *Stats) Add(other Stats) {
 // per-reference specification of the cache: the tag stored per way is the
 // line-granular memory address (address / LineBytes), which uniquely
 // identifies the cached content, and each set is an LRU list. RunTrace and
-// RunCompiled are one-lane runs of the compiled replay engine (BatchSim),
-// which the differential tests hold byte-identical to Access.
+// RunCompiled are runs of the compiled replay engine (BatchSim), which the
+// differential tests hold byte-identical to Access.
 type Sim struct {
 	cfg Config
 	// lineBytes and numSets cache the per-access divisors so Access does
@@ -119,12 +119,12 @@ type Sim struct {
 	seen  []uint32
 	epoch uint32
 
-	// engine runs the compiled replays on one lane bound to tab, a
-	// compiled-layout buffer reused across runs. memo caches the most
-	// recent trace compilation so hot loops that call RunTrace repeatedly
-	// with the same (program, trace) pay for compilation once; last is the
-	// trace of the latest compiled run (nil after Reset), which Replay
-	// derives its counters from.
+	// engine runs the compiled replays bound to tab, a compiled-layout
+	// buffer reused across runs. memo caches the most recent trace
+	// compilation so hot loops that call RunTrace repeatedly with the same
+	// (program, trace) pay for compilation once; last is the trace of the
+	// latest compiled run (nil after Reset), which Replay derives its
+	// counters from.
 	engine *BatchSim
 	tab    CompiledLayout
 	memo   *CompiledTrace
@@ -335,7 +335,7 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 }
 
 // RunCompiled resets the simulator and replays the compiled trace placed
-// by layout on one lane of the compiled engine (BatchSim), returning the
+// by layout through the compiled engine (BatchSim), returning the
 // resulting statistics — byte-identical to the per-reference Access loop
 // over the source trace (same reference stream, same cold/conflict
 // split), at a fraction of the cost:
@@ -361,7 +361,7 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 func (s *Sim) RunCompiled(ct *CompiledTrace, layout *program.Layout) Stats {
 	s.Reset()
 	s.tab.compile(s.cfg, ct, layout)
-	s.stats = s.engine.runLane(ct, &s.tab)
+	s.stats = s.engine.runTable(ct, &s.tab)
 	s.last = ct
 	return s.stats
 }

@@ -34,30 +34,30 @@ func windowFixture(seed int64, events int) (*program.Program, *program.Layout, *
 	return prog, program.DefaultLayout(prog), tr
 }
 
-// oneLane binds layout, compiled against ct for cfg, as the only lane of
-// a fresh batched simulator.
-func oneLane(t *testing.T, cfg cache.Config, ct *cache.CompiledTrace, layout *program.Layout) *cache.BatchSim {
+// bound binds layout, compiled against ct for cfg, to a fresh compiled
+// simulator.
+func bound(t *testing.T, cfg cache.Config, ct *cache.CompiledTrace, layout *program.Layout) *cache.BatchSim {
 	t.Helper()
 	tab, err := cache.CompileLayout(cfg, ct, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bs := cache.MustNewBatchSim(cfg)
-	if err := bs.Bind([]*cache.CompiledLayout{tab}); err != nil {
+	if err := bs.Bind(tab); err != nil {
 		t.Fatal(err)
 	}
 	return bs
 }
 
-// replayWindow replays one Slice window through bs's only lane and returns
-// its statistics delta.
+// replayWindow replays one Slice window through bs and returns its
+// statistics delta.
 func replayWindow(t *testing.T, bs *cache.BatchSim, win *cache.CompiledTrace) cache.Stats {
 	t.Helper()
-	deltas, err := bs.Replay(win)
+	delta, err := bs.Replay(win)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return deltas[0]
+	return delta
 }
 
 // TestReplayWindowsTileToRun verifies the windowed contract: replaying
@@ -75,7 +75,7 @@ func TestReplayWindowsTileToRun(t *testing.T) {
 		ct := cache.CompileTrace(prog, tr)
 		want := cache.MustNewSim(geom).RunCompiled(ct, layout)
 
-		bs := oneLane(t, geom, ct, layout)
+		bs := bound(t, geom, ct, layout)
 		oracle := cache.MustNewSim(geom)
 		var sum cache.Stats
 		lo := 0
@@ -108,7 +108,7 @@ func TestReplayWindowWarmupColdAccounting(t *testing.T) {
 	ct := cache.CompileTrace(prog, tr)
 	cfg := cache.Config{SizeBytes: 512, LineBytes: 32, Assoc: 1}
 
-	bs := oneLane(t, cfg, ct, layout)
+	bs := bound(t, cfg, ct, layout)
 	warm := replayWindow(t, bs, ct.Slice(0, 1000))
 	body := replayWindow(t, bs, ct.Slice(1000, 2000))
 	oracle := cache.MustNewSim(cfg)

@@ -227,13 +227,8 @@ func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, check i
 	return b, nil
 }
 
-// laneWidth is how many layouts score per walk of the shared compiled
-// trace: wide enough to amortize the trace stream, narrow enough that the
-// lane states of the paper geometry stay cache resident.
-const laneWidth = 16
-
-// scoreLayouts scores layouts on b's testing trace under cfg, laneWidth at
-// a time through one batched simulator: the sampled estimate when b was
+// scoreLayouts scores layouts on b's testing trace under cfg, one after
+// another through one compiled simulator: the sampled estimate when b was
 // prepared with an evaluator (ci holds the confidence half-widths), exact
 // compiled replay otherwise (ci stays zero). It records the cache/* or
 // sample/* and batch counters into sh (nil-safe).
@@ -244,22 +239,19 @@ func scoreLayouts(cfg cache.Config, b *bench, layouts []*program.Layout, sh *tel
 	}
 	mr = make([]float64, len(layouts))
 	ci = make([]float64, len(layouts))
-	for lo := 0; lo < len(layouts); lo += laneWidth {
-		chunk := layouts[lo:min(lo+laneWidth, len(layouts))]
-		if b.evalTest != nil {
-			ests, err := b.evalTest.MissRateBatch(bs, chunk)
-			if err != nil {
-				return nil, nil, err
-			}
-			for k, est := range ests {
-				sh.Add("sample/events_replayed", est.EventsReplayed)
-				sh.Add("sample/refs_replayed", est.RefsReplayed)
-				mr[lo+k], ci[lo+k] = est.MissRate, est.CIHalf
-			}
-			continue
+	if b.evalTest != nil {
+		ests, err := b.evalTest.MissRateBatch(bs, layouts)
+		if err != nil {
+			return nil, nil, err
 		}
-		tables := make([]*cache.CompiledLayout, len(chunk))
-		for k, layout := range chunk {
+		for k, est := range ests {
+			sh.Add("sample/events_replayed", est.EventsReplayed)
+			sh.Add("sample/refs_replayed", est.RefsReplayed)
+			mr[k], ci[k] = est.MissRate, est.CIHalf
+		}
+	} else {
+		tables := make([]*cache.CompiledLayout, len(layouts))
+		for k, layout := range layouts {
 			if tables[k], err = cache.CompileLayout(cfg, b.ctTest, layout); err != nil {
 				return nil, nil, err
 			}
@@ -273,7 +265,7 @@ func scoreLayouts(cfg cache.Config, b *bench, layouts []*program.Layout, sh *tel
 			sh.Add("cache/misses", st.Misses)
 			sh.Add("cache/cold_misses", st.Cold)
 			sh.Add("cache/conflict_misses", st.Conflict())
-			mr[lo+k] = st.MissRate()
+			mr[k] = st.MissRate()
 		}
 	}
 	// Windowed replays do not count lanes the way Run does.
@@ -283,10 +275,10 @@ func scoreLayouts(cfg cache.Config, b *bench, layouts []*program.Layout, sh *tel
 	return mr, ci, nil
 }
 
-// addBatch records the batched replay engine's work counters for one or
-// more runs into sh (nil-safe). Lane chunking is a deterministic function
-// of the driver's grid (never of worker scheduling), so the counters
-// merge identically at any parallelism.
+// addBatch records the compiled replay engine's work counters for one or
+// more runs into sh (nil-safe). They are a deterministic function of the
+// driver's grid (never of worker scheduling), so the counters merge
+// identically at any parallelism.
 func addBatch(sh *telemetry.Shard, d cache.BatchStats) {
 	sh.Add("cache/batch_lanes", d.Lanes)
 	sh.Add("cache/batch_abandoned_lanes", d.AbandonedLanes)

@@ -61,9 +61,8 @@ func Optimality(opts Options) (*OptimalityResult, error) {
 		// Loop-structured workloads: bursts of round-robin sweeps (the
 		// cyclic call pattern of a loop body) interleaved with random
 		// walks. Instruction traces are loopy, not IID-random. Every
-		// fourth workload is a pure loop nest — on those the class graph
-		// is a single cycle, so the static pre-screening inside
-		// optimal.Search bounds tightly enough to prune candidates.
+		// fourth workload is a pure loop nest, the most regular call
+		// pattern a loop body produces.
 		pureLoop := w%4 == 0
 		tr := &trace.Trace{}
 		for tr.Len() < 500 {
@@ -86,7 +85,6 @@ func Optimality(opts Options) (*OptimalityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh.Add("static/pruned", opt.Pruned)
 		sh.Add("static/evaluated", opt.Evaluated)
 		sh.Add("static/abandoned", opt.Abandoned)
 		addBatch(sh, opt.Batch)

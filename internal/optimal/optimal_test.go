@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/place"
-	"repro/internal/popular"
 	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/trg"
@@ -37,118 +35,22 @@ func TestSearchFindsZeroConflictLayout(t *testing.T) {
 	if res.Misses != 3 {
 		t.Errorf("optimal misses = %d, want 3 (cold only)", res.Misses)
 	}
-	if total := res.Evaluated + res.Pruned; total != 16 { // 4 lines ^ 2 free procedures
-		t.Errorf("Evaluated+Pruned = %d, want 16", total)
+	if res.Evaluated != 16 || res.Pruned != 0 { // 4 lines ^ 2 free procedures
+		t.Errorf("Evaluated = %d, Pruned = %d, want 16 and 0", res.Evaluated, res.Pruned)
 	}
 	if err := res.Layout.Validate(); err != nil {
 		t.Error(err)
 	}
 }
 
-// searchUnscreened is the pre-screening-free reference: the same odometer
-// and tie-breaking, every candidate simulated. Search must return a
-// byte-identical winner.
-func searchUnscreened(t *testing.T, prog *program.Program, tr *trace.Trace, cfg cache.Config) *Result {
-	t.Helper()
-	lines := cfg.NumLines()
-	n := prog.NumProcs()
-	offsets := make([]int, n)
-	res := &Result{Misses: int64(^uint64(0) >> 1)}
-	items := make([]place.Placed, n)
-	pop := popular.All(prog)
-	for {
-		for i := range items {
-			items[i] = place.Placed{Proc: program.ProcID(i), Line: offsets[i]}
-		}
-		layout, err := place.Linearize(prog, items, pop.Unpopular(prog), cfg, lines)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := cache.RunTrace(cfg, layout, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Evaluated++
-		if st.Misses < res.Misses {
-			res.Misses = st.Misses
-			res.Layout = layout
-		}
-		i := 1
-		for ; i < n; i++ {
-			offsets[i]++
-			if offsets[i] < lines {
-				break
-			}
-			offsets[i] = 0
-		}
-		if i == n {
-			return res
-		}
-	}
-}
-
-// TestScreeningPreservesWinnerAndPrunes is the pre-screening gate: across
-// random tiny workloads the screened search must return exactly the
-// unscreened winner (same layout, same miss count) while pruning at least
-// 20% of the candidate space on aggregate.
-func TestScreeningPreservesWinnerAndPrunes(t *testing.T) {
-	var total, pruned int64
-	for seed := int64(1); seed <= 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(3) + 3
-		procs := make([]program.Procedure, n)
-		for i := range procs {
-			procs[i] = program.Procedure{
-				Name: string(rune('a' + i)),
-				Size: 32 * (rng.Intn(2) + 1),
-			}
-		}
-		prog := program.MustNew(procs)
-		tr := &trace.Trace{}
-		for i := 0; i < 400; i++ {
-			// Even seeds: deterministic round-robin — a cycle-shaped class
-			// graph the analysis bounds tightly, so conflicting candidates
-			// prune. Odd seeds: random order — weak bounds, exercising
-			// winner identity when screening rarely fires.
-			p := i % n
-			if seed%2 == 1 {
-				p = rng.Intn(n)
-			}
-			tr.Append(trace.Event{Proc: program.ProcID(p)})
-		}
-		got, err := Search(prog, tr, tiny)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := searchUnscreened(t, prog, tr, tiny)
-		if got.Misses != want.Misses {
-			t.Errorf("seed %d: screened misses %d, unscreened %d", seed, got.Misses, want.Misses)
-		}
-		for p := 0; p < n; p++ {
-			if got.Layout.Addr(program.ProcID(p)) != want.Layout.Addr(program.ProcID(p)) {
-				t.Errorf("seed %d: winner layouts diverge at proc %d", seed, p)
-			}
-		}
-		if got.Evaluated+got.Pruned != want.Evaluated {
-			t.Errorf("seed %d: candidate space %d+%d != %d", seed, got.Evaluated, got.Pruned, want.Evaluated)
-		}
-		total += got.Evaluated + got.Pruned
-		pruned += got.Pruned
-	}
-	if frac := float64(pruned) / float64(total); frac < 0.20 {
-		t.Errorf("pruned %d of %d candidates (%.1f%%), want >= 20%%", pruned, total, 100*frac)
-	} else {
-		t.Logf("pruned %d of %d candidates (%.1f%%)", pruned, total, 100*frac)
-	}
-}
-
-// TestBatchedSearchMatchesReference is the batching/abandonment gate:
-// across the same random tiny workloads, the batched Search (stale-
-// incumbent prescreen + 16-lane batches + incumbent-seeded budgets) must
-// return exactly the serial SearchReference's first-minimal winner, and
-// account for the full candidate space. Abandonment must actually fire
-// somewhere on aggregate, and every abandoned lane is an evaluated one.
-func TestBatchedSearchMatchesReference(t *testing.T) {
+// TestSearchMatchesReference is the budgeted-walk gate: across random
+// tiny workloads, Search (one budgeted walk per candidate) must return
+// exactly the serial SearchReference's first-minimal winner, evaluate the
+// whole candidate space, and account for every walk: one lane per
+// candidate, each either walked to the end or stopped early with the rest
+// of its events saved. Abandonment must actually fire somewhere on
+// aggregate.
+func TestSearchMatchesReference(t *testing.T) {
 	var abandoned, saved int64
 	for seed := int64(1); seed <= 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -163,6 +65,8 @@ func TestBatchedSearchMatchesReference(t *testing.T) {
 		prog := program.MustNew(procs)
 		tr := &trace.Trace{}
 		for i := 0; i < 400; i++ {
+			// Even seeds: deterministic round-robin. Odd seeds: random
+			// order.
 			p := i % n
 			if seed%2 == 1 {
 				p = rng.Intn(n)
@@ -178,19 +82,32 @@ func TestBatchedSearchMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Misses != want.Misses {
-			t.Errorf("seed %d: batched misses %d, reference %d", seed, got.Misses, want.Misses)
+			t.Errorf("seed %d: search misses %d, reference %d", seed, got.Misses, want.Misses)
 		}
 		for p := 0; p < n; p++ {
 			if got.Layout.Addr(program.ProcID(p)) != want.Layout.Addr(program.ProcID(p)) {
 				t.Errorf("seed %d: winner layouts diverge at proc %d", seed, p)
 			}
 		}
-		if got.Evaluated+got.Pruned != want.Evaluated+want.Pruned {
-			t.Errorf("seed %d: candidate space %d+%d != %d+%d",
-				seed, got.Evaluated, got.Pruned, want.Evaluated, want.Pruned)
+		space := int64(1)
+		for i := 1; i < n; i++ {
+			space *= int64(tiny.NumLines())
 		}
-		if got.Abandoned > got.Evaluated {
+		if got.Pruned != 0 {
+			t.Errorf("seed %d: pruned %d candidates", seed, got.Pruned)
+		}
+		if got.Evaluated != space || want.Evaluated != space {
+			t.Errorf("seed %d: evaluated %d (reference %d) of %d candidates", seed, got.Evaluated, want.Evaluated, space)
+		}
+		if got.Abandoned >= got.Evaluated {
 			t.Errorf("seed %d: %d abandoned of %d evaluated", seed, got.Abandoned, got.Evaluated)
+		}
+		if got.Batch.Lanes != got.Evaluated {
+			t.Errorf("seed %d: %d lanes for %d candidates", seed, got.Batch.Lanes, got.Evaluated)
+		}
+		if walked := got.Batch.LaneEvents + got.Batch.LaneEventsSaved; walked != got.Evaluated*int64(tr.Len()) {
+			t.Errorf("seed %d: walked %d + saved %d != %d candidates × %d events",
+				seed, got.Batch.LaneEvents, got.Batch.LaneEventsSaved, got.Evaluated, tr.Len())
 		}
 		if want.Abandoned != 0 || want.Batch.Lanes != 0 {
 			t.Errorf("seed %d: reference reports batch work %+v", seed, want)
@@ -204,7 +121,7 @@ func TestBatchedSearchMatchesReference(t *testing.T) {
 	if saved == 0 {
 		t.Error("abandonment saved no lane-events across 10 seeds")
 	}
-	t.Logf("abandoned %d lanes, saved %d lane-events across 10 seeds", abandoned, saved)
+	t.Logf("abandoned %d walks, saved %d lane-events across 10 seeds", abandoned, saved)
 }
 
 func TestSearchRejectsBigPrograms(t *testing.T) {
@@ -239,10 +156,8 @@ func TestGBSCNearOptimalProperty(t *testing.T) {
 		prog := program.MustNew(procs)
 		tr := &trace.Trace{}
 		for i := 0; i < 400; i++ {
-			// Even seeds: deterministic round-robin — a cycle-shaped class
-			// graph the analysis bounds tightly, so conflicting candidates
-			// prune. Odd seeds: random order — weak bounds, exercising
-			// winner identity when screening rarely fires.
+			// Even seeds: deterministic round-robin, the loop nest
+			// GBSC's temporal model targets. Odd seeds: random order.
 			p := i % n
 			if seed%2 == 1 {
 				p = rng.Intn(n)

@@ -10,26 +10,19 @@ import (
 	"repro/internal/trace"
 )
 
-// SearchReference is the frozen serial baseline search: the same static
-// prescreen, but every surviving candidate replayed one at a time with
+// SearchReference is the plain serial search: the same odometer and
+// tie-breaking, every candidate replayed one at a time with
 // cache.RunTrace — a fresh simulator and a fresh trace memoization per
-// candidate, exactly the shape Search had before batching. Search must
-// return a byte-identical winner; the reference exists for that
-// differential and as the baseline the batched speedup is measured
-// against, so it deliberately keeps the per-candidate costs the batch
-// engine amortizes away (one compilation, one state buffer, one shared
-// walk).
+// candidate, no budget. Search must return a byte-identical winner; the
+// reference exists for that differential and as the baseline Search's
+// amortizations (one compilation, one reused simulator, budgeted walks)
+// are measured against.
 func SearchReference(prog *program.Program, tr *trace.Trace, cfg cache.Config) (*Result, error) {
-	model, err := validate(prog, tr, cfg)
-	if err != nil {
+	if err := validate(prog, tr, cfg); err != nil {
 		return nil, err
 	}
 	res := &Result{Misses: math.MaxInt64}
-	err = candidates(prog, cfg, func(layout *program.Layout) (bool, error) {
-		if res.Layout != nil && model.Analyze(layout).LowerMisses > res.Misses {
-			res.Pruned++
-			return true, nil
-		}
+	err := candidates(prog, cfg, func(layout *program.Layout) (bool, error) {
 		st, err := cache.RunTrace(cfg, layout, tr)
 		if err != nil {
 			return false, err
@@ -47,8 +40,8 @@ func SearchReference(prog *program.Program, tr *trace.Trace, cfg cache.Config) (
 	return res, nil
 }
 
-// optimalSearchFixture builds the exhaustive-search workload for the batched
-// search benchmarks: one of the optimality experiment's loop-structured tiny
+// optimalSearchFixture builds the exhaustive-search workload for the search
+// benchmarks: one of the optimality experiment's loop-structured tiny
 // programs, searched on the 4-line tiny cache.
 func optimalSearchFixture() (*program.Program, *trace.Trace) {
 	rng := rand.New(rand.NewSource(3))
@@ -77,8 +70,8 @@ func optimalSearchFixture() (*program.Program, *trace.Trace) {
 	return prog, tr
 }
 
-// BenchmarkOptimalSearchSerial times the screened serial reference search —
-// one replay per surviving candidate, the engine Search had before batching.
+// BenchmarkOptimalSearchSerial times the serial reference search: one
+// fresh RunTrace per candidate.
 func BenchmarkOptimalSearchSerial(b *testing.B) {
 	prog, tr := optimalSearchFixture()
 	b.ResetTimer()
@@ -89,10 +82,9 @@ func BenchmarkOptimalSearchSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimalSearchBatched times the production search: 16-lane batched
-// replay with incumbent-budget early abandonment on top of the static
-// screen (acceptance: ≥2× the serial search with a byte-identical winner).
-func BenchmarkOptimalSearchBatched(b *testing.B) {
+// BenchmarkOptimalSearch times the production search: one budgeted walk
+// of the shared compilation per candidate.
+func BenchmarkOptimalSearch(b *testing.B) {
 	prog, tr := optimalSearchFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -95,10 +95,10 @@ func (e *Evaluator) Plan() *Plan { return e.plan }
 
 // MissRateBatch replays the plan's windows against each layout and
 // returns the weighted miss-rate estimates with their confidence
-// intervals. Each window walks once through bs for every layout (one lane
-// per layout); tables are compiled against the evaluator's own
-// compilation, so the caller only supplies layouts and a simulator of the
-// target geometry.
+// intervals. Layouts are scored one after another through bs, each bound
+// once and walked over every window; tables are compiled against the
+// evaluator's own compilation, so the caller only supplies layouts and a
+// simulator of the target geometry.
 //
 // The estimate splits misses by kind. Conflict/capacity misses are
 // measured per window: the simulator is reset, warmed with the window's
@@ -119,51 +119,35 @@ func (e *Evaluator) Plan() *Plan { return e.plan }
 // ambiguity, not a guess.
 func (e *Evaluator) MissRateBatch(bs *cache.BatchSim, layouts []*program.Layout) ([]Estimate, error) {
 	ests := make([]Estimate, len(layouts))
-	if len(e.wins) == 0 || len(layouts) == 0 {
-		for i, l := range layouts {
-			ests[i] = e.estimate(l, nil)
-		}
-		return ests, nil
-	}
-	tables := make([]*cache.CompiledLayout, len(layouts))
+	sts := make([]cache.Stats, len(e.wins))
 	for i, l := range layouts {
-		var err error
-		if tables[i], err = cache.CompileLayout(bs.Config(), e.ct, l); err != nil {
-			return nil, err
-		}
-	}
-	if err := bs.Bind(tables); err != nil {
-		return nil, err
-	}
-	sts := make([][]cache.Stats, len(layouts))
-	for li := range sts {
-		sts[li] = make([]cache.Stats, len(e.wins))
-	}
-	for wi, w := range e.wins {
-		bs.Reset()
-		if w.warm.Len() > 0 {
-			if _, err := bs.Replay(w.warm); err != nil { // warm-up: discarded
-				return nil, err
-			}
-		}
-		deltas, err := bs.Replay(w.body)
+		tab, err := cache.CompileLayout(bs.Config(), e.ct, l)
 		if err != nil {
 			return nil, err
 		}
-		for li := range sts {
-			sts[li][wi] = deltas[li]
+		if err := bs.Bind(tab); err != nil {
+			return nil, err
 		}
-	}
-	for li, l := range layouts {
-		ests[li] = e.estimate(l, sts[li])
+		for wi, w := range e.wins {
+			bs.Reset()
+			if w.warm.Len() > 0 {
+				if _, err := bs.Replay(w.warm); err != nil { // warm-up: discarded
+					return nil, err
+				}
+			}
+			if sts[wi], err = bs.Replay(w.body); err != nil {
+				return nil, err
+			}
+		}
+		ests[i] = e.estimate(l, sts)
 	}
 	return ests, nil
 }
 
 // estimate turns one layout's per-window measurement deltas (sts[i] is
-// window i's body replay delta) into the weighted estimate. It runs per
-// lane in a fixed operation order, so a layout's estimate does not depend
-// on which other layouts share its batch.
+// window i's body replay delta) into the weighted estimate, in a fixed
+// operation order, so a layout's estimate does not depend on which other
+// layouts share its call. It does not retain sts.
 func (e *Evaluator) estimate(layout *program.Layout, sts []cache.Stats) Estimate {
 	est := Estimate{Windows: len(e.wins)}
 	if len(e.wins) == 0 {

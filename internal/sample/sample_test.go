@@ -37,8 +37,8 @@ func mustPlan(t *testing.T, prog *program.Program, tr *trace.Trace, opts Options
 	return p
 }
 
-// missRate scores one layout through the evaluator on a fresh one-lane
-// batch simulator of the test geometry.
+// missRate scores one layout through the evaluator on a fresh compiled
+// simulator of the test geometry.
 func missRate(t *testing.T, ev *Evaluator, layout *program.Layout) Estimate {
 	t.Helper()
 	ests, err := ev.MissRateBatch(cache.MustNewBatchSim(testCache), []*program.Layout{layout})
@@ -293,11 +293,11 @@ func batchTestLayouts(prog *program.Program, n int) []*program.Layout {
 	return layouts
 }
 
-// TestMissRateBatchBitIdentical is the windowed batching contract: for a
+// TestMissRateBatchBitIdentical is the multi-layout contract: for a
 // clustered multi-window plan, a layout's estimate must not depend on the
-// batch it shares — scoring five layouts in one batch reproduces each
-// layout's one-lane estimate bit for bit (same replay deltas, same float
-// arithmetic).
+// layouts sharing its call — scoring five layouts in one call through one
+// reused simulator reproduces each layout's estimate on a fresh simulator
+// bit for bit (same replay deltas, same float arithmetic).
 func TestMissRateBatchBitIdentical(t *testing.T) {
 	prog := testProgram(t)
 	tr := randcell.PhasedTrace(rand.New(rand.NewSource(5)), prog, 20000)
@@ -314,7 +314,7 @@ func TestMissRateBatchBitIdentical(t *testing.T) {
 	}
 	for i, l := range layouts {
 		if want := missRate(t, ev, l); got[i] != want {
-			t.Errorf("layout %d: batch estimate %+v != one-lane %+v", i, got[i], want)
+			t.Errorf("layout %d: shared-call estimate %+v != fresh-simulator %+v", i, got[i], want)
 		}
 	}
 }
