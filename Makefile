@@ -25,20 +25,20 @@ vet:
 # packages and the run()-pattern/Close-error rules over cmd binaries. The
 # selftest proves the analyzers still catch the known-bad fixtures before
 # the clean repo run is trusted. The layering checks keep the evaluation
-# packages (sampled estimate, static bounds, exhaustive search) free of the
-# placement layer, and randcell — shared test cells — out of every non-test
-# import list.
+# packages (sampled estimate, exhaustive search) free of the placement
+# layer, the search free of the sampled estimate, and randcell — shared
+# test cells — out of every non-test import list.
 PLACEMENT_PKGS = repro/internal/(anneal|baseline|core|split|wcg)
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/repolint -selftest
 	$(GO) run ./cmd/repolint
-	@deps="$$($(GO) list -deps ./internal/sample ./internal/staticcache ./internal/optimal)" || exit 1; \
+	@deps="$$($(GO) list -deps ./internal/sample ./internal/optimal)" || exit 1; \
 	bad="$$(echo "$$deps" | grep -E '^$(PLACEMENT_PKGS)$$')"; \
-	if [ -n "$$bad" ]; then echo "sample/staticcache/optimal depend on the placement layer:"; echo "$$bad"; exit 1; fi
-	@deps="$$($(GO) list -deps ./internal/staticcache ./internal/optimal)" || exit 1; \
+	if [ -n "$$bad" ]; then echo "sample/optimal depend on the placement layer:"; echo "$$bad"; exit 1; fi
+	@deps="$$($(GO) list -deps ./internal/optimal)" || exit 1; \
 	if echo "$$deps" | grep -qx 'repro/internal/sample'; then \
-		echo "staticcache/optimal depend on repro/internal/sample"; exit 1; fi
+		echo "optimal depends on repro/internal/sample"; exit 1; fi
 	@imps="$$($(GO) list -f '{{range .Imports}}{{$$.ImportPath}} {{.}}{{"\n"}}{{end}}' ./...)" || exit 1; \
 	bad="$$(echo "$$imps" | awk '$$2 == "repro/internal/randcell" {print $$1}')"; \
 	if [ -n "$$bad" ]; then echo "non-test code imports repro/internal/randcell:"; echo "$$bad"; exit 1; fi
@@ -73,11 +73,6 @@ TRG_BENCHES = ^(BenchmarkTRGBuildSerial)$$
 # construction, and the sampled Figure 5 grid end to end.
 SAMPLE_BENCHES = ^(BenchmarkSampledFigure5|BenchmarkSamplePlan|BenchmarkExactMissRate|BenchmarkSampledMissRate)$$
 
-# Static must/may bounds (BENCH_static.json): model construction, the
-# per-layout Analyze cost beside one exact replay of the same layout, and
-# the staticbounds experiment grid end to end.
-STATIC_BENCHES = ^(BenchmarkStaticModel|BenchmarkStaticAnalyze|BenchmarkStaticExactReplay|BenchmarkStaticBoundsGrid)$$
-
 # Incremental re-placement (BENCH_incr.json): one delta-driven engine
 # Update on the drifted paper-scale perl profile vs the from-scratch GBSC
 # run it replaces. The acceptance headline is Incremental ≥5× faster than
@@ -91,8 +86,6 @@ bench-json:
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_trg.json
 	$(GO) test -run '^$$' -bench '$(SAMPLE_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_sample.json
-	$(GO) test -run '^$$' -bench '$(STATIC_BENCHES)' -benchmem \
-		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_static.json
 	$(GO) test -run '^$$' -bench '$(INCR_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_incr.json
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/incr"
 	"repro/internal/popular"
 	"repro/internal/sample"
-	"repro/internal/staticcache"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 	"repro/internal/trg"
@@ -173,74 +172,6 @@ func BenchmarkSampledMissRate(b *testing.B) {
 		}
 		if ests[0].RefsReplayed == 0 {
 			b.Fatal("empty sampled replay")
-		}
-	}
-}
-
-// --- Static must/may bounds (internal/staticcache) ------------------------
-
-// staticFixture prepares the perl test trace and its static model for the
-// bounds benchmarks: model construction is per (program, trace, geometry)
-// and amortized across layouts, exactly like trace compilation.
-func staticFixture(b *testing.B) (*staticcache.Model, *Layout, *cache.CompiledTrace, *cache.Sim) {
-	b.Helper()
-	pair := tracegen.Lookup(tracegen.Suite(0.3), "perl")
-	tr := pair.Bench.Trace(pair.Test)
-	model, err := staticcache.NewModel(pair.Bench.Prog, tr, cache.PaperConfig)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ct := cache.CompileTrace(pair.Bench.Prog, tr)
-	return model, DefaultLayout(pair.Bench.Prog), ct, cache.MustNewSim(cache.PaperConfig)
-}
-
-// BenchmarkStaticModel times activation-class graph construction — the
-// one-off cost a layout sweep pays before Analyze screens candidates.
-func BenchmarkStaticModel(b *testing.B) {
-	pair := tracegen.Lookup(tracegen.Suite(0.3), "perl")
-	tr := pair.Bench.Trace(pair.Test)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := staticcache.NewModel(pair.Bench.Prog, tr, cache.PaperConfig); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStaticAnalyze times one per-layout fixpoint analysis — the
-// screening cost a sweep pays instead of a replay for pruned candidates.
-func BenchmarkStaticAnalyze(b *testing.B) {
-	model, layout, _, _ := staticFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		iv := model.Analyze(layout)
-		if iv.Refs == 0 {
-			b.Fatal("empty analysis")
-		}
-	}
-}
-
-// BenchmarkStaticExactReplay times the exact compiled replay of the same
-// (trace, layout) pair — the per-candidate cost Analyze competes with in
-// BENCH_static.json.
-func BenchmarkStaticExactReplay(b *testing.B) {
-	_, layout, ct, sim := staticFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := sim.RunCompiled(ct, layout)
-		if st.Refs == 0 {
-			b.Fatal("empty replay")
-		}
-	}
-}
-
-// BenchmarkStaticBoundsGrid regenerates the staticbounds experiment end to
-// end (suite prep, per-benchmark models, per-cell analysis + exact replay
-// with the soundness cross-check).
-func BenchmarkStaticBoundsGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StaticBounds(benchOpts("m88ksim")); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

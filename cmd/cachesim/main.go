@@ -22,13 +22,6 @@
 // layout is scored by replaying only the representative windows, printing
 // the estimate with its confidence interval. With -stats the estimate is
 // recorded under the usual label plus a "<label>/ci" half-width key.
-//
-// -static-bounds additionally prints the static must/may miss-rate
-// interval (internal/staticcache) of every layout and, under -check fatal
-// or warn, cross-checks it against the exact run — an interval that fails
-// to bracket the simulated miss count is a soundness bug and is enforced
-// like any other invariant. With -stats the bounds land under the
-// "<label>/static_lower" and "<label>/static_upper" keys.
 package main
 
 import (
@@ -47,7 +40,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/program"
 	"repro/internal/sample"
-	"repro/internal/staticcache"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/report"
 	"repro/internal/trace"
@@ -82,7 +74,6 @@ func run(args []string, stdout io.Writer) error {
 	sampleFlag := fs.Bool("sample", false, "estimate miss rates from sampled trace windows instead of exact replay (incompatible with -classify)")
 	sampleWindows := fs.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
 	sampleInterval := fs.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
-	staticBounds := fs.Bool("static-bounds", false, "also compute static must/may miss-rate bounds per layout and cross-check them against the exact run (incompatible with -sample)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -104,9 +95,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *sampleFlag && *classify {
 		return fmt.Errorf("-sample cannot classify misses; drop one of the flags")
-	}
-	if *sampleFlag && *staticBounds {
-		return fmt.Errorf("-static-bounds needs the exact run to cross-check against; drop -sample")
 	}
 	cfg := cache.Config{SizeBytes: *cacheBytes, LineBytes: *lineBytes, Assoc: *assoc}
 	if err := cfg.Validate(); err != nil {
@@ -243,35 +231,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// One static model serves every layout — the class graph and adjacency
-	// depend only on (program, trace, geometry).
-	var model *staticcache.Model
-	if *staticBounds {
-		model, err = staticcache.NewModel(prog, tr, cfg)
-		if err != nil {
-			return err
-		}
-	}
-	// emitBounds prints the interval for one layout and enforces the
-	// soundness cross-check against its exact stats.
-	emitBounds := func(i int, layout *program.Layout, st cache.Stats) error {
-		if model == nil {
-			return nil
-		}
-		iv := model.Analyze(layout)
-		fmt.Fprintf(stdout, "static bounds: [%.4f%%, %.4f%%] (width %.4fpp, %.1f%% of refs classified)\n",
-			100*iv.LowerRate(), 100*iv.UpperRate(), 100*iv.Width(), 100*iv.ClassifiedFrac())
-		vs := staticcache.CheckBounds(iv, st)
-		if err := invariant.Enforce(checkMode, "cachesim/staticbounds/"+names[i], vs, log.Printf); err != nil {
-			return err
-		}
-		if rep != nil {
-			rep.AddMissRate(bench, label(i)+"/static_lower", iv.LowerRate())
-			rep.AddMissRate(bench, label(i)+"/static_upper", iv.UpperRate())
-		}
-		return nil
-	}
-
 	if *classify {
 		for i, layout := range layouts {
 			section(i)
@@ -289,10 +248,13 @@ func run(args []string, stdout io.Writer) error {
 			for _, p := range cs.TopMissProcs(*top) {
 				fmt.Fprintf(stdout, "  %-30s %10d\n", prog.Name(p), cs.PerProc[p])
 			}
+			// The counters take the plain path's Stats figures (the
+			// three-C Cold and Conflict fields shadow Stats'), so the two
+			// reports of one run agree; the three-C split is printed only.
 			sh.Add("cache/refs", cs.Refs)
 			sh.Add("cache/misses", cs.Misses)
-			sh.Add("cache/cold_misses", cs.Cold)
-			sh.Add("cache/conflict_misses", cs.Conflict)
+			sh.Add("cache/cold_misses", cs.Stats.Cold)
+			sh.Add("cache/conflict_misses", cs.Stats.Conflict())
 			sh.Add("cache/replay_events", rs.Events)
 			sh.Add("cache/replay_fast_events", rs.FastEvents)
 			sh.Add("cache/replay_fallback_events", rs.FallbackEvents)
@@ -300,9 +262,6 @@ func run(args []string, stdout io.Writer) error {
 			sh.Add("cache/replay_collapsed_refs", rs.CollapsedRefs)
 			if rep != nil {
 				rep.AddMissRate(bench, label(i), cs.MissRate())
-			}
-			if err := emitBounds(i, layout, cs.Stats); err != nil {
-				return err
 			}
 		}
 		return nil
@@ -354,7 +313,7 @@ func run(args []string, stdout io.Writer) error {
 	sh.Add("cache/batch_lane_events", d.LaneEvents)
 	sh.Add("cache/batch_lane_events_saved", d.LaneEventsSaved)
 
-	for i, layout := range layouts {
+	for i := range layouts {
 		section(i)
 		if ev != nil {
 			est := ests[i]
@@ -381,9 +340,6 @@ func run(args []string, stdout io.Writer) error {
 		sh.Add("cache/conflict_misses", st.Conflict())
 		if rep != nil {
 			rep.AddMissRate(bench, label(i), st.MissRate())
-		}
-		if err := emitBounds(i, layout, st); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/program"
+	"repro/internal/telemetry/report"
 	"repro/internal/tracegen"
 )
 
@@ -131,6 +132,51 @@ func TestMultiLayoutMatchesSingleRuns(t *testing.T) {
 	}
 }
 
+// A -classify run is the same simulation as a plain run, so the two run
+// reports must agree on every figure they share; the three-C split is
+// printed, not recorded as cache/conflict_misses. The 2 KB cache gives the
+// fixture capacity misses, without which the three-C conflict count and
+// misses − cold coincide.
+func TestClassifyReportMatchesPlain(t *testing.T) {
+	f := newFixture(t)
+	var reports []*report.Report
+	for i, mode := range [][]string{nil, {"-classify"}} {
+		path := filepath.Join(f.dir, fmt.Sprintf("report%d.json", i))
+		args := append([]string{"-prog", f.prog, "-trace", f.trace, "-layout", f.layouts[0], "-cache", "2048", "-stats", path}, mode...)
+		out, err := cachesim(t, args...)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if mode != nil && strings.Contains(out, "capacity 0,") {
+			t.Fatalf("fixture has no capacity misses:\n%s", out)
+		}
+		rf, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := report.Read(rf)
+		rf.Close()
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		reports = append(reports, rep)
+	}
+	plain, classified := reports[0], reports[1]
+	for _, key := range []string{"cache/refs", "cache/misses", "cache/cold_misses", "cache/conflict_misses"} {
+		p, pok := plain.Counters[key]
+		c, cok := classified.Counters[key]
+		if !pok || !cok || p != c {
+			t.Errorf("%s: plain %d (recorded %v), -classify %d (recorded %v)", key, p, pok, c, cok)
+		}
+	}
+	if len(plain.Benchmarks) != 1 || len(classified.Benchmarks) != 1 {
+		t.Fatalf("benchmarks: plain %+v, -classify %+v", plain.Benchmarks, classified.Benchmarks)
+	}
+	if p, c := plain.Benchmarks[0].MissRates["sim"], classified.Benchmarks[0].MissRates["sim"]; p == 0 || p != c {
+		t.Errorf("sim miss rate: plain %v, -classify %v", p, c)
+	}
+}
+
 // Malformed or mismatched input must fail with an error naming the
 // problem, before anything is printed, and never panic.
 func TestBadInputReturnsError(t *testing.T) {
@@ -165,10 +211,10 @@ func TestBadInputReturnsError(t *testing.T) {
 		{"truncated trace", []string{"-prog", f.prog, "-trace", truncated}, nil},
 		{"layout of another program", append(base, "-layout", foreign), []string{"unknown procedure"}},
 		{"sample with classify", append(base, "-sample", "-classify"), []string{"-sample"}},
-		{"sample with static bounds", append(base, "-sample", "-static-bounds"), []string{"-static-bounds"}},
 		{"invalid geometry", append(base, "-line", "0"), []string{"non-positive"}},
 		{"duplicate label", append(base, "-layout", dupA+","+dupB), []string{dupA, dupB, `"gbsc"`}},
 		{"removed batch flag", append(base, "-batch", "1"), []string{"flag provided but not defined"}},
+		{"removed static-bounds flag", append(base, "-static-bounds"), []string{"flag provided but not defined"}},
 		{"negative top", append(base, "-classify", "-top", "-1"), []string{"-top"}},
 		{"negative sample windows", append(base, "-sample", "-sample-windows", "-3"), []string{"-sample-windows"}},
 		{"negative sample interval", append(base, "-sample", "-sample-interval", "-5"), []string{"-sample-interval"}},

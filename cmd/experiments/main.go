@@ -9,13 +9,11 @@
 //	experiments -run all -parallel 1   # serial; output identical to parallel
 //	experiments -run all -stats report.json -cpuprofile cpu.pprof
 //
-// Available experiments: table1, figure5, figure6, padding, sameinput,
-// setassoc, ablations, sampling, staticbounds, driftreplace, all.
-//
-// staticbounds compares the static must/may interval (internal/staticcache)
-// against the exact replay of every (benchmark, algorithm) layout; under
-// -check fatal an interval that fails to bracket its exact run aborts the
-// run — the smoke run's soundness gate.
+// Available experiments, in the order -run all runs them: table1, figure5,
+// figure6, padding, sameinput, setassoc, ablations, pagelocal, conflicts,
+// splitting, sweep, optimality, blockreorder, headroom, sampling,
+// driftreplace. A -run name outside this list (or "all") fails the run
+// before anything is printed or written.
 //
 // -sample switches the Figure 5 grid from exact compiled replay to the
 // phase-aware sampled estimator (internal/sample); every reported miss
@@ -38,6 +36,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -101,16 +100,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if perr := stopProf(); perr != nil {
-			log.Printf("profiles: %v", perr)
-		}
-	}()
-
 	opts := experiments.Options{
 		Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel, Check: checkMode,
 		Sample: *sampleFlag, SampleWindows: *sampleWindows, SampleInterval: *sampleInterval,
@@ -133,12 +122,6 @@ func run(args []string, stdout io.Writer) error {
 		rep.Params["parallel"] = strconv.Itoa(*parallel)
 		rep.Params["sample"] = strconv.FormatBool(*sampleFlag)
 	}
-
-	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
 
 	// render adapts the common "result with a Render method" experiment
 	// shape to a step function.
@@ -218,11 +201,40 @@ func run(args []string, stdout io.Writer) error {
 		{"blockreorder", func() (any, error) { return render(experiments.BlockReorder(opts)) }},
 		{"headroom", func() (any, error) { return render(experiments.Headroom(opts)) }},
 		{"sampling", func() (any, error) { return render(experiments.Sampling(opts)) }},
-		{"staticbounds", func() (any, error) { return render(experiments.StaticBounds(opts)) }},
 		{"driftreplace", func() (any, error) { return render(experiments.DriftReplace(opts)) }},
 	}
 
-	ran := 0
+	// Every -run entry must name a step (or "all") before anything runs,
+	// so a typo or a retired experiment cannot silently drop out of a run.
+	names := make([]string, 0, len(steps)+1)
+	for _, s := range steps {
+		names = append(names, s.name)
+	}
+	names = append(names, "all")
+	want := map[string]bool{}
+	var unknown []string
+	for _, name := range strings.Split(*run, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.Contains(names, name) {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+		want[name] = true
+	}
+	if len(unknown) > 0 {
+		return fmt.Errorf("-run: unknown experiments %s (valid: %s)", strings.Join(unknown, ", "), strings.Join(names, ", "))
+	}
+	all := want["all"]
+
+	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProf(); perr != nil {
+			log.Printf("profiles: %v", perr)
+		}
+	}()
+
 	var stepErr error
 	sh := opts.Telemetry.Shard()
 	for _, s := range steps {
@@ -240,10 +252,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		experiments.Record(rep, result)
 		fmt.Fprintln(stdout)
-		ran++
-	}
-	if stepErr == nil && ran == 0 {
-		stepErr = fmt.Errorf("no experiments matched %q", *run)
 	}
 
 	// The report is written even when a step failed — a partial report

@@ -10,8 +10,10 @@ import (
 
 // Suite generation reads a non-positive scale as full scale and
 // Options.Runs reads 0 as 40, so -scale and -runs must be positive; like
-// an unknown check mode or a negative sampling override, a bad value fails
-// before any experiment runs or any file is written.
+// an unknown check mode, a negative sampling override or an unknown -run
+// name, a bad value fails before any experiment runs or any file is
+// written. Each case's arguments follow the default -run, so its own -run
+// wins.
 func TestBadFlagsReturnError(t *testing.T) {
 	dir := t.TempDir()
 	files := []string{"-stats", filepath.Join(dir, "report.json"), "-csv", filepath.Join(dir, "fig.csv")}
@@ -29,9 +31,11 @@ func TestBadFlagsReturnError(t *testing.T) {
 		{"negative sample windows", []string{"-sample", "-sample-windows", "-1"}, "-sample-windows"},
 		{"negative sample interval", []string{"-sample", "-sample-interval", "-5"}, "-sample-interval"},
 		{"removed shards flag", []string{"-shards", "4"}, "flag provided but not defined"},
+		{"unknown experiment", []string{"-run", "table1,bogus"}, "bogus"},
 	} {
 		var out bytes.Buffer
-		err := run(append(append(tc.args, "-run", "table1", "-bench", "perl"), files...), &out)
+		args := append([]string{"-run", "table1", "-bench", "perl"}, tc.args...)
+		err := run(append(args, files...), &out)
 		if err == nil {
 			t.Errorf("%s: no error", tc.name)
 			continue

@@ -26,7 +26,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/popular"
 	"repro/internal/program"
-	"repro/internal/staticcache"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/trg"
@@ -61,7 +60,6 @@ func run(args []string, stdout io.Writer) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
 	checkFlag := fs.String("check", "fatal", "layout invariant checking: fatal, warn, or off")
-	staticBounds := fs.Bool("static-bounds", false, "print the static must/may miss-rate interval of the produced layout (requires -trace)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -138,8 +136,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	} else if *alg != "default" {
 		return fmt.Errorf("-trace is required for -alg %s", *alg)
-	} else if *staticBounds {
-		return fmt.Errorf("-static-bounds needs -trace to bound the layout against")
 	}
 
 	cfg := cache.Config{SizeBytes: *cacheBytes, LineBytes: *lineBytes, Assoc: 1}
@@ -232,14 +228,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(os.Stderr, "layout: %s over %d procedures, extent %d bytes\n",
 		*alg, prog.NumProcs(), l.Extent())
-	if *staticBounds {
-		iv, err := staticcache.Bounds(prog, tr, cfg, l)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "layout: static miss-rate bounds [%.4f%%, %.4f%%] (width %.4fpp, %.1f%% of refs classified)\n",
-			100*iv.LowerRate(), 100*iv.UpperRate(), 100*iv.Width(), 100*iv.ClassifiedFrac())
-	}
 	return nil
 }
 

@@ -120,8 +120,8 @@ func TestEveryAlgorithmAndFormat(t *testing.T) {
 }
 
 // -incr-from reaches the -trace placement by incremental update, so it must
-// print exactly the from-scratch gbsc layout. -pagelocal and -static-bounds
-// are gbsc modifiers that must run cleanly.
+// print exactly the from-scratch gbsc layout. -pagelocal is a gbsc modifier
+// that must run cleanly.
 func TestGBSCModes(t *testing.T) {
 	f := newFixture(t)
 	base := []string{"-prog", f.prog, "-trace", f.train}
@@ -136,10 +136,8 @@ func TestGBSCModes(t *testing.T) {
 	if incremental != scratch {
 		t.Errorf("-incr-from layout differs from the scratch layout:\n%s\nwant\n%s", incremental, scratch)
 	}
-	for _, flag := range []string{"-pagelocal", "-static-bounds"} {
-		if _, err := layout(t, append(base, flag)...); err != nil {
-			t.Errorf("%s: %v", flag, err)
-		}
+	if _, err := layout(t, append(base, "-pagelocal")...); err != nil {
+		t.Errorf("-pagelocal: %v", err)
 	}
 }
 
@@ -173,7 +171,6 @@ func TestBadInputReturnsError(t *testing.T) {
 	}{
 		{"truncated trace", []string{"-prog", f.prog, "-trace", truncated, "-out", out}, ""},
 		{"trace of another program", []string{"-prog", f.perlProg, "-trace", f.train, "-out", out}, "invalid procedure"},
-		{"static bounds without trace", []string{"-prog", f.prog, "-alg", "default", "-static-bounds", "-out", out}, "-static-bounds"},
 		{"unknown algorithm", append(base, "-alg", "bogus"), "bogus"},
 		{"unknown format", append(base, "-format", "bogus"), "bogus"},
 		{"unknown check mode", append(base, "-check", "loud"), "loud"},
@@ -182,6 +179,7 @@ func TestBadInputReturnsError(t *testing.T) {
 		{"zero chunk", append(base, "-chunk", "0"), "-chunk"},
 		{"negative chunk", append(base, "-chunk", "-256"), "-chunk"},
 		{"page locality with another algorithm", append(base, "-alg", "ph", "-pagelocal"), "-pagelocal"},
+		{"removed static-bounds flag", append(base, "-static-bounds"), "flag provided but not defined"},
 	} {
 		got, err := layout(t, tc.args...)
 		if err == nil {

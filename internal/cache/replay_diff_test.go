@@ -25,12 +25,14 @@ import (
 
 // diffConfigs covers the fast-path matrix: power-of-two geometries take
 // the shift/mask indexing, the 3072-byte configs exercise the div/mod
-// fallback (96 sets direct-mapped; 24-byte lines with power-of-two sets).
+// fallback (96 sets direct-mapped and 48 sets 2-way, the modulo set index
+// of both walks; 24-byte lines with power-of-two sets).
 var diffConfigs = []cache.Config{
 	{SizeBytes: 8192, LineBytes: 32, Assoc: 1},
 	{SizeBytes: 8192, LineBytes: 32, Assoc: 2},
 	{SizeBytes: 8192, LineBytes: 32, Assoc: 4},
 	{SizeBytes: 3072, LineBytes: 32, Assoc: 1},
+	{SizeBytes: 3072, LineBytes: 32, Assoc: 2},
 	{SizeBytes: 3072, LineBytes: 24, Assoc: 2},
 }
 

@@ -166,8 +166,8 @@ func Figure5(opts Options) (*Figure5Result, error) {
 	return out, nil
 }
 
-// figure5State is one worker's scratch in the per-cell drivers (sampling,
-// staticbounds): a reusable cache simulator plus a telemetry shard (nil
+// figure5State is one worker's scratch in the per-cell driver of the
+// sampling study: a reusable cache simulator plus a telemetry shard (nil
 // when telemetry is off).
 type figure5State struct {
 	sim *cache.Sim

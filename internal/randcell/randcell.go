@@ -2,8 +2,7 @@
 // draw on: a random program, a phased trace over it, and the program
 // placed by each of the seven placement algorithms. A cell is one such
 // (program, trace, algorithm) triple; the sampled-accuracy harness
-// (internal/sample), the static-bounds soundness harness
-// (internal/staticcache) and the invariant round-trip suite all score the
+// (internal/sample) and the invariant round-trip suite both score the
 // same cells, so a seed names the same data in every package.
 //
 // Like net/http/httptest it is test support: only _test.go files import

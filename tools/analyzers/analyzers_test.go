@@ -56,7 +56,7 @@ func TestScopeFilter(t *testing.T) {
 	if !RunErr.Applies("repro/cmd/layout") || RunErr.Applies("repro/internal/core") {
 		t.Error("runerr scope wrong")
 	}
-	if !NoDeterm.Applies("repro/internal/staticcache") || !NoDeterm.Applies("repro/internal/telemetry") {
+	if !NoDeterm.Applies("repro/internal/optimal") || !NoDeterm.Applies("repro/internal/telemetry") {
 		t.Error("nodeterm must cover the analysis and telemetry packages")
 	}
 	if !StalAllow.Applies("repro/internal/core") || StalAllow.Applies("repro/internal/program") {
