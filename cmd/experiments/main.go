@@ -12,8 +12,8 @@
 // Available experiments, in the order -run all runs them: table1, figure5,
 // figure6, padding, sameinput, setassoc, ablations, pagelocal, conflicts,
 // splitting, sweep, optimality, blockreorder, headroom, sampling,
-// driftreplace. A -run name outside this list (or "all") fails the run
-// before anything is printed or written.
+// driftreplace. A -run name outside this list (or "all"), or a -bench name
+// outside the suite, fails the run before anything is printed or written.
 //
 // -sample switches the Figure 5 grid from exact compiled replay to the
 // phase-aware sampled estimator (internal/sample); every reported miss
@@ -224,6 +224,11 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-run: unknown experiments %s (valid: %s)", strings.Join(unknown, ", "), strings.Join(names, ", "))
 	}
 	all := want["all"]
+	// Likewise every -bench entry must name a suite benchmark, including
+	// for the single-benchmark steps (padding, sameinput).
+	if err := opts.CheckBenchmarks(); err != nil {
+		return fmt.Errorf("-bench: %w", err)
+	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {

@@ -32,6 +32,8 @@ func TestBadFlagsReturnError(t *testing.T) {
 		{"negative sample interval", []string{"-sample", "-sample-interval", "-5"}, "-sample-interval"},
 		{"removed shards flag", []string{"-shards", "4"}, "flag provided but not defined"},
 		{"unknown experiment", []string{"-run", "table1,bogus"}, "bogus"},
+		{"unknown padding benchmark", []string{"-run", "padding", "-bench", "bogus"}, "bogus"},
+		{"unknown sameinput benchmark", []string{"-run", "sameinput", "-bench", "gcc,bogus"}, "bogus"},
 	} {
 		var out bytes.Buffer
 		args := append([]string{"-run", "table1", "-bench", "perl"}, tc.args...)

@@ -9,15 +9,16 @@ import (
 
 // This file implements the compiled replay engine: a BatchSim binds one
 // compiled layout and walks compiled traces against it. Sim's compiled
-// runs, the sampled evaluator's windows and every multi-layout driver go
-// through it, one layout per walk; layouts share no simulated state, so
-// scoring K layouts is K independent walks of the same CompiledTrace.
+// runs, the classified replay, the sampled evaluator's windows and every
+// multi-layout driver go through it, one layout per walk; layouts share no
+// simulated state, so scoring K layouts is K independent walks of the same
+// CompiledTrace.
 //
-// Statistics are byte-identical to the per-reference RunTrace oracle: the
-// walk performs exactly the reference stream's accesses, including the
-// §4c repeat collapse, which costs two array loads per event because a
-// class's placed span and conflict-freedom are precomputed per layout by
-// CompileLayout.
+// Statistics are byte-identical to the per-reference oracle the tests keep
+// (oracle_test.go): the walk performs exactly the reference stream's
+// accesses, including the §4c repeat collapse, which costs two array loads
+// per event because a class's placed span and conflict-freedom are
+// precomputed per layout by CompileLayout.
 //
 // Early abandonment rides on miss-count monotonicity: the running miss
 // count only grows as the walk proceeds, so once it exceeds a
@@ -167,8 +168,8 @@ type BatchSim struct {
 	ways []int64
 	wlen []int32
 	// seen stamps each line address of the bound layout with the epoch of
-	// its first reference. The epoch discipline makes Reset O(state), as
-	// in Sim.
+	// its first reference. The epoch discipline makes Reset O(tag state),
+	// not O(address space).
 	seen  []uint32
 	epoch uint32
 
@@ -220,6 +221,20 @@ func NewBatchSim(cfg Config) (*BatchSim, error) {
 	return bs, nil
 }
 
+// log2 returns the base-2 logarithm of v and true when v is a positive
+// power of two.
+func log2(v int64) (uint, bool) {
+	if v <= 0 || v&(v-1) != 0 {
+		return 0, false
+	}
+	var n uint
+	for v > 1 {
+		v >>= 1
+		n++
+	}
+	return n, true
+}
+
 // MustNewBatchSim is NewBatchSim but panics on error.
 func MustNewBatchSim(cfg Config) *BatchSim {
 	bs, err := NewBatchSim(cfg)
@@ -252,7 +267,7 @@ func (bs *BatchSim) bind(t *CompiledLayout) {
 	bs.tab = t
 	// A fresh seen allocation starts at epoch 1 with zeroed stamps;
 	// reusing a grown one relies on the epoch bump in Reset to retire
-	// stale stamps, exactly like Sim.
+	// stale stamps.
 	if int64(cap(bs.seen)) < t.lines {
 		bs.seen = make([]uint32, t.lines)
 		bs.epoch = 0 // Reset bumps to 1
@@ -278,8 +293,8 @@ func grow[T any](s []T, n int64) []T {
 }
 
 // Reset clears the simulated state and statistics, keeping the current
-// binding. Like Sim.Reset it is O(tag state), not O(address space): the
-// first-touch stamps are retired by an epoch bump.
+// binding. It is O(tag state), not O(address space): the first-touch
+// stamps are retired by an epoch bump.
 func (bs *BatchSim) Reset() {
 	for i := range bs.dm {
 		bs.dm[i] = -1
@@ -510,9 +525,8 @@ func blocksClean(lbv []int64, stamp, s0, s1 int64) bool {
 }
 
 // walkLRU is walkDM for set-associative geometries: per set, an
-// MRU-first age vector with the same hit-promotion and evict-LRU rules as
-// Sim.Access. Repeats collapse as in walkDM; the residency memo does not
-// apply.
+// MRU-first age vector with hit promotion and LRU eviction. Repeats
+// collapse as in walkDM; the residency memo does not apply.
 func (bs *BatchSim) walkLRU(ct *CompiledTrace, budget int64) (int, bool) {
 	t := bs.tab
 	firstA, spanA, freeA := t.first, t.span, t.free
@@ -571,4 +585,52 @@ func (bs *BatchSim) walkLRU(ct *CompiledTrace, budget int64) (int, bool) {
 	}
 	bs.stats = Stats{Refs: refs, Misses: misses, Cold: cold}
 	return walked, abandoned
+}
+
+// access references line ln, one line of walkDM or walkLRU on the engine's
+// state with the same tag, LRU and first-touch rules, for walks that need
+// the outcome of every line (the classified replay). A direct-mapped tag
+// write bumps the residency-memo versions as walkDM's do, so the memo stays
+// sound for later walks. It counts the miss, not the reference, and
+// reports whether the line missed and whether that was its first touch.
+func (bs *BatchSim) access(ln int64) (miss, cold bool) {
+	var set int64
+	if bs.pow2 {
+		set = ln & (bs.numSets - 1)
+	} else {
+		set = ln % bs.numSets
+	}
+	if bs.assoc == 1 {
+		if bs.dm[set] == ln {
+			return false, false
+		}
+		bs.dm[set] = ln
+		bs.wver++
+		bs.bver[set>>blockShift] = bs.wver
+	} else {
+		assoc := int64(bs.assoc)
+		base := set * assoc
+		l := int64(bs.wlen[set])
+		valid := bs.ways[base : base+l]
+		for w, tag := range valid {
+			if tag == ln {
+				copy(valid[1:w+1], valid[:w])
+				valid[0] = ln
+				return false, false
+			}
+		}
+		if l < assoc {
+			l++
+			bs.wlen[set] = int32(l)
+		}
+		copy(bs.ways[base+1:base+l], bs.ways[base:base+l-1])
+		bs.ways[base] = ln
+	}
+	bs.stats.Misses++
+	if bs.seen[ln] == bs.epoch {
+		return true, false
+	}
+	bs.seen[ln] = bs.epoch
+	bs.stats.Cold++
+	return true, true
 }

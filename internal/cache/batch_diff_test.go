@@ -93,7 +93,7 @@ func TestBatchMatchesOracle(t *testing.T) {
 					if res.Abandoned[i] {
 						t.Errorf("cfg %+v layout %s: abandoned without a budget", cfg, nl.name)
 					}
-					if want := cache.MustNewSim(cfg).RunTraceOracle(nl.layout, test); res.Stats[i] != want {
+					if want := cache.NewRefSim(cfg).RunTraceOracle(nl.layout, test); res.Stats[i] != want {
 						t.Errorf("cfg %+v layout %s: engine stats %+v != oracle %+v",
 							cfg, nl.name, res.Stats[i], want)
 					}
@@ -216,7 +216,7 @@ func TestBatchSliceWindows(t *testing.T) {
 			}
 			// The per-reference oracle replays the same window sequence
 			// without resets.
-			oracle := cache.MustNewSim(cfg)
+			oracle := cache.NewRefSim(cfg)
 			var sum cache.Stats
 			for lo := 0; lo < ct.Len(); lo += 40 {
 				hi := min(lo+40, ct.Len())
@@ -230,7 +230,7 @@ func TestBatchSliceWindows(t *testing.T) {
 				}
 				sum.Add(delta)
 			}
-			if full := cache.MustNewSim(cfg).RunTraceOracle(nl.layout, test); sum != full {
+			if full := cache.NewRefSim(cfg).RunTraceOracle(nl.layout, test); sum != full {
 				t.Errorf("cfg %+v layout %s: window sum %+v != full run %+v", cfg, nl.name, sum, full)
 			}
 		}

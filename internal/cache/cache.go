@@ -52,10 +52,9 @@ type Stats struct {
 	Refs   int64
 	Misses int64
 	// Cold counts the compulsory subset of Misses: the first reference to
-	// each line since the simulator was created or Reset. The remainder —
-	// Conflict() — are lines that were evicted and fetched again, the
-	// misses a placement can influence. Cold is maintained by Sim;
-	// aggregates built by hand (e.g. the TLB simulator) leave it zero.
+	// each line in the run. The remainder — Conflict() — are lines that
+	// were evicted and fetched again, the misses a placement can influence.
+	// The cache engines maintain it; the TLB simulator leaves it zero.
 	Cold int64
 }
 
@@ -80,51 +79,21 @@ func (s *Stats) Add(other Stats) {
 	s.Cold += other.Cold
 }
 
-// Sim is a functional instruction-cache simulator. Access is the
-// per-reference specification of the cache: the tag stored per way is the
-// line-granular memory address (address / LineBytes), which uniquely
-// identifies the cached content, and each set is an LRU list. RunTrace and
-// RunCompiled are runs of the compiled replay engine (BatchSim), which the
-// differential tests hold byte-identical to Access.
+// Sim runs the compiled replay engine (BatchSim) one layout at a time for
+// callers that hold a layout and a trace rather than their compilations: it
+// memoizes the trace compilation across calls, recompiles the layout into a
+// reused buffer, and keeps the last run's statistics and replay counters.
+// The per-reference specification the engine is held to lives in the
+// tests (oracle_test.go).
 type Sim struct {
-	cfg Config
-	// lineBytes and numSets cache the per-access divisors so Access does
-	// not re-derive them from cfg on every reference.
-	lineBytes int64
-	numSets   int64
-	// lineShift/setMask strength-reduce the address arithmetic for
-	// power-of-two geometries (the common case, including every
-	// configuration the paper evaluates): addr→line becomes a shift and
-	// line→set a mask. The OK flags gate the fast arithmetic; non-power-
-	// of-two geometries — which Config.Validate accepts — fall back to
-	// div/mod with identical results.
-	lineShift   uint
-	lineShiftOK bool
-	setMask     int64
-	setMaskOK   bool
-	// dm is the direct-mapped fast path: when Assoc == 1 each set holds at
-	// most one line, so dm[s] is that line's tag (-1 when empty; line
-	// addresses are non-negative because layouts start at address 0) and
-	// the LRU machinery is skipped entirely.
-	dm    []int64
-	sets  [][]int64 // sets[s] is an LRU-ordered list (front = MRU) of line tags
+	cfg   Config
 	stats Stats
-	// seen stamps each line address with the epoch of its first reference,
-	// so misses can be split into compulsory (first touch) and conflict
-	// (refetch after eviction). Reset bumps the epoch instead of clearing
-	// the array, making Reset O(sets) rather than O(address space) while
-	// still starting every run with a fresh compulsory-miss accounting —
-	// a reused simulator neither double-counts nor under-counts cold
-	// misses relative to a freshly allocated one.
-	seen  []uint32
-	epoch uint32
 
 	// engine runs the compiled replays bound to tab, a compiled-layout
 	// buffer reused across runs. memo caches the most recent trace
 	// compilation so hot loops that call RunTrace repeatedly with the same
 	// (program, trace) pay for compilation once; last is the trace of the
-	// latest compiled run (nil after Reset), which Replay derives its
-	// counters from.
+	// latest run, which Replay derives its counters from.
 	engine *BatchSim
 	tab    CompiledLayout
 	memo   *CompiledTrace
@@ -137,31 +106,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{
-		cfg:       cfg,
-		lineBytes: int64(cfg.LineBytes),
-		numSets:   int64(cfg.NumSets()),
-		epoch:     1,
-		engine:    engine,
-	}
-	if shift, ok := log2(s.lineBytes); ok {
-		s.lineShift, s.lineShiftOK = shift, true
-	}
-	if _, ok := log2(s.numSets); ok {
-		s.setMask, s.setMaskOK = s.numSets-1, true
-	}
-	if cfg.Assoc == 1 {
-		s.dm = make([]int64, s.numSets)
-		for i := range s.dm {
-			s.dm[i] = -1
-		}
-		return s, nil
-	}
-	s.sets = make([][]int64, s.numSets)
-	for i := range s.sets {
-		s.sets[i] = make([]int64, 0, cfg.Assoc)
-	}
-	return s, nil
+	return &Sim{cfg: cfg, engine: engine}, nil
 }
 
 // MustNewSim is NewSim but panics on error.
@@ -173,135 +118,19 @@ func MustNewSim(cfg Config) *Sim {
 	return s
 }
 
-// log2 returns the base-2 logarithm of v and true when v is a positive
-// power of two.
-func log2(v int64) (uint, bool) {
-	if v <= 0 || v&(v-1) != 0 {
-		return 0, false
-	}
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n, true
-}
-
 // Config returns the simulator's configuration.
 func (s *Sim) Config() Config { return s.cfg }
 
-// Reset clears cache contents and statistics.
-func (s *Sim) Reset() {
-	for i := range s.dm {
-		s.dm[i] = -1
-	}
-	for i := range s.sets {
-		s.sets[i] = s.sets[i][:0]
-	}
-	s.stats = Stats{}
-	s.last = nil
-	s.epoch++
-	if s.epoch == 0 { // wraparound after ~4e9 Resets: actually clear the stamps
-		for i := range s.seen {
-			s.seen[i] = 0
-		}
-		s.epoch = 1
-	}
-}
-
-// Access references the line containing byte address addr, updating LRU
-// state and statistics. It reports whether the access hit.
-func (s *Sim) Access(addr int64) bool {
-	if s.lineShiftOK {
-		return s.accessLine(addr >> s.lineShift)
-	}
-	return s.accessLine(addr / s.lineBytes)
-}
-
-// accessLine references the line with line-granular address lineAddr (i.e.
-// byte address / LineBytes), updating LRU state and statistics. Callers
-// that already iterate line addresses (the classifying replay) skip the
-// per-reference byte→line division that Access performs.
-func (s *Sim) accessLine(lineAddr int64) bool {
-	var setIdx int
-	if s.setMaskOK {
-		setIdx = int(lineAddr & s.setMask)
-	} else {
-		setIdx = int(lineAddr % s.numSets)
-	}
-	s.stats.Refs++
-	if s.dm != nil {
-		if s.dm[setIdx] == lineAddr {
-			return true
-		}
-		s.dm[setIdx] = lineAddr
-		s.miss(lineAddr)
-		return false
-	}
-	set := s.sets[setIdx]
-	for i, tag := range set {
-		if tag == lineAddr {
-			// Hit: move to MRU position.
-			copy(set[1:i+1], set[:i])
-			set[0] = lineAddr
-			return true
-		}
-	}
-	// Miss: insert at MRU, evicting LRU if the set is full.
-	s.miss(lineAddr)
-	if len(set) < s.cfg.Assoc {
-		set = append(set, 0)
-	}
-	copy(set[1:], set[:len(set)-1])
-	set[0] = lineAddr
-	s.sets[setIdx] = set
-	return false
-}
-
-// miss records a miss on lineAddr, classifying it as compulsory when the
-// line has never been referenced in the current epoch. Only the miss path
-// pays for the classification; hits are untouched.
-func (s *Sim) miss(lineAddr int64) {
-	s.stats.Misses++
-	if lineAddr >= int64(len(s.seen)) {
-		s.seen = append(s.seen, make([]uint32, lineAddr+1-int64(len(s.seen)))...)
-	}
-	if s.seen[lineAddr] != s.epoch {
-		s.seen[lineAddr] = s.epoch
-		s.stats.Cold++
-	}
-}
-
-// Stats returns the accumulated statistics: the references made through
-// Access since the last Reset, or the result of the last compiled run.
+// Stats returns the statistics of the last RunTrace or RunCompiled call.
 func (s *Sim) Stats() Stats { return s.stats }
 
 // Replay returns the replay-engine counters of the last RunTrace or
-// RunCompiled call; they are zero after Reset and for runs made through
-// Access. An activation with repeats collapses (counted in FastEvents,
-// CollapsedRepeats and CollapsedRefs) exactly when its placed span is
-// self-conflict-free, so the counters follow from the compiled layout and
-// the repeat counts alone, in one pass over the trace.
+// RunCompiled call, zero before the first.
 func (s *Sim) Replay() ReplayStats {
-	ct := s.last
-	if ct == nil {
+	if s.last == nil {
 		return ReplayStats{}
 	}
-	rs := ReplayStats{Events: int64(ct.n)}
-	for i, c := range ct.classOf {
-		r := int64(ct.reps[i])
-		if r == 1 {
-			continue
-		}
-		if s.tab.free[c] {
-			rs.FastEvents++
-			rs.CollapsedRepeats += r - 1
-			rs.CollapsedRefs += (r - 1) * s.tab.span[c]
-		} else {
-			rs.FallbackEvents++
-		}
-	}
-	return rs
+	return replayStats(s.last, &s.tab)
 }
 
 // RunTrace resets the simulator and replays tr (placed by layout) through
@@ -320,8 +149,8 @@ func (s *Sim) Replay() ReplayStats {
 // paper exploits. Divergence is at most one line per repeat per activation.
 //
 // The method form exists so hot loops (the perturbation sweeps) can reuse
-// one simulator's allocations across many layouts via Reset instead of
-// allocating a fresh simulator per measurement.
+// one simulator's allocations across many layouts instead of allocating a
+// fresh simulator per measurement.
 //
 // Replay runs through the compiled engine (see RunCompiled): the trace is
 // precompiled once per (program, trace) pair — memoized across calls on
@@ -336,9 +165,9 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 
 // RunCompiled resets the simulator and replays the compiled trace placed
 // by layout through the compiled engine (BatchSim), returning the
-// resulting statistics — byte-identical to the per-reference Access loop
-// over the source trace (same reference stream, same cold/conflict
-// split), at a fraction of the cost:
+// resulting statistics — byte-identical to a per-reference replay of the
+// source trace (same reference stream, same cold/conflict split), at a
+// fraction of the cost:
 //
 //   - The effective extent and repeat count of every activation come from
 //     the compilation, and each activation class's placed span and
@@ -355,11 +184,9 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 //   - Direct-mapped classes proven still resident settle in O(1) (the
 //     engine's residency memo).
 //
-// A compiled run resets the per-reference Access state without advancing
-// it; Stats returns the run's statistics. The layout must place the
-// program the trace was compiled against.
+// Stats returns the run's statistics. The layout must place the program
+// the trace was compiled against.
 func (s *Sim) RunCompiled(ct *CompiledTrace, layout *program.Layout) Stats {
-	s.Reset()
 	s.tab.compile(s.cfg, ct, layout)
 	s.stats = s.engine.runTable(ct, &s.tab)
 	s.last = ct

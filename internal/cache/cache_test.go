@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,70 +49,127 @@ func TestConfigGeometry(t *testing.T) {
 }
 
 func TestDirectMappedConflict(t *testing.T) {
-	sim := MustNewSim(Config{SizeBytes: 128, LineBytes: 32, Assoc: 1}) // 4 lines
+	sim := newRefSim(Config{SizeBytes: 128, LineBytes: 32, Assoc: 1}) // 4 lines
 	// Addresses 0 and 128 map to the same line (set 0).
-	if sim.Access(0) {
+	if sim.access(0) {
 		t.Error("cold access hit")
 	}
-	if !sim.Access(0) {
+	if !sim.access(0) {
 		t.Error("repeat access missed")
 	}
-	if sim.Access(128) {
+	if sim.access(128) {
 		t.Error("conflicting access hit")
 	}
-	if sim.Access(0) {
+	if sim.access(0) {
 		t.Error("access after conflict hit; line should have been evicted")
 	}
-	st := sim.Stats()
+	st := sim.stats
 	if st.Refs != 4 || st.Misses != 3 {
 		t.Errorf("stats = %+v, want 4 refs 3 misses", st)
 	}
 }
 
 func TestTwoWayAvoidsPingPong(t *testing.T) {
-	sim := MustNewSim(Config{SizeBytes: 128, LineBytes: 32, Assoc: 2}) // 2 sets
+	sim := newRefSim(Config{SizeBytes: 128, LineBytes: 32, Assoc: 2}) // 2 sets
 	// Lines 0 and 64 map to set 0 (2 sets → even line addrs to set 0).
-	sim.Access(0)
-	sim.Access(128)
+	sim.access(0)
+	sim.access(128)
 	// Both fit in the 2-way set; repeats hit.
-	if !sim.Access(0) || !sim.Access(128) {
+	if !sim.access(0) || !sim.access(128) {
 		t.Error("2-way set evicted a resident line")
 	}
 	// A third line in the set evicts the LRU (0, since 128 was just used).
-	sim.Access(256)
-	if !sim.Access(128) {
+	sim.access(256)
+	if !sim.access(128) {
 		t.Error("MRU line 128 evicted instead of LRU")
 	}
-	if sim.Access(0) {
+	if sim.access(0) {
 		t.Error("LRU line 0 still resident after eviction")
 	}
 }
 
 func TestLRUOrdering(t *testing.T) {
-	sim := MustNewSim(Config{SizeBytes: 256, LineBytes: 32, Assoc: 4}) // 2 sets, 4-way
+	sim := newRefSim(Config{SizeBytes: 256, LineBytes: 32, Assoc: 4}) // 2 sets, 4-way
 	// Fill set 0 with lines 0,2,4,6 (even line addresses).
 	for _, a := range []int64{0, 64, 128, 192} {
-		sim.Access(a)
+		sim.access(a)
 	}
-	sim.Access(0) // touch 0, making 64 the LRU
-	sim.Access(256)
-	if !sim.Access(0) || !sim.Access(128) || !sim.Access(192) {
+	sim.access(0) // touch 0, making 64 the LRU
+	sim.access(256)
+	if !sim.access(0) || !sim.access(128) || !sim.access(192) {
 		t.Error("non-LRU line evicted")
 	}
-	if sim.Access(64) {
+	if sim.access(64) {
 		t.Error("LRU line 64 survived eviction")
 	}
 }
 
 func TestReset(t *testing.T) {
-	sim := MustNewSim(PaperConfig)
-	sim.Access(0)
-	sim.Reset()
-	if st := sim.Stats(); st.Refs != 0 || st.Misses != 0 {
+	sim := newRefSim(PaperConfig)
+	sim.access(0)
+	sim.reset()
+	if st := sim.stats; st.Refs != 0 || st.Misses != 0 {
 		t.Errorf("stats after reset = %+v", st)
 	}
-	if sim.Access(0) {
+	if sim.access(0) {
 		t.Error("access hit after reset")
+	}
+}
+
+// TestCompiledEngineMatchesHandPatterns replays the fixed access patterns
+// of the hand-model tests (above and in cold_test.go) through the compiled
+// engine, so production is held to the same hand-computed Refs, Misses and
+// Cold as the per-reference simulator: one 32-byte procedure per distinct
+// line, placed at that line's address, and one activation per access. A
+// second run through the same Sim must start from an empty cache again,
+// the compiled form of the reset patterns.
+func TestCompiledEngineMatchesHandPatterns(t *testing.T) {
+	dm4 := Config{SizeBytes: 128, LineBytes: 32, Assoc: 1}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		addrs []int64
+		want  Stats
+	}{
+		{"DirectMappedConflict", dm4, []int64{0, 0, 128, 0}, Stats{Refs: 4, Misses: 3, Cold: 2}},
+		{"TwoWayAvoidsPingPong", Config{SizeBytes: 128, LineBytes: 32, Assoc: 2},
+			[]int64{0, 128, 0, 128, 256, 128, 0}, Stats{Refs: 7, Misses: 4, Cold: 3}},
+		{"LRUOrdering", Config{SizeBytes: 256, LineBytes: 32, Assoc: 4},
+			[]int64{0, 64, 128, 192, 0, 256, 0, 128, 192, 64}, Stats{Refs: 10, Misses: 6, Cold: 5}},
+		{"Reset", PaperConfig, []int64{0}, Stats{Refs: 1, Misses: 1, Cold: 1}},
+		{"ColdMissCounting", dm4, []int64{0, 128, 0, 128, 0}, Stats{Refs: 5, Misses: 5, Cold: 2}},
+		{"ColdAfterReset", dm4, []int64{0, 128, 0, 128, 32}, Stats{Refs: 5, Misses: 5, Cold: 3}},
+	} {
+		var procs []program.Procedure
+		procOf := map[int64]program.ProcID{}
+		for _, a := range tc.addrs {
+			if _, ok := procOf[a]; !ok {
+				procOf[a] = program.ProcID(len(procs))
+				procs = append(procs, program.Procedure{Name: fmt.Sprintf("line%d", a/32), Size: 32})
+			}
+		}
+		prog := program.MustNew(procs)
+		layout := program.NewLayout(prog)
+		for a, p := range procOf {
+			layout.SetAddr(p, int(a))
+		}
+		tr := &trace.Trace{}
+		for _, a := range tc.addrs {
+			tr.Append(trace.Event{Proc: procOf[a]})
+		}
+		sim := MustNewSim(tc.cfg)
+		for run := 1; run <= 2; run++ {
+			if got := sim.RunTrace(layout, tr); got != tc.want {
+				t.Errorf("%s run %d: engine stats %+v, want %+v", tc.name, run, got, tc.want)
+			}
+		}
+		ref := newRefSim(tc.cfg)
+		for _, a := range tc.addrs {
+			ref.access(a)
+		}
+		if ref.stats != tc.want {
+			t.Errorf("%s: per-reference stats %+v, want %+v", tc.name, ref.stats, tc.want)
+		}
 	}
 }
 
@@ -177,17 +235,17 @@ func TestRunTraceUnalignedProcedureTouchesBothLines(t *testing.T) {
 	}
 }
 
-// Property: misses never exceed references, and a direct-mapped cache
-// behaves identically to a 1-way set-associative cache by construction.
+// Property: misses never exceed references in the per-reference
+// simulator, and every access is counted.
 func TestSimSanityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := Config{SizeBytes: 512, LineBytes: 32, Assoc: 1}
-		sim := MustNewSim(cfg)
+		sim := newRefSim(cfg)
 		for i := 0; i < 500; i++ {
-			sim.Access(int64(rng.Intn(4096)))
+			sim.access(int64(rng.Intn(4096)))
 		}
-		st := sim.Stats()
+		st := sim.stats
 		return st.Misses <= st.Refs && st.Refs == 500
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -208,13 +266,13 @@ func TestAssociativityMonotoneOnLoops(t *testing.T) {
 			addrs[i] = int64(rng.Intn(64)) * 32
 		}
 		missesAt := func(assoc int) int64 {
-			sim := MustNewSim(Config{SizeBytes: 512, LineBytes: 32, Assoc: assoc})
+			sim := newRefSim(Config{SizeBytes: 512, LineBytes: 32, Assoc: assoc})
 			for loop := 0; loop < 10; loop++ {
 				for _, a := range addrs {
-					sim.Access(a)
+					sim.access(a)
 				}
 			}
-			return sim.Stats().Misses
+			return sim.stats.Misses
 		}
 		// Fully associative LRU (16 ways of a 16-line cache) never does
 		// worse than direct-mapped on a cyclic pattern that fits.

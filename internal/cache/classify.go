@@ -46,49 +46,82 @@ type ClassifiedStats struct {
 	PerProc []int64
 }
 
-// fullyAssoc is an LRU stack simulating a fully-associative cache of
-// capacity lines; used as the classification oracle.
-type fullyAssoc struct {
-	capacity int
-	pos      map[int64]int // line address → index in stack
-	stack    []int64       // MRU first
+// lruList is a fully-associative LRU cache of capacity keys drawn from
+// [0, n): the classified replay's shadow cache (keys are lines) and the
+// iTLB (keys are pages). The recency list is threaded through per-key
+// prev/next slot arrays, the idiom of trg.Queue, so a hit's move to the
+// front and a miss's eviction of the tail are O(1).
+type lruList struct {
+	capacity, size int
+	// head is the most and tail the least recently used key, or -1.
+	head, tail int64
+	// prev[k] is the next more recent key and next[k] the next less recent
+	// one, or -1; in[k] reports whether k is cached.
+	prev, next []int64
+	in         []bool
 }
 
-func newFullyAssoc(capacity int) *fullyAssoc {
-	return &fullyAssoc{capacity: capacity, pos: make(map[int64]int)}
+func newLRUList(n int64, capacity int) *lruList {
+	return &lruList{
+		capacity: capacity,
+		head:     -1,
+		tail:     -1,
+		prev:     make([]int64, n),
+		next:     make([]int64, n),
+		in:       make([]bool, n),
+	}
 }
 
-// access returns whether the line hit, updating LRU state.
-func (f *fullyAssoc) access(lineAddr int64) bool {
-	if idx, ok := f.pos[lineAddr]; ok {
-		// Move to front.
-		copy(f.stack[1:idx+1], f.stack[:idx])
-		f.stack[0] = lineAddr
-		for i := 0; i <= idx; i++ {
-			f.pos[f.stack[i]] = i
-		}
+// access references key k, moving it to the front, and reports whether it
+// was cached; a miss with the list full evicts the tail.
+func (l *lruList) access(k int64) bool {
+	hit := l.in[k]
+	switch {
+	case hit && k == l.head:
 		return true
+	case hit:
+		l.unlink(k)
+	case l.size == l.capacity:
+		t := l.tail
+		l.unlink(t)
+		l.in[t] = false
+	default:
+		l.size++
 	}
-	if len(f.stack) < f.capacity {
-		f.stack = append(f.stack, 0)
+	l.in[k] = true
+	l.prev[k], l.next[k] = -1, l.head
+	if l.head >= 0 {
+		l.prev[l.head] = k
 	} else {
-		delete(f.pos, f.stack[len(f.stack)-1])
+		l.tail = k
 	}
-	copy(f.stack[1:], f.stack[:len(f.stack)-1])
-	f.stack[0] = lineAddr
-	for i := range f.stack {
-		f.pos[f.stack[i]] = i
+	l.head = k
+	return hit
+}
+
+// unlink removes k, which must be in the list, from its position.
+func (l *lruList) unlink(k int64) {
+	p, nx := l.prev[k], l.next[k]
+	if p >= 0 {
+		l.next[p] = nx
+	} else {
+		l.head = nx
 	}
-	return false
+	if nx >= 0 {
+		l.prev[nx] = p
+	} else {
+		l.tail = p
+	}
 }
 
 // RunTraceClassified replays tr like RunTrace but additionally classifies
 // every miss as cold, capacity, or conflict and attributes misses to the
-// procedure being fetched. It is slower than RunTrace (it runs a
-// fully-associative shadow cache); use it for analysis, not for the
-// randomized-placement sweeps. The replay runs through the compiled
-// engine (RunCompiledClassified); callers classifying one trace against
-// many layouts should compile the trace once and call that directly.
+// procedure being fetched. It costs more than RunTrace (every line also
+// goes through a fully-associative shadow cache); use it for analysis, not
+// for the randomized-placement sweeps. The replay runs through the
+// compiled engine (RunCompiledClassified); callers classifying one trace
+// against many layouts should compile the trace once and call that
+// directly.
 func RunTraceClassified(cfg Config, layout *program.Layout, tr *trace.Trace) (ClassifiedStats, error) {
 	cs, _, err := RunCompiledClassified(cfg, CompileTrace(layout.Program(), tr), layout)
 	return cs, err
@@ -97,56 +130,44 @@ func RunTraceClassified(cfg Config, layout *program.Layout, tr *trace.Trace) (Cl
 // RunCompiledClassified replays a precompiled trace with miss
 // classification, returning the classified statistics (byte-identical to
 // RunTraceClassified on the source trace) plus the replay engine counters.
+// Its embedded Stats equal RunCompiled's for the same layout.
 //
-// Repeat collapsing applies here exactly as in the compiled engine: the
-// fully-associative shadow has the same capacity as the simulated cache
-// (Config.NumLines), so a span within the collapse limit fits the shadow
-// too — iterations 2..r hit in both caches, produce no misses to classify,
-// and leave both LRU states as iteration 1 left them. Cold-line tracking
-// uses a flat slice over the layout's line range instead of the oracle's
-// map (line addresses are bounded by the layout extent).
+// The walk runs on the compiled engine's own state: the layout is compiled
+// (CompileLayout) and bound to a BatchSim, and every line of every
+// activation goes through the engine's per-line step, whose first-touch
+// stamps decide cold misses. A miss that hits in the fully-associative
+// shadow — an LRU list of the same capacity (Config.NumLines) over the
+// layout's line range — is a conflict miss, any other non-cold miss a
+// capacity miss. Repeats collapse exactly as in the plain walk: a span
+// within the collapse limit fits the shadow too, so iterations 2..r hit in
+// both caches, produce no misses to classify, and leave both LRU states as
+// iteration 1 left them.
 func RunCompiledClassified(cfg Config, ct *CompiledTrace, layout *program.Layout) (ClassifiedStats, ReplayStats, error) {
-	sim, err := NewSim(cfg)
+	tab, err := CompileLayout(cfg, ct, layout)
 	if err != nil {
 		return ClassifiedStats{}, ReplayStats{}, err
 	}
-	ct.checkProgram(layout)
+	bs := MustNewBatchSim(cfg)
+	bs.bind(tab)
+	shadow := newLRUList(tab.lines, cfg.NumLines())
 	cs := ClassifiedStats{PerProc: make([]int64, ct.prog.NumProcs())}
-	shadow := newFullyAssoc(cfg.NumLines())
-
-	lb := sim.lineBytes
-	limit := int64(cfg.NumLines())
-	var rs ReplayStats
-	var coldSeen []bool
-	if ext := int64(layout.Extent()); ext > 0 {
-		coldSeen = make([]bool, (ext-1)/lb+1)
-	}
-	for i, p := range ct.procs {
-		base := int64(layout.Addr(p))
-		first, last := base/lb, (base+int64(ct.exts[i])-1)/lb
-		span := last - first + 1
-		r := int64(ct.reps[i])
-		rs.Events++
+	for i, c := range ct.classOf {
+		r, first, span := int64(ct.reps[i]), tab.first[c], tab.span[c]
 		iters := r
-		collapsed := false
-		if r > 1 {
-			if span <= limit {
-				iters, collapsed = 1, true
-			} else {
-				rs.FallbackEvents++
-			}
+		if r > 1 && tab.free[c] {
+			iters = 1
 		}
 		for it := int64(0); it < iters; it++ {
-			for ln := first; ln <= last; ln++ {
+			for ln := first; ln < first+span; ln++ {
 				faHit := shadow.access(ln)
-				if sim.accessLine(ln) {
+				miss, cold := bs.access(ln)
+				if !miss {
 					continue
 				}
-				cs.PerProc[p]++
+				cs.PerProc[ct.procs[i]]++
 				switch {
-				case !coldSeen[ln]:
+				case cold:
 					cs.Cold++
-					coldSeen[ln] = true
 				case faHit:
 					cs.Conflict++
 				default:
@@ -154,15 +175,10 @@ func RunCompiledClassified(cfg Config, ct *CompiledTrace, layout *program.Layout
 				}
 			}
 		}
-		if collapsed {
-			rs.FastEvents++
-			rs.CollapsedRepeats += r - 1
-			rs.CollapsedRefs += (r - 1) * span
-		}
+		bs.stats.Refs += r * span
 	}
-	cs.Stats = sim.Stats()
-	cs.Refs += rs.CollapsedRefs
-	return cs, rs, nil
+	cs.Stats = bs.stats
+	return cs, replayStats(ct, tab), nil
 }
 
 // TopMissProcs returns the n procedures with the most attributed misses,

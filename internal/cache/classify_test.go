@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -9,8 +10,10 @@ import (
 	"repro/internal/trace"
 )
 
+// TestFullyAssocLRU walks the production shadow list (capacity 2) through
+// a hand-checked eviction sequence.
 func TestFullyAssocLRU(t *testing.T) {
-	f := newFullyAssoc(2)
+	f := newLRUList(4, 2)
 	if f.access(1) {
 		t.Error("cold hit")
 	}
@@ -29,6 +32,35 @@ func TestFullyAssocLRU(t *testing.T) {
 	}
 	if f.access(2) {
 		t.Error("line 2 should have been evicted")
+	}
+}
+
+// TestLRUListMatchesOracle drives the production LRU list and the
+// map-backed fullyAssoc stack with the same random keys at capacities 1,
+// 2, an odd size, the key range and beyond it: every access must agree on
+// hit or miss, and the list, walked from either end, must hold the stack's
+// keys in the stack's order (the iTLB's short-circuit reads the head).
+func TestLRUListMatchesOracle(t *testing.T) {
+	const keys = 24
+	for _, capacity := range []int{1, 2, 7, keys, keys + 5} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		list, oracle := newLRUList(keys, capacity), newFullyAssoc(capacity)
+		for i := 0; i < 2000; i++ {
+			k := int64(rng.Intn(keys))
+			if got, want := list.access(k), oracle.access(k); got != want {
+				t.Fatalf("capacity %d access %d (key %d): hit %v, oracle %v", capacity, i, k, got, want)
+			}
+			var fwd, back []int64
+			for e := list.head; e >= 0; e = list.next[e] {
+				fwd = append(fwd, e)
+			}
+			for e := list.tail; e >= 0; e = list.prev[e] {
+				back = append([]int64{e}, back...)
+			}
+			if !reflect.DeepEqual(fwd, oracle.stack) || !reflect.DeepEqual(back, oracle.stack) {
+				t.Fatalf("capacity %d access %d: list %v / %v, oracle %v", capacity, i, fwd, back, oracle.stack)
+			}
+		}
 	}
 }
 

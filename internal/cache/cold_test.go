@@ -11,13 +11,13 @@ import (
 // TestColdMissCounting checks the compulsory/conflict split on a known
 // access pattern: first touches are cold, ping-pong evictions are not.
 func TestColdMissCounting(t *testing.T) {
-	sim := MustNewSim(Config{SizeBytes: 128, LineBytes: 32, Assoc: 1}) // 4 lines
-	sim.Access(0)                                                      // cold miss
-	sim.Access(128)                                                    // cold miss, evicts line 0
-	sim.Access(0)                                                      // conflict miss: seen before
-	sim.Access(128)                                                    // conflict miss
-	sim.Access(0)                                                      // conflict miss
-	st := sim.Stats()
+	sim := newRefSim(Config{SizeBytes: 128, LineBytes: 32, Assoc: 1}) // 4 lines
+	sim.access(0)                                                     // cold miss
+	sim.access(128)                                                   // cold miss, evicts line 0
+	sim.access(0)                                                     // conflict miss: seen before
+	sim.access(128)                                                   // conflict miss
+	sim.access(0)                                                     // conflict miss
+	st := sim.stats
 	if st.Misses != 5 || st.Cold != 2 {
 		t.Fatalf("stats = %+v, want 5 misses 2 cold", st)
 	}
@@ -26,17 +26,17 @@ func TestColdMissCounting(t *testing.T) {
 	}
 }
 
-// TestColdAfterReset: Reset starts a fresh run, so the same first touches
-// are compulsory again — no under-counting from stale seen-stamps — and
-// repeated Reset cycles count identically (no double-counting either).
+// TestColdAfterReset: reset starts a fresh run, so the same first touches
+// are compulsory again — no under-counting from stale first touches — and
+// repeated reset cycles count identically (no double-counting either).
 func TestColdAfterReset(t *testing.T) {
-	sim := MustNewSim(Config{SizeBytes: 128, LineBytes: 32, Assoc: 1})
+	sim := newRefSim(Config{SizeBytes: 128, LineBytes: 32, Assoc: 1})
 	run := func() Stats {
-		sim.Reset()
+		sim.reset()
 		for _, a := range []int64{0, 128, 0, 128, 32} {
-			sim.Access(a)
+			sim.access(a)
 		}
-		return sim.Stats()
+		return sim.stats
 	}
 	first := run()
 	if first.Cold != 3 { // lines 0, 4 (addr 128), 1 (addr 32)
@@ -49,9 +49,9 @@ func TestColdAfterReset(t *testing.T) {
 	}
 }
 
-// TestColdMatchesClassifier cross-checks the cheap epoch-stamp tally in
-// Sim against the full classifier on a randomized trace: both define cold
-// as first-ever reference to a line, so the totals must agree exactly.
+// TestColdMatchesClassifier cross-checks the plain compiled run against
+// the classifier on a randomized trace: both define cold as first-ever
+// reference to a line, so the totals must agree exactly.
 func TestColdMatchesClassifier(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var procs []program.Procedure

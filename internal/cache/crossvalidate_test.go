@@ -9,18 +9,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Cross-validation: a Sim configured with associativity == number of lines
-// is a fully-associative LRU cache and must agree access-for-access with
-// the independent fullyAssoc implementation used by the miss classifier.
+// Cross-validation: the per-reference simulator configured with
+// associativity == number of lines is a fully-associative LRU cache and
+// must agree access-for-access with the independent fullyAssoc stack.
 func TestSimFullyAssociativeMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const lines = 8
-		sim := MustNewSim(Config{SizeBytes: lines * 32, LineBytes: 32, Assoc: lines})
+		sim := newRefSim(Config{SizeBytes: lines * 32, LineBytes: 32, Assoc: lines})
 		oracle := newFullyAssoc(lines)
 		for i := 0; i < 500; i++ {
 			addr := int64(rng.Intn(64)) * 32
-			if sim.Access(addr) != oracle.access(addr/32) {
+			if sim.access(addr) != oracle.access(addr/32) {
 				return false
 			}
 		}
@@ -33,13 +33,13 @@ func TestSimFullyAssociativeMatchesOracle(t *testing.T) {
 
 // A direct-mapped cache of L lines and a 1-way set-associative cache of L
 // sets are definitionally the same machine; Config expresses both the same
-// way, so this checks the simulator against a hand-rolled direct-mapped
-// model instead.
+// way, so this checks the per-reference simulator against a hand-rolled
+// direct-mapped model instead.
 func TestSimDirectMappedMatchesHandModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const lines = 16
-		sim := MustNewSim(Config{SizeBytes: lines * 32, LineBytes: 32, Assoc: 1})
+		sim := newRefSim(Config{SizeBytes: lines * 32, LineBytes: 32, Assoc: 1})
 		var tags [lines]int64
 		for i := range tags {
 			tags[i] = -1
@@ -49,7 +49,7 @@ func TestSimDirectMappedMatchesHandModel(t *testing.T) {
 			line := addr / 32
 			wantHit := tags[line%lines] == line
 			tags[line%lines] = line
-			if sim.Access(addr) != wantHit {
+			if sim.access(addr) != wantHit {
 				return false
 			}
 		}
@@ -155,8 +155,8 @@ func TestSimRunTraceReuseMatchesFresh(t *testing.T) {
 func TestLRUInclusionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		small := newFullyAssoc(4)
-		big := newFullyAssoc(8)
+		small := newLRUList(32, 4)
+		big := newLRUList(32, 8)
 		for i := 0; i < 400; i++ {
 			line := int64(rng.Intn(32))
 			sHit := small.access(line)

@@ -163,6 +163,28 @@ type ReplayStats struct {
 	CollapsedRefs int64
 }
 
+// replayStats returns the counters of a cache walk of ct against tab. An
+// activation with repeats collapses exactly when its placed span is
+// self-conflict-free, so the counters follow from the compiled layout and
+// the repeat counts alone, in one pass over the trace.
+func replayStats(ct *CompiledTrace, tab *CompiledLayout) ReplayStats {
+	rs := ReplayStats{Events: int64(ct.n)}
+	for i, c := range ct.classOf {
+		r := int64(ct.reps[i])
+		if r == 1 {
+			continue
+		}
+		if tab.free[c] {
+			rs.FastEvents++
+			rs.CollapsedRepeats += r - 1
+			rs.CollapsedRefs += (r - 1) * tab.span[c]
+		} else {
+			rs.FallbackEvents++
+		}
+	}
+	return rs
+}
+
 // Add merges other into r.
 func (r *ReplayStats) Add(other ReplayStats) {
 	r.Events += other.Events

@@ -119,7 +119,8 @@ func diffLayouts(t *testing.T, rng *rand.Rand, prog *program.Program, train *tra
 // TestReplayEngineMatchesOracles is the main differential suite: for every
 // seed × placement algorithm × geometry, the compiled engine's Stats,
 // ClassifiedStats (including the per-procedure attribution), and TLB stats
-// must equal the general loops' exactly. The engine simulator is reused
+// must equal the general loops' exactly, and a classified run's Stats must
+// equal the plain run's. The engine simulator is reused
 // across layouts within a config, so the epoch-stamped Reset path is part
 // of what is being verified.
 func TestReplayEngineMatchesOracles(t *testing.T) {
@@ -138,7 +139,7 @@ func TestReplayEngineMatchesOracles(t *testing.T) {
 				engine := cache.MustNewSim(cfg)
 				for name, layout := range layouts {
 					got := engine.RunCompiled(ct, layout)
-					want := cache.MustNewSim(cfg).RunTraceOracle(layout, test)
+					want := cache.NewRefSim(cfg).RunTraceOracle(layout, test)
 					if got != want {
 						t.Errorf("cfg %+v layout %s: engine stats %+v != oracle %+v", cfg, name, got, want)
 					}
@@ -156,6 +157,11 @@ func TestReplayEngineMatchesOracles(t *testing.T) {
 					}
 					if !reflect.DeepEqual(gotCS, wantCS) {
 						t.Errorf("cfg %+v layout %s: engine classified %+v != oracle %+v", cfg, name, gotCS, wantCS)
+					}
+					// The plain and classified walks of one layout agree on
+					// Refs, Misses and the first-touch Cold count.
+					if gotCS.Stats != got {
+						t.Errorf("cfg %+v layout %s: classified stats %+v != RunCompiled %+v", cfg, name, gotCS.Stats, got)
 					}
 				}
 			}

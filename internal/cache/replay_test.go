@@ -77,7 +77,7 @@ func TestReplaySpanExceedsCacheFallsBack(t *testing.T) {
 	layout := program.DefaultLayout(prog)
 	sim := MustNewSim(cfg)
 	got := sim.RunTrace(layout, tr)
-	want := MustNewSim(cfg).runTraceOracle(layout, tr)
+	want := newRefSim(cfg).runTraceOracle(layout, tr)
 	if got != want {
 		t.Errorf("engine stats %+v != oracle %+v", got, want)
 	}
@@ -117,7 +117,7 @@ func TestReplayCollapseBoundaryUnalignedStart(t *testing.T) {
 		layout.SetAddr(0, tc.start)
 		sim := MustNewSim(cfg)
 		got := sim.RunTrace(layout, tr)
-		want := MustNewSim(cfg).runTraceOracle(layout, tr)
+		want := newRefSim(cfg).runTraceOracle(layout, tr)
 		if got != want {
 			t.Errorf("%s: engine stats %+v != oracle %+v", tc.addr, got, want)
 		}
@@ -167,9 +167,8 @@ func TestReplayResetColdMissEpochs(t *testing.T) {
 			t.Fatalf("run %d after Reset: stats %+v != first run %+v", i+2, got, first)
 		}
 	}
-	// Force the epoch wrap paths: each Reset clears seen wholesale when
-	// its stamp overflows, and cold accounting must survive it.
-	sim.epoch = ^uint32(0)
+	// Force the epoch wrap path: the engine's Reset clears seen wholesale
+	// when its stamp overflows, and cold accounting must survive it.
 	sim.engine.epoch = ^uint32(0)
 	if got := sim.RunTrace(layout, tr); got != first {
 		t.Errorf("post-wrap run: stats %+v != first run %+v", got, first)

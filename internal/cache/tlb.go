@@ -41,28 +41,33 @@ func RunTraceTLB(cfg TLBConfig, layout *program.Layout, tr *trace.Trace) (Stats,
 
 // RunCompiledTLB replays a precompiled trace through the iTLB simulation,
 // returning statistics byte-identical to RunTraceTLB on the source trace
-// plus the replay engine counters. The TLB loop visits each page of an
-// activation once (repeats do not re-reference pages), so there is nothing
-// to collapse; the fast path instead short-circuits the dominant case of a
-// single-page activation whose page is already most recently used —
-// consecutive activations of co-paged procedures — avoiding the LRU
-// stack's map lookup and move-to-front entirely (MRU re-reference leaves
-// the stack unchanged).
+// plus the replay engine counters. The TLB is an LRU list over the
+// layout's pages (the classified replay's shadow structure). The loop
+// visits each page of an activation once (repeats do not re-reference
+// pages), so there is nothing to collapse; the fast path instead
+// short-circuits the dominant case of a single-page activation whose page
+// is already most recently used — consecutive activations of co-paged
+// procedures — by reading the list head (MRU re-reference leaves the list
+// unchanged).
 func RunCompiledTLB(cfg TLBConfig, ct *CompiledTrace, layout *program.Layout) (Stats, ReplayStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, ReplayStats{}, err
 	}
 	ct.checkProgram(layout)
-	tlb := newFullyAssoc(cfg.Entries)
+	pb := cfg.PageBytes
+	var pages int64
+	if ext := layout.Extent(); ext > 0 {
+		pages = int64((ext-1)/pb + 1)
+	}
+	tlb := newLRUList(pages, cfg.Entries)
 	var st Stats
 	var rs ReplayStats
-	pb := cfg.PageBytes
 	for i, p := range ct.procs {
 		start := layout.Addr(p)
 		end := start + int(ct.exts[i]) - 1
-		firstPg, lastPg := start/pb, end/pb
+		firstPg, lastPg := int64(start/pb), int64(end/pb)
 		rs.Events++
-		if firstPg == lastPg && len(tlb.stack) > 0 && tlb.stack[0] == int64(firstPg) {
+		if firstPg == lastPg && tlb.head == firstPg {
 			st.Refs++
 			rs.FastEvents++
 			continue
@@ -70,7 +75,7 @@ func RunCompiledTLB(cfg TLBConfig, ct *CompiledTrace, layout *program.Layout) (S
 		rs.FallbackEvents++
 		for pg := firstPg; pg <= lastPg; pg++ {
 			st.Refs++
-			if !tlb.access(int64(pg)) {
+			if !tlb.access(pg) {
 				st.Misses++
 			}
 		}

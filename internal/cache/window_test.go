@@ -76,7 +76,7 @@ func TestReplayWindowsTileToRun(t *testing.T) {
 		want := cache.MustNewSim(geom).RunCompiled(ct, layout)
 
 		bs := bound(t, geom, ct, layout)
-		oracle := cache.MustNewSim(geom)
+		oracle := cache.NewRefSim(geom)
 		var sum cache.Stats
 		lo := 0
 		for _, width := range []int{1, 7, 512, 997, 3483} {
@@ -111,7 +111,7 @@ func TestReplayWindowWarmupColdAccounting(t *testing.T) {
 	bs := bound(t, cfg, ct, layout)
 	warm := replayWindow(t, bs, ct.Slice(0, 1000))
 	body := replayWindow(t, bs, ct.Slice(1000, 2000))
-	oracle := cache.MustNewSim(cfg)
+	oracle := cache.NewRefSim(cfg)
 	ow := oracle.ReplayWindowOracle(layout, tr, 0, 1000)
 	ob := oracle.ReplayWindowOracle(layout, tr, 1000, 2000)
 	if warm != ow || body != ob {

@@ -11,10 +11,11 @@ import (
 // rebuild both nodes' line occupancy from the chunker and walk all C² line
 // pairs with map lookups on every merge, costing O(C²·occ²) per alignment
 // search. The engines here keep each working node's chunk→line assignment
-// incrementally up to date across shift/absorb and score alignments by
-// iterating only the TRG_place cross-edges between the two nodes into a
-// reusable cost buffer (cost[(l1-l2) mod C] += w), so a direct-mapped
-// search costs O(cross-degree + C) slice walks instead. Differential tests
+// incrementally up to date across shift/absorb. The direct-mapped engine
+// scores an alignment from the TRG_place cross-edges between the two nodes
+// alone: each edge adds a trapezoid to the cost vector (cost[(l1-l2) mod
+// C] += w over its chunks' line runs), summed on a second-difference buffer,
+// so a search costs O(cross-degree + C). Differential tests
 // (differential_test.go) prove the engines byte-identical to the oracles.
 
 // alignEngine is the per-run alignment scorer driven by assign: addNode
@@ -265,12 +266,12 @@ func (e *directEngine) bestOffset(u, v graph.NodeID) int {
 	if !fromU {
 		from, other = cv, u
 	}
-	e.accumulateCSR(e.csr, costs, from, other, !fromU)
+	e.accumulateRuns(e.csr, costs, from, other, !fromU)
 	if e.lastBase != nil {
 		copy(e.lastBase, costs)
 	}
 	if e.ov != nil {
-		e.accumulateCSR(e.ov, costs, from, other, !fromU)
+		e.accumulateRuns(e.ov, costs, from, other, !fromU)
 	}
 	best, margin := argminMargin(costs)
 	e.lastMargin = margin
@@ -279,7 +280,7 @@ func (e *directEngine) bestOffset(u, v graph.NodeID) int {
 
 // argminMargin returns the first index minimizing costs and how far the
 // runner-up is above it (maxMargin when there is no runner-up) — the
-// argmin/margin semantics shared by bestOffset and rescore.
+// argmin/margin semantics shared by both engines' bestOffset and rescore.
 func argminMargin(costs []int64) (int, int64) {
 	best, bestCost := 0, costs[0]
 	for i := 1; i < len(costs); i++ {
@@ -318,15 +319,26 @@ func (e *directEngine) rescore(base []int64, u, v graph.NodeID) (int, int64) {
 	return argminMargin(costs)
 }
 
-// accumulateRuns adds the same cross-edge contributions as accumulateCSR
-// but in O(edges + period) instead of O(Σ p·q) line pairs. It exploits
-// the chunk-line geometry: a chunk's lines are a consecutive run modulo
-// the period (addNode seeds ls[j] = (ls[0]+j) mod period and merged only
-// rotates the run), so one edge's contribution to the cost vector is the
-// circular convolution of two interval indicators — a trapezoid. Each
+// accumulateRuns walks one CSR's adjacency of every chunk in from, keeping
+// the cross-edges whose far end is owned by other, and adds each edge's
+// weight w to cost[(u-side line − v-side line) mod period] for every pair
+// of lines its two chunks occupy. fromIsV says whether the near side is the
+// shifting node v (so its lines are subtracted) or u.
+//
+// It does so in O(edges + period) instead of O(Σ p·q) line pairs by
+// exploiting the chunk-line geometry: a chunk's lines are a consecutive run
+// modulo the period (addNode seeds ls[j] = (ls[0]+j) mod period and merged
+// only rotates the run), so one edge's contribution to the cost vector is
+// the circular convolution of two interval indicators — a trapezoid. Each
 // trapezoid is four impulses on a second-difference buffer; integrating
 // the buffer twice at the end materializes all of them at once. The sums
-// are exact int64, so the result is byte-identical to accumulateCSR's.
+// are exact int64, so the result equals the line-pair loop's.
+//
+// Callers with an overlay walk it in a second call over the same cost
+// buffer: a pair present in both contributes base+delta in two exact int64
+// additions, a pair only in the overlay contributes the delta alone, and a
+// deleted pair's contributions cancel to zero — the cost vector equals the
+// one a fresh engine over the post-delta place graph would compute.
 func (e *directEngine) accumulateRuns(csr *placeCSR, costs []int64, from []program.ChunkID, other graph.NodeID, fromIsV bool) {
 	P := e.period
 	if len(e.d2) < 2*P {
@@ -402,38 +414,6 @@ func (e *directEngine) accumulateRuns(csr *placeCSR, costs []int64, from []progr
 	}
 }
 
-// accumulateCSR walks one CSR's adjacency of every chunk in from, keeping
-// the cross-edges whose far end is owned by other. fromIsV says whether the
-// near side is the shifting node v (so its lines are subtracted) or u.
-// Callers with an overlay set walk it in a second pass over the same cost
-// buffer: a pair present in both contributes base+delta in two exact int64
-// additions, a pair only in the overlay contributes the delta alone, and a
-// deleted pair's contributions cancel to zero — the cost vector equals the
-// one a fresh engine over the post-delta place graph would compute.
-func (e *directEngine) accumulateCSR(csr *placeCSR, costs []int64, from []program.ChunkID, other graph.NodeID, fromIsV bool) {
-	for _, c := range from {
-		lo, hi := csr.nbrOff[c], csr.nbrOff[c+1]
-		for k := lo; k < hi; k++ {
-			far := csr.nbrID[k]
-			if e.owner[far] != other {
-				continue
-			}
-			e.cross++
-			w := csr.nbrW[k]
-			nearLines, farLines := e.chunkLines[c], e.chunkLines[far]
-			for _, ln := range nearLines {
-				for _, lf := range farLines {
-					if fromIsV {
-						costs[mod(int(lf)-int(ln), e.period)] += w
-					} else {
-						costs[mod(int(ln)-int(lf), e.period)] += w
-					}
-				}
-			}
-		}
-	}
-}
-
 // assocEngine is the Section 6 set-associative scorer with the same
 // incremental occupancy and buffer reuse: the per-merge occupancy arrays
 // are filled from the engine's chunk→line state (no chunker rebuild) and
@@ -489,12 +469,7 @@ func (e *assocEngine) bestOffset(u, v graph.NodeID) int {
 		}
 		costs[i] = total
 	}
-	best, bestCost := 0, costs[0]
-	for i := 1; i < e.period; i++ {
-		if costs[i] < bestCost {
-			best, bestCost = i, costs[i]
-		}
-	}
+	best, _ := argminMargin(costs)
 	return best
 }
 

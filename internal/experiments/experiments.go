@@ -123,6 +123,14 @@ func (o *Options) suite() ([]*tracegen.Pair, error) {
 	return out, nil
 }
 
+// CheckBenchmarks reports an error naming every Benchmarks entry missing
+// from the suite, the check each experiment makes before it runs, so a
+// command can reject a -bench typo before it prints or writes anything.
+func (o Options) CheckBenchmarks() error {
+	_, err := o.suite()
+	return err
+}
+
 // prepareSuite resolves the filtered suite and prepares every benchmark,
 // fanning the (expensive) per-benchmark trace generation and graph builds
 // across par workers. benches[i] corresponds to pairs[i].

@@ -25,14 +25,13 @@ type PaddingResult struct {
 // filtered suite).
 func Padding(opts Options) (*PaddingResult, error) {
 	opts.setDefaults()
-	pair := tracegen.Lookup(tracegen.Suite(opts.Scale), "perl")
-	if len(opts.Benchmarks) > 0 {
-		if p := tracegen.Lookup(tracegen.Suite(opts.Scale), opts.Benchmarks[0]); p != nil {
-			pair = p
-		}
+	pairs, err := opts.suite()
+	if err != nil {
+		return nil, err
 	}
-	if pair == nil {
-		return nil, fmt.Errorf("experiments: benchmark missing from suite")
+	pair := tracegen.Lookup(pairs, "perl")
+	if len(opts.Benchmarks) > 0 {
+		pair = pairs[0]
 	}
 	sh := opts.Telemetry.Shard()
 	b, err := prepare(pair, opts.Cache, sh, opts.Check, nil)

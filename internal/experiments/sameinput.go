@@ -24,14 +24,13 @@ type SameInputResult struct {
 // filtered suite) using the training input for both roles.
 func SameInput(opts Options) (*SameInputResult, error) {
 	opts.setDefaults()
-	pair := tracegen.Lookup(tracegen.Suite(opts.Scale), "m88ksim")
-	if len(opts.Benchmarks) > 0 {
-		if p := tracegen.Lookup(tracegen.Suite(opts.Scale), opts.Benchmarks[0]); p != nil {
-			pair = p
-		}
+	pairs, err := opts.suite()
+	if err != nil {
+		return nil, err
 	}
-	if pair == nil {
-		return nil, fmt.Errorf("experiments: benchmark missing from suite")
+	pair := tracegen.Lookup(pairs, "m88ksim")
+	if len(opts.Benchmarks) > 0 {
+		pair = pairs[0]
 	}
 	// Train and test on the same input.
 	same := *pair

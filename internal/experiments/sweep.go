@@ -9,7 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/program"
-	"repro/internal/trg"
 )
 
 // SweepCell is one (benchmark, cache geometry) measurement.
@@ -70,24 +69,18 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 		// GBSC trained against the direct-mapped view of the geometry
 		// (the Section 6 pair database handles 2-way natively; for
 		// the sweep we measure how the direct-mapped placement holds
-		// up, the more common deployment).
-		res2, err := trg.Build(prog, b.train, trg.Options{
-			CacheBytes: cfg.SizeBytes,
-			Popular:    b.pop,
-		})
-		if err != nil {
-			return err
-		}
+		// up, the more common deployment). prepare built the TRGs for
+		// this cache size.
 		dm := cache.Config{SizeBytes: cfg.SizeBytes, LineBytes: cfg.LineBytes, Assoc: 1}
-		gl, err := core.Place(prog, res2, b.pop, dm)
+		gl, err := core.Place(prog, b.trgRes, b.pop, dm)
 		if err != nil {
 			return err
 		}
 		if err := checkAligned(opts.Check, cell.Name+"/sweep-gbsc", prog, gl, b.pop, dm); err != nil {
 			return err
 		}
-		// The cell's three candidates score in one walk of the testing
-		// trace (the 2-way geometries exercise the batched LRU lanes).
+		// The cell's three candidates score one after another through one
+		// compiled simulator (the 2-way geometries take the LRU walk).
 		rates, _, err := scoreLayouts(cfg, b, []*program.Layout{def, phl, gl}, sh)
 		if err != nil {
 			return err
