@@ -56,11 +56,12 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 # Machine-readable record of the pipeline hot paths (ns/op, B/op,
-# allocs/op): the Section 4.4 merge-loop benchmarks plus the selector/
-# scorer micro-benchmarks and the trace-replay engine benchmarks,
-# converted to JSON by cmd/benchjson and committed as BENCH_gbsc.json so
-# the perf trajectory is tracked per change. Override BENCHTIME (e.g.
-# BENCHTIME=1x in CI) to trade precision for speed.
+# allocs/op), converted to JSON by cmd/benchjson (each row names its own
+# package) and committed so the perf trajectory is tracked per change. One
+# run writes all three files on one machine: BENCH_gbsc.json holds the
+# Section 4.4 merge-loop benchmarks plus the selector/scorer
+# micro-benchmarks and the trace-replay engine benchmarks. Override
+# BENCHTIME (e.g. BENCHTIME=1x in CI) to trade precision for speed.
 BENCHTIME ?= 1s
 GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace)$$
 
@@ -73,12 +74,6 @@ TRG_BENCHES = ^(BenchmarkTRGBuildSerial)$$
 # construction, and the sampled Figure 5 grid end to end.
 SAMPLE_BENCHES = ^(BenchmarkSampledFigure5|BenchmarkSamplePlan|BenchmarkExactMissRate|BenchmarkSampledMissRate)$$
 
-# Incremental re-placement (BENCH_incr.json): one delta-driven engine
-# Update on the drifted paper-scale perl profile vs the from-scratch GBSC
-# run it replaces. The acceptance headline is Incremental ≥5× faster than
-# Scratch at ≤5% select-weight drift (the fixture reports its drift%).
-INCR_BENCHES = ^(BenchmarkIncrementalReplace|BenchmarkScratchReplace)$$
-
 bench-json:
 	$(GO) test -run '^$$' -bench '$(GBSC_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_gbsc.json
@@ -86,8 +81,6 @@ bench-json:
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_trg.json
 	$(GO) test -run '^$$' -bench '$(SAMPLE_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_sample.json
-	$(GO) test -run '^$$' -bench '$(INCR_BENCHES)' -benchmem \
-		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_incr.json
 
 # Regenerate the full paper evaluation (EXPERIMENTS.md numbers).
 experiments:
@@ -98,4 +91,4 @@ experiments:
 # whenever an intentional change moves the numbers.
 golden-smoke:
 	$(GO) run ./cmd/experiments -run all -scale 0.05 -runs 3 -seed 1 \
-		-check fatal -stats ci-run-report.json > ci_smoke_output.txt
+		-stats ci-run-report.json > ci_smoke_output.txt

@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/incr"
 	"repro/internal/popular"
 	"repro/internal/sample"
 	"repro/internal/trace"
@@ -296,97 +295,6 @@ func BenchmarkTRGBuildSerial(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// --- Incremental re-placement (internal/incr) -----------------------------
-
-// incrFixture prepares the drifted-profile pair for the incremental
-// benchmarks: the paper-scale perl training TRG as the placed baseline,
-// drifted by appending the first 1% of the testing trace — the same drift
-// model as the driftreplace experiment, in the regime (≈2% weight mass,
-// within the ≤5% acceptance window) where the recorded pop sequence
-// survives the drift. Both deltas (forward and inverse) are computed up
-// front so each timed Update is a pure engine operation.
-func incrFixture(b *testing.B) (*Program, *trg.Result, *trg.Result, trg.Delta, trg.Delta, *popular.Set) {
-	b.Helper()
-	pair := tracegen.Lookup(tracegen.Suite(1.0), "perl")
-	if pair == nil {
-		b.Fatal("unknown benchmark perl")
-	}
-	oldTr := pair.Bench.Trace(pair.Train)
-	extra := pair.Bench.Trace(pair.Test)
-	newTr := &trace.Trace{Events: append([]trace.Event(nil), oldTr.Events...)}
-	newTr.Events = append(newTr.Events, extra.Events[:len(extra.Events)/100]...)
-
-	pop := popular.Select(pair.Bench.Prog, oldTr, popular.Options{})
-	opts := trg.Options{CacheBytes: cache.PaperConfig.SizeBytes, Popular: pop}
-	oldRes, err := trg.Build(pair.Bench.Prog, oldTr, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	newRes, err := trg.Build(pair.Bench.Prog, newTr, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fwd, err := trg.Diff(oldRes, newRes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inv, err := trg.Diff(newRes, oldRes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var mass, total int64
-	for _, wd := range fwd.Select {
-		if wd.DW < 0 {
-			mass -= wd.DW
-		} else {
-			mass += wd.DW
-		}
-	}
-	total = oldRes.Select.TotalWeight()
-	b.ReportMetric(100*float64(mass)/float64(total), "drift%")
-	return pair.Bench.Prog, oldRes, newRes, fwd, inv, pop
-}
-
-// BenchmarkIncrementalReplace times one delta-driven engine Update on the
-// ~2%-mass drifted perl profile, alternating the forward and inverse deltas
-// so the engine state is identical every other iteration. Its speedup over
-// BenchmarkScratchReplace is the BENCH_incr.json headline (acceptance: ≥5×
-// at ≤5% drift).
-func BenchmarkIncrementalReplace(b *testing.B) {
-	prog, oldRes, _, fwd, inv, pop := incrFixture(b)
-	eng, err := incr.New(prog, oldRes.Clone(), pop, cache.PaperConfig)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := fwd
-		if i%2 == 1 {
-			d = inv
-		}
-		if _, err := eng.Update(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	st := eng.Stats()
-	if merges := st.MergesReused + st.MergesReplayed; merges > 0 {
-		b.ReportMetric(100*float64(st.MergesReused)/float64(merges), "reuse%")
-	}
-}
-
-// BenchmarkScratchReplace times the from-scratch GBSC placement of the
-// drifted profile — the cost the incremental path replaces.
-func BenchmarkScratchReplace(b *testing.B) {
-	prog, _, newRes, _, _, pop := incrFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Place(prog, newRes, pop, cache.PaperConfig); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPHPlacement times the Pettis & Hansen baseline.

@@ -21,9 +21,12 @@ import (
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one parsed result line. Pkg is the package named by the
+// last "pkg:" header above it: one `go test -bench` run over several
+// packages prints one header per package.
 type Benchmark struct {
 	Name        string  `json:"name"`
+	Pkg         string  `json:"pkg,omitempty"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"b_per_op"`
@@ -38,7 +41,6 @@ type Benchmark struct {
 type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -67,10 +69,11 @@ func run() error {
 //	BenchmarkName[-P]  iterations  value unit  [value unit ...]
 //
 // with units ns/op, B/op, allocs/op and MB/s; custom b.ReportMetric units
-// are captured into the extra map; header lines carry the goos/goarch/
-// pkg/cpu context.
+// are captured into the extra map; header lines carry the goos/goarch/cpu
+// context and the package of the rows that follow them.
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{Benchmarks: []Benchmark{}}
+	var pkg string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -83,7 +86,7 @@ func parse(r io.Reader) (*Report, error) {
 			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
 			continue
 		case strings.HasPrefix(line, "pkg: "):
-			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 			continue
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
@@ -100,7 +103,7 @@ func parse(r io.Reader) (*Report, error) {
 		if err != nil {
 			continue // e.g. "BenchmarkFoo ... --- SKIP" shapes
 		}
-		b := Benchmark{Name: fields[0], Iterations: iters}
+		b := Benchmark{Name: fields[0], Pkg: pkg, Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {

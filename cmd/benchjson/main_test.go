@@ -22,8 +22,13 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.Pkg != "repro" {
-		t.Errorf("header = %q/%q/%q", rep.Goos, rep.Goarch, rep.Pkg)
+	if rep.Goos != "linux" || rep.Goarch != "amd64" {
+		t.Errorf("header = %q/%q", rep.Goos, rep.Goarch)
+	}
+	for _, b := range rep.Benchmarks {
+		if b.Pkg != "repro" {
+			t.Errorf("%s: pkg = %q, want repro", b.Name, b.Pkg)
+		}
 	}
 	if !strings.Contains(rep.CPU, "Xeon") {
 		t.Errorf("cpu = %q", rep.CPU)
@@ -45,6 +50,44 @@ func TestParse(t *testing.T) {
 	}
 	if tr := rep.Benchmarks[3]; tr.Extra["events/sec"] != 777051 {
 		t.Errorf("events/sec parsed as %+v", tr)
+	}
+}
+
+// One run over several packages prints a header per package; every row
+// keeps the package it was printed under.
+func TestParseKeepsEachRowsPackage(t *testing.T) {
+	const twoPkgs = `goos: linux
+goarch: amd64
+pkg: repro
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkGBSCPlacement-2  	     174	   6519656 ns/op
+BenchmarkMergeNodes-2     	    4064	    297917 ns/op
+PASS
+ok  	repro	2.345s
+goos: linux
+goarch: amd64
+pkg: repro/internal/core
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkBestAlignment-2  	  300000	      3512 ns/op
+PASS
+ok  	repro/internal/core	1.234s
+`
+	rep, err := parse(strings.NewReader(twoPkgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"BenchmarkGBSCPlacement-2": "repro",
+		"BenchmarkMergeNodes-2":    "repro",
+		"BenchmarkBestAlignment-2": "repro/internal/core",
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for _, b := range rep.Benchmarks {
+		if b.Pkg != want[b.Name] {
+			t.Errorf("%s: pkg = %q, want %q", b.Name, b.Pkg, want[b.Name])
+		}
 	}
 }
 

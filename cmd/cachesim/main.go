@@ -70,7 +70,6 @@ func run(args []string, stdout io.Writer) error {
 	statsPath := fs.String("stats", "", "write a JSON run report to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
-	checkFlag := fs.String("check", "fatal", "layout invariant checking: fatal, warn, or off")
 	sampleFlag := fs.Bool("sample", false, "estimate miss rates from sampled trace windows instead of exact replay (incompatible with -classify)")
 	sampleWindows := fs.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
 	sampleInterval := fs.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
@@ -78,10 +77,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	checkMode, err := invariant.ParseMode(*checkFlag)
-	if err != nil {
-		return err
-	}
 	if *progPath == "" || *tracePath == "" {
 		return fmt.Errorf("-prog and -trace are required")
 	}
@@ -185,7 +180,7 @@ func run(args []string, stdout io.Writer) error {
 	// overlaps, and byte loss never are.
 	for i, layout := range layouts {
 		vs := invariant.CheckLayout(prog, layout, invariant.LayoutOptions{Cache: cfg})
-		if err := invariant.Enforce(checkMode, "cachesim/layout/"+names[i], vs, log.Printf); err != nil {
+		if err := invariant.Error("cachesim/layout/"+names[i], vs); err != nil {
 			return err
 		}
 	}

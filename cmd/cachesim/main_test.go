@@ -215,6 +215,7 @@ func TestBadInputReturnsError(t *testing.T) {
 		{"duplicate label", append(base, "-layout", dupA+","+dupB), []string{dupA, dupB, `"gbsc"`}},
 		{"removed batch flag", append(base, "-batch", "1"), []string{"flag provided but not defined"}},
 		{"removed static-bounds flag", append(base, "-static-bounds"), []string{"flag provided but not defined"}},
+		{"removed check flag", append(base, "-check", "fatal"), []string{"flag provided but not defined"}},
 		{"negative top", append(base, "-classify", "-top", "-1"), []string{"-top"}},
 		{"negative sample windows", append(base, "-sample", "-sample-windows", "-3"), []string{"-sample-windows"}},
 		{"negative sample interval", append(base, "-sample", "-sample-interval", "-5"), []string{"-sample-interval"}},

@@ -11,9 +11,9 @@
 //
 // Available experiments, in the order -run all runs them: table1, figure5,
 // figure6, padding, sameinput, setassoc, ablations, pagelocal, conflicts,
-// splitting, sweep, optimality, blockreorder, headroom, sampling,
-// driftreplace. A -run name outside this list (or "all"), or a -bench name
-// outside the suite, fails the run before anything is printed or written.
+// splitting, sweep, optimality, blockreorder, headroom, sampling. A -run
+// name outside this list (or "all"), or a -bench name outside the suite,
+// fails the run before anything is printed or written.
 //
 // -sample switches the Figure 5 grid from exact compiled replay to the
 // phase-aware sampled estimator (internal/sample); every reported miss
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/invariant"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/report"
 )
@@ -71,7 +70,6 @@ func run(args []string, stdout io.Writer) error {
 	statsPath := fs.String("stats", "", "write a JSON run report to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
-	checkFlag := fs.String("check", "fatal", "layout/TRG invariant checking: fatal, warn, or off")
 	sampleFlag := fs.Bool("sample", false, "score figure 5 layouts with the phase-aware sampled estimator instead of exact replay; estimates carry <alg>/ci half-widths in the run report")
 	sampleWindows := fs.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
 	sampleInterval := fs.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
@@ -95,17 +93,14 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-sample-interval must not be negative, got %d", *sampleInterval)
 	}
 
-	checkMode, err := invariant.ParseMode(*checkFlag)
-	if err != nil {
-		return err
-	}
-
 	opts := experiments.Options{
-		Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel, Check: checkMode,
+		Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel,
 		Sample: *sampleFlag, SampleWindows: *sampleWindows, SampleInterval: *sampleInterval,
 	}
 	if *benches != "" {
-		opts.Benchmarks = strings.Split(*benches, ",")
+		for _, name := range strings.Split(*benches, ",") {
+			opts.Benchmarks = append(opts.Benchmarks, strings.TrimSpace(name))
+		}
 	}
 
 	// Telemetry is collected only when a report is requested; a nil
@@ -201,7 +196,6 @@ func run(args []string, stdout io.Writer) error {
 		{"blockreorder", func() (any, error) { return render(experiments.BlockReorder(opts)) }},
 		{"headroom", func() (any, error) { return render(experiments.Headroom(opts)) }},
 		{"sampling", func() (any, error) { return render(experiments.Sampling(opts)) }},
-		{"driftreplace", func() (any, error) { return render(experiments.DriftReplace(opts)) }},
 	}
 
 	// Every -run entry must name a step (or "all") before anything runs,

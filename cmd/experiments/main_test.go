@@ -10,10 +10,10 @@ import (
 
 // Suite generation reads a non-positive scale as full scale and
 // Options.Runs reads 0 as 40, so -scale and -runs must be positive; like
-// an unknown check mode, a negative sampling override or an unknown -run
-// name, a bad value fails before any experiment runs or any file is
-// written. Each case's arguments follow the default -run, so its own -run
-// wins.
+// a negative sampling override, an unknown -run or -bench name or a
+// removed flag, a bad value fails before any experiment runs or any file
+// is written. Each case's arguments follow the default -run and -bench, so
+// its own wins. An unknown name is quoted, and no valid name is reported.
 func TestBadFlagsReturnError(t *testing.T) {
 	dir := t.TempDir()
 	files := []string{"-stats", filepath.Join(dir, "report.json"), "-csv", filepath.Join(dir, "fig.csv")}
@@ -24,16 +24,17 @@ func TestBadFlagsReturnError(t *testing.T) {
 	}{
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
-		{"unknown check mode", []string{"-check", "loud"}, "loud"},
 		{"zero runs", []string{"-runs", "0"}, "-runs"},
 		{"negative runs", []string{"-runs", "-1"}, "-runs"},
 		{"runs below -1", []string{"-runs", "-2"}, "-runs"},
 		{"negative sample windows", []string{"-sample", "-sample-windows", "-1"}, "-sample-windows"},
 		{"negative sample interval", []string{"-sample", "-sample-interval", "-5"}, "-sample-interval"},
 		{"removed shards flag", []string{"-shards", "4"}, "flag provided but not defined"},
+		{"removed check flag", []string{"-check", "fatal"}, "flag provided but not defined"},
 		{"unknown experiment", []string{"-run", "table1,bogus"}, "bogus"},
 		{"unknown padding benchmark", []string{"-run", "padding", "-bench", "bogus"}, "bogus"},
 		{"unknown sameinput benchmark", []string{"-run", "sameinput", "-bench", "gcc,bogus"}, "bogus"},
+		{"unknown benchmark after a space", []string{"-bench", "gcc, bogus"}, `"bogus"`},
 	} {
 		var out bytes.Buffer
 		args := append([]string{"-run", "table1", "-bench", "perl"}, tc.args...)
@@ -45,11 +46,34 @@ func TestBadFlagsReturnError(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+		for _, valid := range []string{"gcc", "perl"} {
+			if strings.Contains(err.Error(), valid) {
+				t.Errorf("%s: error %q names the valid benchmark %s", tc.name, err, valid)
+			}
+		}
 		if out.Len() != 0 {
 			t.Errorf("%s: printed before failing:\n%s", tc.name, out.String())
 		}
 		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 			t.Errorf("%s: wrote %v (%v)", tc.name, entries, err)
 		}
+	}
+}
+
+// -bench entries are trimmed like -run entries, so a list written with
+// spaces selects exactly the benchmarks it names.
+func TestBenchListWithSpaces(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-run", "table1", "-bench", "perl, m88ksim", "-scale", "0.01"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && (f[0] == "perl" || f[0] == "m88ksim") {
+			rows = append(rows, f[0])
+		}
+	}
+	if strings.Join(rows, ",") != "perl,m88ksim" {
+		t.Errorf("table rows %v, want perl and m88ksim:\n%s", rows, out.String())
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/incr"
 	"repro/internal/invariant"
 	"repro/internal/popular"
 	"repro/internal/program"
@@ -56,18 +55,12 @@ func run(args []string, stdout io.Writer) error {
 	lineBytes := fs.Int("line", 32, "cache line size in bytes")
 	chunk := fs.Int("chunk", 256, "TRG_place chunk size in bytes (must be positive)")
 	pageAware := fs.Bool("pagelocal", false, "use the page-locality linearization (gbsc only)")
-	incrFrom := fs.String("incr-from", "", "previous-profile trace file: place it first, then update incrementally to -trace via delta-driven merge-log replay (gbsc only; result is byte-identical to placing -trace from scratch)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
-	checkFlag := fs.String("check", "fatal", "layout invariant checking: fatal, warn, or off")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	checkMode, err := invariant.ParseMode(*checkFlag)
-	if err != nil {
-		return err
-	}
 	if *progPath == "" {
 		return fmt.Errorf("-prog is required")
 	}
@@ -90,10 +83,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-chunk must be positive, got %d", *chunk)
 	case *pageAware && *alg != "gbsc":
 		return fmt.Errorf("-pagelocal is only supported with -alg gbsc")
-	case *incrFrom != "" && *alg != "gbsc":
-		return fmt.Errorf("-incr-from is only supported with -alg gbsc")
-	case *incrFrom != "" && *pageAware:
-		return fmt.Errorf("-incr-from cannot be combined with -pagelocal")
 	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)
@@ -169,12 +158,9 @@ func run(args []string, stdout io.Writer) error {
 			CacheBytes: cfg.SizeBytes, ChunkSize: *chunk, Popular: pop,
 		})
 		if err == nil {
-			switch {
-			case *incrFrom != "":
-				l, err = incrLayout(prog, res, pop, cfg, *incrFrom, *chunk)
-			case *pageAware:
+			if *pageAware {
 				l, err = core.PlacePageAware(prog, res, pop, cfg)
-			default:
+			} else {
 				l, err = core.Place(prog, res, pop, cfg)
 			}
 			checkOpts.Popular = pop
@@ -207,7 +193,7 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("internal error: produced invalid layout: %w", err)
 	}
 	vs := invariant.CheckLayout(prog, l, checkOpts)
-	if err := invariant.Enforce(checkMode, "layout/"+*alg, vs, log.Printf); err != nil {
+	if err := invariant.Error("layout/"+*alg, vs); err != nil {
 		return err
 	}
 
@@ -229,49 +215,4 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(os.Stderr, "layout: %s over %d procedures, extent %d bytes\n",
 		*alg, prog.NumProcs(), l.Extent())
 	return nil
-}
-
-// incrLayout places the old profile's TRG first, then updates it to the
-// new profile (newRes, built from -trace) through the incremental engine —
-// exercising the delta path end to end while producing a layout
-// byte-identical to placing -trace from scratch. The popular set is the
-// new profile's: it is the set the final layout must serve, and building
-// the old TRG against it keeps the two graphs diffable.
-func incrLayout(prog *program.Program, newRes *trg.Result, pop *popular.Set, cfg cache.Config, oldPath string, chunk int) (*program.Layout, error) {
-	of, err := os.Open(oldPath)
-	if err != nil {
-		return nil, err
-	}
-	oldTr, err := trace.ReadBinary(of)
-	if cerr := of.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := oldTr.Validate(prog); err != nil {
-		return nil, fmt.Errorf("-incr-from trace: %w", err)
-	}
-	oldRes, err := trg.Build(prog, oldTr, trg.Options{
-		CacheBytes: cfg.SizeBytes, ChunkSize: chunk, Popular: pop,
-	})
-	if err != nil {
-		return nil, err
-	}
-	d, err := trg.Diff(oldRes, newRes)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := incr.New(prog, oldRes, pop, cfg)
-	if err != nil {
-		return nil, err
-	}
-	l, err := eng.Update(d)
-	if err != nil {
-		return nil, err
-	}
-	st := eng.Stats()
-	fmt.Fprintf(os.Stderr, "layout: incremental update reused %d merges, replayed %d (%d snapshots)\n",
-		st.MergesReused, st.MergesReplayed, st.Snapshots)
-	return l, nil
 }

@@ -12,10 +12,10 @@ import (
 	"repro/internal/tracegen"
 )
 
-// fixture is a small m88ksim program with its training and testing traces,
-// plus the perl program, written to a temporary directory.
+// fixture is a small m88ksim program with its training trace, plus the
+// perl program, written to a temporary directory.
 type fixture struct {
-	dir, prog, train, test, perlProg string
+	dir, prog, train, perlProg string
 }
 
 func newFixture(t *testing.T) *fixture {
@@ -24,7 +24,6 @@ func newFixture(t *testing.T) *fixture {
 	f := &fixture{dir: t.TempDir()}
 	f.prog = f.write(t, "m88ksim.prog", pair.Bench.Prog.WriteDescription)
 	f.train = f.write(t, "m88ksim-train.trace", tracegen.Generate(pair.Bench, pair.Train, nil).WriteBinary)
-	f.test = f.write(t, "m88ksim-test.trace", tracegen.Generate(pair.Bench, pair.Test, nil).WriteBinary)
 	perl := tracegen.Lookup(tracegen.Suite(0.01), "perl").Bench.Prog
 	f.perlProg = f.write(t, "perl.prog", perl.WriteDescription)
 	return f
@@ -119,24 +118,10 @@ func TestEveryAlgorithmAndFormat(t *testing.T) {
 	}
 }
 
-// -incr-from reaches the -trace placement by incremental update, so it must
-// print exactly the from-scratch gbsc layout. -pagelocal is a gbsc modifier
-// that must run cleanly.
+// -pagelocal is a gbsc modifier that must run cleanly.
 func TestGBSCModes(t *testing.T) {
 	f := newFixture(t)
-	base := []string{"-prog", f.prog, "-trace", f.train}
-	scratch, err := layout(t, base...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incremental, err := layout(t, append(base, "-incr-from", f.test)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if incremental != scratch {
-		t.Errorf("-incr-from layout differs from the scratch layout:\n%s\nwant\n%s", incremental, scratch)
-	}
-	if _, err := layout(t, append(base, "-pagelocal")...); err != nil {
+	if _, err := layout(t, "-prog", f.prog, "-trace", f.train, "-pagelocal"); err != nil {
 		t.Errorf("-pagelocal: %v", err)
 	}
 }
@@ -173,13 +158,11 @@ func TestBadInputReturnsError(t *testing.T) {
 		{"trace of another program", []string{"-prog", f.perlProg, "-trace", f.train, "-out", out}, "invalid procedure"},
 		{"unknown algorithm", append(base, "-alg", "bogus"), "bogus"},
 		{"unknown format", append(base, "-format", "bogus"), "bogus"},
-		{"unknown check mode", append(base, "-check", "loud"), "loud"},
-		{"incremental with another algorithm", append(base, "-alg", "ph", "-incr-from", f.test), "-incr-from"},
-		{"incremental with page locality", append(base, "-incr-from", f.test, "-pagelocal"), "-pagelocal"},
 		{"zero chunk", append(base, "-chunk", "0"), "-chunk"},
 		{"negative chunk", append(base, "-chunk", "-256"), "-chunk"},
 		{"page locality with another algorithm", append(base, "-alg", "ph", "-pagelocal"), "-pagelocal"},
 		{"removed static-bounds flag", append(base, "-static-bounds"), "flag provided but not defined"},
+		{"removed check flag", append(base, "-check", "fatal"), "flag provided but not defined"},
 	} {
 		got, err := layout(t, tc.args...)
 		if err == nil {

@@ -102,20 +102,15 @@ func (s *occState) merged(u, v graph.NodeID, off int) {
 
 // placeCSR is an immutable CSR adjacency snapshot of TRG_place over
 // chunks. The place graph is never mutated during a merge loop, so slice
-// walks replace map probes. The same structure doubles as the overlay
-// representation for the incremental engine: a CSR built from weight
-// deltas whose entries are added on top of the base during accumulation
-// (int64 addition is exact, so base + overlay scores the post-delta graph
-// byte-identically).
+// walks replace map probes.
 type placeCSR struct {
 	nbrOff []int32
 	nbrID  []program.ChunkID
 	nbrW   []int64
 }
 
-// newPlaceCSRFromEdges builds the CSR from an explicit (deduplicated)
-// undirected edge list over nc chunks.
-func newPlaceCSRFromEdges(es []graph.Edge, nc int) *placeCSR {
+func newPlaceCSR(placeG *graph.Graph, nc int) *placeCSR {
+	es := placeG.Edges()
 	c := &placeCSR{}
 	deg := make([]int32, nc+1)
 	for _, ed := range es {
@@ -140,62 +135,6 @@ func newPlaceCSRFromEdges(es []graph.Edge, nc int) *placeCSR {
 	return c
 }
 
-func newPlaceCSR(placeG *graph.Graph, nc int) *placeCSR {
-	return newPlaceCSRFromEdges(placeG.Edges(), nc)
-}
-
-// occSnap is a deep copy of an occState's mutable occupancy (owner map,
-// per-chunk line multisets, per-node chunk lists) taken mid-merge-loop.
-// The immutable geometry (period, program, chunker) is not captured; a
-// snapshot is restored into a freshly constructed state sharing it.
-type occSnap struct {
-	owner      []graph.NodeID
-	chunkLines [][]int32
-	nodeChunks [][]program.ChunkID
-}
-
-func (s *occState) snapshot() occSnap {
-	sn := occSnap{
-		owner:      make([]graph.NodeID, len(s.owner)),
-		chunkLines: make([][]int32, len(s.chunkLines)),
-		nodeChunks: make([][]program.ChunkID, len(s.nodeChunks)),
-	}
-	copy(sn.owner, s.owner)
-	for i, ls := range s.chunkLines {
-		if ls != nil {
-			sn.chunkLines[i] = append([]int32(nil), ls...)
-		}
-	}
-	for i, cs := range s.nodeChunks {
-		if cs != nil {
-			sn.nodeChunks[i] = append([]program.ChunkID(nil), cs...)
-		}
-	}
-	return sn
-}
-
-// restore overwrites the mutable occupancy with a deep copy of sn, so the
-// stored snapshot can be restored again later.
-func (s *occState) restore(sn occSnap) {
-	copy(s.owner, sn.owner)
-	for i := range s.chunkLines {
-		s.chunkLines[i] = nil
-	}
-	for i, ls := range sn.chunkLines {
-		if ls != nil {
-			s.chunkLines[i] = append([]int32(nil), ls...)
-		}
-	}
-	for i := range s.nodeChunks {
-		s.nodeChunks[i] = nil
-	}
-	for i, cs := range sn.nodeChunks {
-		if cs != nil {
-			s.nodeChunks[i] = append([]program.ChunkID(nil), cs...)
-		}
-	}
-}
-
 // directEngine scores direct-mapped alignments (the Figure 4 conflict
 // metric) edge-first: every TRG_place cross-edge (c1 ∈ u, c2 ∈ v, w)
 // contributes w to cost[(l1-l2) mod C] for each line pair the two chunks
@@ -203,46 +142,17 @@ func (s *occState) restore(sn occSnap) {
 // lighter side's cross-degree.
 type directEngine struct {
 	occState
-	csr *placeCSR
-	// ov is an optional delta overlay (incremental re-placement): entries
-	// are accumulated in addition to the base rows, so the effective edge
-	// weight is the sum of both. nil when no deltas are in play.
-	ov    *placeCSR
+	csr   *placeCSR
 	costs []int64
 	cross int64
-	// lastBase, when non-nil, receives a copy of the base-CSR-only cost
-	// vector of every bestOffset call (before the overlay is accumulated).
-	// The recorder stores these per step: the base contribution at a step
-	// depends only on the immutable base CSR and the prefix occupancy, so a
-	// later revalidation can re-score the step as stored vector + current
-	// overlay without walking the base CSR at all.
-	lastBase []int64
 	// d2 is the second-difference scratch buffer of accumulateRuns.
 	d2 []int64
-	// lastMargin is how far the runner-up cost of the latest bestOffset
-	// call was above the winner (maxMargin when there is no runner-up).
-	// The merge recorder logs it: a place delta whose bounded cost
-	// perturbation stays below the margin provably cannot flip the
-	// recorded alignment choice.
-	lastMargin int64
 }
-
-// maxMargin is the recorded margin when no alternative offset exists or
-// costs are unbounded apart; kept well under MaxInt64 so conservative
-// margin decrements never underflow.
-const maxMargin int64 = 1 << 62
 
 func newDirectEngine(prog *program.Program, placeG *graph.Graph, chunker *program.Chunker, lineBytes, period int) *directEngine {
-	return newDirectEngineCSR(prog, newPlaceCSR(placeG, chunker.NumChunks()), chunker, lineBytes, period)
-}
-
-// newDirectEngineCSR builds the engine around a prebuilt base CSR, letting
-// the recorded/incremental paths share one immutable snapshot across many
-// engine instantiations.
-func newDirectEngineCSR(prog *program.Program, csr *placeCSR, chunker *program.Chunker, lineBytes, period int) *directEngine {
 	return &directEngine{
 		occState: newOccState(prog, chunker, lineBytes, period),
-		csr:      csr,
+		csr:      newPlaceCSR(placeG, chunker.NumChunks()),
 		costs:    make([]int64, period),
 	}
 }
@@ -261,69 +171,31 @@ func (e *directEngine) bestOffset(u, v graph.NodeID) int {
 	// The accumulation order differs between the two directions but the
 	// int64 sums are exact, so the cost vector is identical either way.
 	cu, cv := e.nodeChunks[u], e.nodeChunks[v]
-	fromU := len(cu) <= len(cv)
-	from, other := cu, v
-	if !fromU {
-		from, other = cv, u
+	if len(cu) <= len(cv) {
+		e.accumulateRuns(costs, cu, v, false)
+	} else {
+		e.accumulateRuns(costs, cv, u, true)
 	}
-	e.accumulateRuns(e.csr, costs, from, other, !fromU)
-	if e.lastBase != nil {
-		copy(e.lastBase, costs)
-	}
-	if e.ov != nil {
-		e.accumulateRuns(e.ov, costs, from, other, !fromU)
-	}
-	best, margin := argminMargin(costs)
-	e.lastMargin = margin
-	return best
+	return argmin(costs)
 }
 
-// argminMargin returns the first index minimizing costs and how far the
-// runner-up is above it (maxMargin when there is no runner-up) — the
-// argmin/margin semantics shared by both engines' bestOffset and rescore.
-func argminMargin(costs []int64) (int, int64) {
+// argmin returns the first index minimizing costs, the tie rule both
+// engines' bestOffset share with the oracle.
+func argmin(costs []int64) int {
 	best, bestCost := 0, costs[0]
 	for i := 1; i < len(costs); i++ {
 		if costs[i] < bestCost {
 			best, bestCost = i, costs[i]
 		}
 	}
-	margin := maxMargin
-	for i := range costs {
-		if i == best {
-			continue
-		}
-		if m := costs[i] - bestCost; m < margin {
-			margin = m
-		}
-	}
-	return best, margin
+	return best
 }
 
-// rescore repeats a recorded merge's alignment search from its stored
-// base-relative cost vector: the base-CSR contribution is fixed while the
-// prefix is reused verbatim (immutable CSR, identical occupancy), so only
-// the current overlay is accumulated on top. Byte-identical to a bestOffset
-// over the post-delta place graph at the same step.
-func (e *directEngine) rescore(base []int64, u, v graph.NodeID) (int, int64) {
-	costs := e.costs
-	copy(costs, base)
-	if e.ov != nil {
-		cu, cv := e.nodeChunks[u], e.nodeChunks[v]
-		if len(cu) <= len(cv) {
-			e.accumulateRuns(e.ov, costs, cu, v, false)
-		} else {
-			e.accumulateRuns(e.ov, costs, cv, u, true)
-		}
-	}
-	return argminMargin(costs)
-}
-
-// accumulateRuns walks one CSR's adjacency of every chunk in from, keeping
-// the cross-edges whose far end is owned by other, and adds each edge's
-// weight w to cost[(u-side line − v-side line) mod period] for every pair
-// of lines its two chunks occupy. fromIsV says whether the near side is the
-// shifting node v (so its lines are subtracted) or u.
+// accumulateRuns walks the place CSR's adjacency of every chunk in from,
+// keeping the cross-edges whose far end is owned by other, and adds each
+// edge's weight w to cost[(u-side line − v-side line) mod period] for every
+// pair of lines its two chunks occupy. fromIsV says whether the near side
+// is the shifting node v (so its lines are subtracted) or u.
 //
 // It does so in O(edges + period) instead of O(Σ p·q) line pairs by
 // exploiting the chunk-line geometry: a chunk's lines are a consecutive run
@@ -333,14 +205,8 @@ func (e *directEngine) rescore(base []int64, u, v graph.NodeID) (int, int64) {
 // trapezoid is four impulses on a second-difference buffer; integrating
 // the buffer twice at the end materializes all of them at once. The sums
 // are exact int64, so the result equals the line-pair loop's.
-//
-// Callers with an overlay walk it in a second call over the same cost
-// buffer: a pair present in both contributes base+delta in two exact int64
-// additions, a pair only in the overlay contributes the delta alone, and a
-// deleted pair's contributions cancel to zero — the cost vector equals the
-// one a fresh engine over the post-delta place graph would compute.
-func (e *directEngine) accumulateRuns(csr *placeCSR, costs []int64, from []program.ChunkID, other graph.NodeID, fromIsV bool) {
-	P := e.period
+func (e *directEngine) accumulateRuns(costs []int64, from []program.ChunkID, other graph.NodeID, fromIsV bool) {
+	P, csr := e.period, e.csr
 	if len(e.d2) < 2*P {
 		e.d2 = make([]int64, 2*P)
 	}
@@ -469,8 +335,7 @@ func (e *assocEngine) bestOffset(u, v graph.NodeID) int {
 		}
 		costs[i] = total
 	}
-	best, _ := argminMargin(costs)
-	return best
+	return argmin(costs)
 }
 
 // assocSetCost sums, for every block p in own, the D(p,{r,s}) counts over

@@ -139,19 +139,9 @@ func assign(prog *program.Program, res *trg.Result, pop *popular.Set, period int
 	if pop == nil {
 		pop = popular.All(prog)
 	}
-	working, nodes, err := initAssign(res.Select, pop, eng)
-	if err != nil {
-		return nil, err
-	}
-	runLoop(working, nodes, eng, period, m, nil)
-	return gatherItems(working, nodes, pop), nil
-}
 
-// initAssign seeds the merge-loop state: the working graph is a copy of
-// TRG_select (Section 2 / Section 4.1) with every popular procedure
-// present, and every node carries its single-procedure tuple.
-func initAssign(sel *graph.Graph, pop *popular.Set, eng alignEngine) (*graph.Graph, map[graph.NodeID]*node, error) {
-	working := sel.Clone()
+	// Working graph: a copy of TRG_select (Section 2 / Section 4.1).
+	working := res.Select.Clone()
 	nodes := make(map[graph.NodeID]*node, len(pop.IDs))
 	for _, p := range pop.IDs {
 		working.AddNode(graph.NodeID(p)) // popular but edgeless procedures still get placed
@@ -162,22 +152,12 @@ func initAssign(sel *graph.Graph, pop *popular.Set, eng alignEngine) (*graph.Gra
 		if _, ok := nodes[id]; !ok {
 			// A TRG_select node that the popularity mask does not cover
 			// indicates mismatched inputs.
-			return nil, nil, fmt.Errorf("core: TRG_select contains procedure %d outside the popular set", id)
+			return nil, fmt.Errorf("core: TRG_select contains procedure %d outside the popular set", id)
 		}
 	}
-	return working, nodes, nil
-}
 
-// runLoop executes the greedy merging until no edges remain. rc may be
-// nil (plain placement); when set, every merge decision is appended to
-// the recording and periodic state checkpoints are captured (record.go).
-// The recorder is strictly observational: the sequence of selections and
-// alignment choices is identical with or without it.
-func runLoop(working *graph.Graph, nodes map[graph.NodeID]*node, eng alignEngine, period int, m *Metrics, rc *recorder) {
+	// Greedy merging until no edges remain.
 	for {
-		if rc != nil {
-			rc.maybeCheckpoint(working, nodes)
-		}
 		e, ok := working.HeaviestEdge()
 		if !ok {
 			break
@@ -193,12 +173,6 @@ func runLoop(working *graph.Graph, nodes map[graph.NodeID]*node, eng alignEngine
 		eng.merged(e.U, e.V, off)
 		working.MergeNodes(e.U, e.V)
 		delete(nodes, e.V)
-		if rc != nil {
-			rc.record(e, off)
-		}
-	}
-	if rc != nil {
-		rc.finalCheckpoint(working, nodes)
 	}
 	if m != nil {
 		pops, stale := working.SelectorStats()
@@ -206,17 +180,14 @@ func runLoop(working *graph.Graph, nodes map[graph.NodeID]*node, eng alignEngine
 		m.StalePops += stale
 		m.CrossEdges += eng.crossEdgesScanned()
 	}
-}
 
-// gatherItems collects the surviving nodes' tuples. TRG_select "is not
-// necessarily reduced to a single node" (Section 4.3); every node's
-// internal alignment is preserved in the final list. Every popular
-// procedure appears exactly once across the nodes, so the capacity is
-// exact.
-func gatherItems(working *graph.Graph, nodes map[graph.NodeID]*node, pop *popular.Set) []place.Placed {
+	// Gather the surviving nodes' tuples. TRG_select "is not necessarily
+	// reduced to a single node" (Section 4.3); every node's internal
+	// alignment is preserved in the final list. Every popular procedure
+	// appears exactly once across the nodes, so the capacity is exact.
 	items := make([]place.Placed, 0, len(pop.IDs))
 	for _, id := range working.Nodes() {
 		items = append(items, nodes[id].procs...)
 	}
-	return items
+	return items, nil
 }

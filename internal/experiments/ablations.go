@@ -76,7 +76,7 @@ func Ablations(opts Options) (*AblationsResult, error) {
 			if err != nil {
 				return 0, err
 			}
-			if err := checkAligned(opts.Check, rows[bi].Name+"/ablation-gbsc", prog, l, b.pop, opts.Cache); err != nil {
+			if err := checkAligned(rows[bi].Name+"/ablation-gbsc", prog, l, b.pop, opts.Cache); err != nil {
 				return 0, err
 			}
 			return cache.MissRateCompiled(opts.Cache, b.ctTest, l)
@@ -101,7 +101,7 @@ func Ablations(opts Options) (*AblationsResult, error) {
 		case 4:
 			var phTRG *program.Layout
 			if phTRG, err = baseline.PHLayout(prog, b.trgRes.Select); err == nil {
-				if err = checkPacked(opts.Check, rows[bi].Name+"/ph+trg", prog, phTRG); err == nil {
+				if err = checkPacked(rows[bi].Name+"/ph+trg", prog, phTRG); err == nil {
 					rows[bi].PHWithTRG, err = cache.MissRateCompiled(opts.Cache, b.ctTest, phTRG)
 				}
 			}

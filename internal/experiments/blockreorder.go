@@ -126,7 +126,7 @@ func BlockReorder(opts Options) (*BlockReorderResult, error) {
 	cfg := cache.Config{SizeBytes: 4096, LineBytes: 32, Assoc: 1}
 
 	def := program.DefaultLayout(prog)
-	if err := checkPacked(opts.Check, "blockreorder/default", prog, def); err != nil {
+	if err := checkPacked("blockreorder/default", prog, def); err != nil {
 		return nil, err
 	}
 	if res.DefaultOrderDefaultLayout, err = cache.MissRate(cfg, def, defTest); err != nil {
@@ -142,7 +142,7 @@ func BlockReorder(opts Options) (*BlockReorderResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := checkAligned(opts.Check, "blockreorder/"+name, prog, l, pop, cfg); err != nil {
+		if err := checkAligned("blockreorder/"+name, prog, l, pop, cfg); err != nil {
 			return 0, err
 		}
 		return cache.MissRate(cfg, l, test)

@@ -38,7 +38,7 @@ func Conflicts(opts Options) (*ConflictsResult, error) {
 	rows := make([]ConflictRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
 		if err != nil {
 			return err
 		}
@@ -49,25 +49,25 @@ func Conflicts(opts Options) (*ConflictsResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkPacked(opts.Check, row.Name+"/PH", prog, phl); err != nil {
+		if err := checkPacked(row.Name+"/PH", prog, phl); err != nil {
 			return err
 		}
 		hkcl, err := baseline.HKC(prog, b.wcgPop, b.pop, opts.Cache)
 		if err != nil {
 			return err
 		}
-		if err := checkGeneral(opts.Check, row.Name+"/HKC", prog, hkcl, b.pop, opts.Cache); err != nil {
+		if err := checkGeneral(row.Name+"/HKC", prog, hkcl, b.pop, opts.Cache); err != nil {
 			return err
 		}
 		gbscl, err := core.Place(prog, b.trgRes, b.pop, opts.Cache)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(opts.Check, row.Name+"/GBSC", prog, gbscl, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(row.Name+"/GBSC", prog, gbscl, b.pop, opts.Cache); err != nil {
 			return err
 		}
 		def := program.DefaultLayout(prog)
-		if err := checkPacked(opts.Check, row.Name+"/default", prog, def); err != nil {
+		if err := checkPacked(row.Name+"/default", prog, def); err != nil {
 			return err
 		}
 

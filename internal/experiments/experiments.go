@@ -7,7 +7,7 @@ package experiments
 
 import (
 	"fmt"
-	"log"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -50,12 +50,6 @@ type Options struct {
 	// identical at any Parallel setting; only wall-clock timers vary. Nil
 	// disables instrumentation at zero cost.
 	Telemetry *telemetry.Registry
-	// Check selects how layout/TRG invariant violations found by the
-	// always-on post-pass are handled. The zero value is
-	// invariant.ModeFatal: a malformed layout fails the experiment rather
-	// than contributing a bogus miss rate. ModeWarn logs to stderr and
-	// continues; ModeOff disables the checks.
-	Check invariant.Mode
 	// Sample switches the replay-bound grids (Figure 5) from exact
 	// compiled replay of the testing trace to the phase-aware sampled
 	// estimator of internal/sample: each layout is scored by replaying
@@ -114,7 +108,7 @@ func (o *Options) suite() ([]*tracegen.Pair, error) {
 		if p := tracegen.Lookup(pairs, name); p != nil {
 			out = append(out, p)
 		} else {
-			unknown = append(unknown, name)
+			unknown = append(unknown, strconv.Quote(name))
 		}
 	}
 	if len(unknown) > 0 {
@@ -143,7 +137,7 @@ func (o *Options) prepareSuite(cfg cache.Config, par int) (pairs []*tracegen.Pai
 	err = runParallel(par, len(pairs),
 		func() *telemetry.Shard { return o.Telemetry.Shard() },
 		func(sh *telemetry.Shard, i int) error {
-			b, err := prepare(pairs[i], cfg, sh, o.Check, o.sampleOptions())
+			b, err := prepare(pairs[i], cfg, sh, o.sampleOptions())
 			if err != nil {
 				return err
 			}
@@ -184,9 +178,9 @@ type bench struct {
 // prepare generates traces and builds graphs for one benchmark, recording
 // pipeline telemetry into sh (nil-safe). Every recorded counter and
 // histogram is a deterministic function of the benchmark, so shard merges
-// agree at any worker count. The freshly built TRGs are verified under
-// check before any placement consumes them.
-func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, check invariant.Mode, smp *sample.Options) (*bench, error) {
+// agree at any worker count. The freshly built TRGs are verified before
+// any placement consumes them.
+func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, smp *sample.Options) (*bench, error) {
 	stopPrep := sh.Time("prepare/wall")
 	defer stopPrep()
 	b := &bench{pair: pair}
@@ -210,11 +204,9 @@ func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, check i
 		return nil, fmt.Errorf("experiments: building TRG for %s: %w", pair.Bench.Name, err)
 	}
 	b.trgRes = res
-	if check != invariant.ModeOff {
-		vs := invariant.CheckTRG(pair.Bench.Prog, res, bs, b.pop)
-		if err := invariant.Enforce(check, pair.Bench.Name+"/trg", vs, log.Printf); err != nil {
-			return nil, err
-		}
+	vs := invariant.CheckTRG(pair.Bench.Prog, res, bs, b.pop)
+	if err := invariant.Error(pair.Bench.Name+"/trg", vs); err != nil {
+		return nil, err
 	}
 	sh.Add("trg/events_observed", bs.Events)
 	sh.Add("trg/select_nodes", int64(res.Select.NumNodes()))

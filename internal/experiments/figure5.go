@@ -11,7 +11,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/invariant"
 	"repro/internal/perturb"
 	"repro/internal/program"
 	"repro/internal/telemetry"
@@ -103,7 +102,7 @@ func Figure5(opts Options) (*Figure5Result, error) {
 				rng = rand.New(rand.NewSource(opts.Seed + int64(run)*7919))
 			}
 			stop := sh.Time("figure5/cell_wall")
-			layout, err := buildLayout(alg, benches[bi], opts.Cache, rng, sh, opts.Check)
+			layout, err := buildLayout(alg, benches[bi], opts.Cache, rng, sh)
 			stop()
 			if err != nil {
 				if run < 0 {
@@ -175,10 +174,10 @@ type figure5State struct {
 }
 
 // buildLayout computes a placement with optionally perturbed profile data
-// (rng nil = unperturbed) and verifies it under check before returning.
+// (rng nil = unperturbed) and verifies it before returning.
 // Counters recorded into sh are per-job work, never per-worker, so shard
 // merges agree at any parallelism.
-func buildLayout(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, sh *telemetry.Shard, check invariant.Mode) (*program.Layout, error) {
+func buildLayout(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, sh *telemetry.Shard) (*program.Layout, error) {
 	maybePerturb := func(g *graph.Graph) *graph.Graph {
 		if rng == nil {
 			return g
@@ -218,12 +217,12 @@ func buildLayout(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, 
 	context := b.pair.Bench.Name + "/" + string(alg)
 	switch alg {
 	case AlgPH:
-		err = checkPacked(check, context, prog, layout)
+		err = checkPacked(context, prog, layout)
 	case AlgGBSC:
-		err = checkAligned(check, context, prog, layout, b.pop, cfg)
+		err = checkAligned(context, prog, layout, b.pop, cfg)
 	default:
 		// HKC aligns only the compound procedures it colors.
-		err = checkGeneral(check, context, prog, layout, b.pop, cfg)
+		err = checkGeneral(context, prog, layout, b.pop, cfg)
 	}
 	if err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func Figure6(opts Options) (*Figure6Result, error) {
 	if pair == nil {
 		return nil, fmt.Errorf("experiments: go benchmark missing from suite")
 	}
-	b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
+	b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func Figure6(opts Options) (*Figure6Result, error) {
 			}
 			// Each randomized layout must still honor its mutated line
 			// assignments exactly — that is what the metric evaluates.
-			if err := checkLayout(opts.Check, fmt.Sprintf("figure6/point%d", i), prog, layout, invariant.LayoutOptions{
+			if err := checkLayout(fmt.Sprintf("figure6/point%d", i), prog, layout, invariant.LayoutOptions{
 				Cache: opts.Cache, Popular: b.pop, Placed: mutations[i],
 				Chunker: b.trgRes.Chunker, RequireAlignedPopular: true,
 			}); err != nil {

@@ -41,7 +41,7 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 	rows := make([]HeadroomRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
 		if err != nil {
 			return err
 		}
@@ -56,7 +56,7 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkLayout(opts.Check, row.Name+"/headroom-gbsc", prog, gl, invariant.LayoutOptions{
+		if err := checkLayout(row.Name+"/headroom-gbsc", prog, gl, invariant.LayoutOptions{
 			Cache: opts.Cache, Popular: b.pop, Placed: items,
 			Chunker: b.trgRes.Chunker, RequireAlignedPopular: true,
 		}); err != nil {
@@ -75,7 +75,7 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(opts.Check, row.Name+"/headroom-anneal", prog, al, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(row.Name+"/headroom-anneal", prog, al, b.pop, opts.Cache); err != nil {
 			return err
 		}
 		if row.AnnealMR, err = cache.MissRateCompiled(opts.Cache, b.ctTest, al); err != nil {

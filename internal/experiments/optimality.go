@@ -90,7 +90,7 @@ func Optimality(opts Options) (*OptimalityResult, error) {
 		addBatch(sh, opt.Batch)
 		// Both layouts come from place.Linearize with every procedure
 		// popular, so full alignment applies.
-		if err := checkAligned(opts.Check, fmt.Sprintf("optimality/seed%d/optimal", seed), prog, opt.Layout, nil, tiny); err != nil {
+		if err := checkAligned(fmt.Sprintf("optimality/seed%d/optimal", seed), prog, opt.Layout, nil, tiny); err != nil {
 			return nil, err
 		}
 		trgRes, err := trg.Build(prog, tr, trg.Options{CacheBytes: tiny.SizeBytes, ChunkSize: 32})
@@ -101,7 +101,7 @@ func Optimality(opts Options) (*OptimalityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := checkAligned(opts.Check, fmt.Sprintf("optimality/seed%d/gbsc", seed), prog, gl, nil, tiny); err != nil {
+		if err := checkAligned(fmt.Sprintf("optimality/seed%d/gbsc", seed), prog, gl, nil, tiny); err != nil {
 			return nil, err
 		}
 		st, err := cache.RunTrace(tiny, gl, tr)

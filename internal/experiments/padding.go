@@ -34,7 +34,7 @@ func Padding(opts Options) (*PaddingResult, error) {
 		pair = pairs[0]
 	}
 	sh := opts.Telemetry.Shard()
-	b, err := prepare(pair, opts.Cache, sh, opts.Check, nil)
+	b, err := prepare(pair, opts.Cache, sh, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -42,13 +42,13 @@ func Padding(opts Options) (*PaddingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkAligned(opts.Check, pair.Bench.Name+"/padding-base", pair.Bench.Prog, layout, b.pop, opts.Cache); err != nil {
+	if err := checkAligned(pair.Bench.Name+"/padding-base", pair.Bench.Prog, layout, b.pop, opts.Cache); err != nil {
 		return nil, err
 	}
 	padded := layout.PadAll(opts.Cache.LineBytes)
 	// The padded variant deliberately inserts gaps; only the universal
 	// invariants apply.
-	if err := checkGeneral(opts.Check, pair.Bench.Name+"/padding-padded", pair.Bench.Prog, padded, b.pop, opts.Cache); err != nil {
+	if err := checkGeneral(pair.Bench.Name+"/padding-padded", pair.Bench.Prog, padded, b.pop, opts.Cache); err != nil {
 		return nil, err
 	}
 	// Both variants score in one walk of the testing trace.

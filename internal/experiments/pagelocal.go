@@ -40,7 +40,7 @@ func PageLocality(opts Options) (*PageLocalityResult, error) {
 	rows := make([]PageLocalityRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
 		if err != nil {
 			return err
 		}
@@ -50,14 +50,14 @@ func PageLocality(opts Options) (*PageLocalityResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(opts.Check, pair.Bench.Name+"/pagelocal-std", prog, std, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(pair.Bench.Name+"/pagelocal-std", prog, std, b.pop, opts.Cache); err != nil {
 			return err
 		}
 		paged, err := core.PlacePageAware(prog, b.trgRes, b.pop, opts.Cache)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(opts.Check, pair.Bench.Name+"/pagelocal-paged", prog, paged, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(pair.Bench.Name+"/pagelocal-paged", prog, paged, b.pop, opts.Cache); err != nil {
 			return err
 		}
 

@@ -108,7 +108,7 @@ func TestUnknownBenchmarkIsError(t *testing.T) {
 	if _, err := Table1(opts); err == nil {
 		t.Fatal("unknown benchmarks did not error")
 	} else {
-		for _, name := range []string{"ghostscrpt", "prl"} {
+		for _, name := range []string{`"ghostscrpt"`, `"prl"`} {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("error %q does not name unknown benchmark %q", err, name)
 			}

@@ -37,14 +37,14 @@ func SameInput(opts Options) (*SameInputResult, error) {
 	same.Test = same.Train
 	// Always exact: this aside reproduces three paper numbers, so it never
 	// routes through the sampled estimator.
-	b, err := prepare(&same, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
+	b, err := prepare(&same, opts.Cache, opts.Telemetry.Shard(), nil)
 	if err != nil {
 		return nil, err
 	}
 	sh := opts.Telemetry.Shard()
 	layouts := make([]*program.Layout, len(figure5Algs))
 	for i, alg := range figure5Algs {
-		if layouts[i], err = buildLayout(alg, b, opts.Cache, nil, sh, opts.Check); err != nil {
+		if layouts[i], err = buildLayout(alg, b, opts.Cache, nil, sh); err != nil {
 			return nil, err
 		}
 	}

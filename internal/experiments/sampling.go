@@ -117,7 +117,7 @@ func Sampling(opts Options) (*SamplingResult, error) {
 		func(st *figure5State, i int) error {
 			bi, ai := i/len(figure5Algs), i%len(figure5Algs)
 			b, alg := benches[bi], figure5Algs[ai]
-			layout, err := buildLayout(alg, b, opts.Cache, nil, st.sh, opts.Check)
+			layout, err := buildLayout(alg, b, opts.Cache, nil, st.sh)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
 			}

@@ -46,7 +46,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
 		sh := opts.Telemetry.Shard()
-		b, err := prepare(pair, opts.Cache, sh, opts.Check, nil)
+		b, err := prepare(pair, opts.Cache, sh, nil)
 		if err != nil {
 			return err
 		}
@@ -62,7 +62,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 		}
 
 		defLayout := defaultLayoutOf(prog)
-		if err := checkPacked(opts.Check, pair.Bench.Name+"/setassoc-default", prog, defLayout); err != nil {
+		if err := checkPacked(pair.Bench.Name+"/setassoc-default", prog, defLayout); err != nil {
 			return err
 		}
 
@@ -70,7 +70,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(opts.Check, pair.Bench.Name+"/setassoc-direct", prog, dmLayout, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(pair.Bench.Name+"/setassoc-direct", prog, dmLayout, b.pop, opts.Cache); err != nil {
 			return err
 		}
 
@@ -80,7 +80,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 		}
 		// The Section 6 placement aligns popular procedures to set
 		// boundaries: the period is the set count, not the line count.
-		if err := checkLayout(opts.Check, pair.Bench.Name+"/setassoc-2way", prog, asLayout, invariant.LayoutOptions{
+		if err := checkLayout(pair.Bench.Name+"/setassoc-2way", prog, asLayout, invariant.LayoutOptions{
 			Cache: assocCfg, Popular: b.pop, Period: assocCfg.NumSets(),
 			RequireAlignedPopular: true,
 		}); err != nil {

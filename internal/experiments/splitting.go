@@ -40,7 +40,7 @@ func Splitting(opts Options) (*SplittingResult, error) {
 	rows := make([]SplittingRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
 		if err != nil {
 			return err
 		}
@@ -51,7 +51,7 @@ func Splitting(opts Options) (*SplittingResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(opts.Check, row.Name+"/splitting-plain", prog, plain, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(row.Name+"/splitting-plain", prog, plain, b.pop, opts.Cache); err != nil {
 			return err
 		}
 		if row.GBSC, _, err = cache.RunCompiledClassified(opts.Cache, b.ctTest, plain); err != nil {
@@ -89,7 +89,7 @@ func Splitting(opts Options) (*SplittingResult, error) {
 		}
 		// Checked against the transformed program: splitting must conserve
 		// the split program's bytes, not the original's.
-		if err := checkLayout(opts.Check, row.Name+"/splitting-split", sp.Prog, slayout, invariant.LayoutOptions{
+		if err := checkLayout(row.Name+"/splitting-split", sp.Prog, slayout, invariant.LayoutOptions{
 			Cache: opts.Cache, Popular: spop, Chunker: sres.Chunker,
 			RequireAlignedPopular: true,
 		}); err != nil {

@@ -48,7 +48,7 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 	err = forEach(opts.parallelism(), len(cells), func(i int) error {
 		sh := opts.Telemetry.Shard()
 		pair, cfg := pairs[i/len(geometries)], geometries[i%len(geometries)]
-		b, err := prepare(pair, cfg, sh, opts.Check, nil)
+		b, err := prepare(pair, cfg, sh, nil)
 		if err != nil {
 			return err
 		}
@@ -56,14 +56,14 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 		cell := SweepCell{Name: pair.Bench.Name, Cache: cfg}
 
 		def := program.DefaultLayout(prog)
-		if err := checkPacked(opts.Check, cell.Name+"/sweep-default", prog, def); err != nil {
+		if err := checkPacked(cell.Name+"/sweep-default", prog, def); err != nil {
 			return err
 		}
 		phl, err := baseline.PHLayout(prog, b.wcgFull)
 		if err != nil {
 			return err
 		}
-		if err := checkPacked(opts.Check, cell.Name+"/sweep-ph", prog, phl); err != nil {
+		if err := checkPacked(cell.Name+"/sweep-ph", prog, phl); err != nil {
 			return err
 		}
 		// GBSC trained against the direct-mapped view of the geometry
@@ -76,7 +76,7 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(opts.Check, cell.Name+"/sweep-gbsc", prog, gl, b.pop, dm); err != nil {
+		if err := checkAligned(cell.Name+"/sweep-gbsc", prog, gl, b.pop, dm); err != nil {
 			return err
 		}
 		// The cell's three candidates score one after another through one

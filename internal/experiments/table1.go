@@ -46,13 +46,13 @@ func Table1(opts Options) (*Table1Result, error) {
 	rows := make([]Table1Row, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), opts.Check, nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
 		if err != nil {
 			return err
 		}
 		prog := pair.Bench.Prog
 		def := program.DefaultLayout(prog)
-		if err := checkPacked(opts.Check, pair.Bench.Name+"/table1-default", prog, def); err != nil {
+		if err := checkPacked(pair.Bench.Name+"/table1-default", prog, def); err != nil {
 			return err
 		}
 		mr, err := cache.MissRateCompiled(opts.Cache, b.ctTest, def)

@@ -97,13 +97,9 @@ func (g *Graph) notifyEdge(u, v NodeID, w int64) {
 	g.sel.push(Edge{U: u, V: v, W: w})
 }
 
-// buildSelector snapshots every current edge into a fresh heap. A rebuild
-// (selector compaction) carries the effort counters forward.
+// buildSelector snapshots every current edge into a fresh heap.
 func (g *Graph) buildSelector() {
 	s := &edgeSelector{entries: make([]Edge, 0, g.NumEdges())}
-	if g.sel != nil {
-		s.pops, s.stale = g.sel.pops, g.sel.stale
-	}
 	for u, m := range g.adj {
 		for v, w := range m {
 			if u < v {
@@ -113,18 +109,6 @@ func (g *Graph) buildSelector() {
 	}
 	s.heapify()
 	g.sel = s
-}
-
-// PrimeSelector builds the heaviest-edge selector eagerly (it is otherwise
-// built by the first HeaviestEdge call), and compacts it when lazily
-// invalidated entries have piled up well past the live edge count. Priming
-// a long-lived graph makes every later Snapshot carry a ready, lean heap —
-// the incremental engine primes its base checkpoint so each verification
-// replay clones the heap instead of rebuilding it from the adjacency maps.
-func (g *Graph) PrimeSelector() {
-	if ne := g.NumEdges(); g.sel == nil || len(g.sel.entries) > 2*ne+16 {
-		g.buildSelector()
-	}
 }
 
 // SelectorStats returns the cumulative effort counters of the indexed

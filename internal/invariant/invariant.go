@@ -3,8 +3,8 @@
 // independent of the algorithms that produced them. The paper's evaluation
 // only means anything if every layout is well formed — no overlapping
 // procedures, no dropped chunks, conserved text size — so the experiment
-// drivers run these checks as an always-on post-pass, and the CLIs expose
-// them behind -check=fatal|warn.
+// drivers, cmd/layout and cmd/cachesim run these checks as an always-on
+// post-pass, and any violation fails the run (Error).
 //
 // The checks deliberately re-derive everything from first principles rather
 // than trusting the constructors: a subtle GBSC merge bug should surface

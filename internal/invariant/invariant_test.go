@@ -194,7 +194,7 @@ func TestCheckLayoutProgramMismatch(t *testing.T) {
 	}
 }
 
-func TestErrorAndEnforce(t *testing.T) {
+func TestError(t *testing.T) {
 	if err := Error("ctx", nil); err != nil {
 		t.Fatalf("Error with no violations = %v, want nil", err)
 	}
@@ -206,44 +206,11 @@ func TestErrorAndEnforce(t *testing.T) {
 	if err == nil {
 		t.Fatal("Error = nil, want error")
 	}
-	for _, want := range []string{"figure5/perl", "2 violation(s)", RuleOverlap, RuleGap, "a and b overlap"} {
+	// The error names its context and spells out every violation.
+	for _, want := range []string{"figure5/perl", "2 violation(s)", RuleOverlap, "a and b overlap", RuleGap, "hole at 10"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
-	}
-
-	// Fatal: error. Warn: logged, nil. Off: silent, nil.
-	if err := Enforce(ModeFatal, "ctx", vs, nil); err == nil {
-		t.Error("Enforce(fatal) = nil, want error")
-	}
-	var logged []string
-	logf := func(format string, args ...any) { logged = append(logged, format) }
-	if err := Enforce(ModeWarn, "ctx", vs, logf); err != nil {
-		t.Errorf("Enforce(warn) = %v, want nil", err)
-	}
-	if len(logged) != len(vs) {
-		t.Errorf("warn logged %d lines, want %d", len(logged), len(vs))
-	}
-	if err := Enforce(ModeOff, "ctx", vs, logf); err != nil {
-		t.Errorf("Enforce(off) = %v, want nil", err)
-	}
-	if err := Enforce(ModeFatal, "ctx", nil, nil); err != nil {
-		t.Errorf("Enforce(fatal, clean) = %v, want nil", err)
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"fatal": ModeFatal, "warn": ModeWarn, "off": ModeOff} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v, nil", s, got, err, want)
-		}
-		if got.String() != s {
-			t.Errorf("Mode.String() = %q, want %q", got.String(), s)
-		}
-	}
-	if _, err := ParseMode("loud"); err == nil {
-		t.Error("ParseMode(loud) succeeded, want error")
 	}
 }
 

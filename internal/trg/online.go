@@ -137,8 +137,7 @@ func (b *Builder) Events() int64 { return b.events }
 // Result returns a snapshot of the graphs built so far. Each call builds
 // fresh graphs from the interleaving counts, in O(E) for the E edges
 // counted so far, so a snapshot is independent of the builder and of
-// every other snapshot: later Observe calls do not change it, and two
-// snapshots can be diffed (Diff) to get the drift between them.
+// every other snapshot: later Observe calls do not change it.
 func (b *Builder) Result() *Result {
 	res := &Result{
 		Select:  b.sel.graph(),

@@ -17,7 +17,6 @@ var nodetermScope = []string{
 	"repro/internal/experiments",
 	"repro/internal/cache",
 	"repro/internal/sample",
-	"repro/internal/incr",
 	"repro/internal/optimal",
 	"repro/internal/telemetry",
 }
