@@ -100,19 +100,6 @@ func BenchmarkAblations(b *testing.B) {
 
 // --- Sampled evaluation (internal/sample) ---------------------------------
 
-// BenchmarkSampledFigure5 regenerates the Figure 5 grid through the
-// phase-aware sampled estimator instead of exact replay; compared against
-// BenchmarkFigure5 it is the sampled-speedup headline of BENCH_sample.json.
-func BenchmarkSampledFigure5(b *testing.B) {
-	opts := benchOpts("m88ksim")
-	opts.Sample = true
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSamplePlan times window-plan construction — the signature scan
 // plus k-means phase clustering — on the perl training trace. The plan is
 // built once per (benchmark, trace) and amortized across every layout.
@@ -158,7 +145,7 @@ func BenchmarkExactMissRate(b *testing.B) {
 }
 
 // BenchmarkSampledMissRate times one sampled estimate on the same fixture —
-// the per-layout unit of work the sampled Figure 5 grid repeats per run.
+// the per-layout unit of work the sampling study repeats per cell.
 func BenchmarkSampledMissRate(b *testing.B) {
 	_, ev, layout, _ := sampleEvalFixture(b)
 	bs := cache.MustNewBatchSim(cache.PaperConfig)

@@ -1,39 +1,24 @@
 // Command benchdiff compares two run reports produced by the -stats flag
 // of cmd/experiments (or cmd/cachesim, cmd/tracegen) and exits nonzero on
-// drift: any miss-rate change beyond -miss-tol, any deterministic counter
-// or histogram change beyond -counter-tol, and — only when -timing-tol is
-// set — any timer whose total regressed by more than that fraction.
+// drift: any miss-rate, deterministic counter or histogram that differs at
+// all, or a benchmark or miss-rate cell present in only one report. The
+// pipelines are deterministic, so the comparison is exact; timers and
+// allocation statistics depend on the machine and are never compared.
 //
 // This is the artifact gate the CI pipeline runs between a baseline report
 // and a candidate report:
 //
-//	benchdiff BENCH_main.json BENCH_pr.json
-//	benchdiff -timing-tol 0.25 BENCH_main.json BENCH_pr.json
+//	benchdiff run-report.json run-report-serial.json
+//	benchdiff -v BENCH_main.json BENCH_pr.json   # also print notes
 //
-// -within-ci compares a sampled run against an exact one: each miss-rate
-// cell may differ by the confidence half-width recorded under its
-// "<alg>/ci" key (cells without one fall back to -miss-tol), and the
-// counter/histogram/timer sections are skipped — sampling legitimately
-// replays different amounts of work. This is the CI gate asserting every
-// sampled estimate honors its own error bound:
-//
-//	benchdiff -within-ci run-report.json run-report-sampled.json
-//
-// -allow-new-keys tolerates additive evolution: benchmarks and miss-rate
-// cells present only in the new report become informational notes instead
-// of drift, so a PR that adds an experiment passes against the old
-// baseline. Keys present in the old report but missing from the new one
-// still drift — coverage must never silently shrink:
-//
-//	benchdiff -allow-new-keys BENCH_main.json BENCH_pr.json
-//
-// Exit status: 0 no drift, 1 drift, 2 usage or I/O error.
+// Exit status: 0 no drift (or -h), 1 drift, 2 usage or I/O error.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -47,8 +32,11 @@ var errDrift = errors.New("reports drifted")
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchdiff: ")
-	if err := run(); err != nil {
-		if errors.Is(err, errDrift) {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		switch {
+		case errors.Is(err, flag.ErrHelp):
+			os.Exit(0)
+		case errors.Is(err, errDrift):
 			os.Exit(1)
 		}
 		log.Print(err)
@@ -56,55 +44,48 @@ func main() {
 	}
 }
 
-func run() error {
-	missTol := flag.Float64("miss-tol", 0, "absolute miss-rate drift tolerated per benchmark/algorithm cell (0 = exact)")
-	counterTol := flag.Float64("counter-tol", 0, "relative counter/histogram drift tolerated (0 = exact)")
-	timingTol := flag.Float64("timing-tol", 0, "fractional timing regression tolerated; 0 disables timing comparison (timings are machine-dependent)")
-	withinCI := flag.Bool("within-ci", false, "tolerate each miss-rate cell's recorded <alg>/ci confidence half-width and skip counters/histograms/timers (sampled-vs-exact gate)")
-	allowNewKeys := flag.Bool("allow-new-keys", false, "tolerate benchmarks and miss-rate cells present only in the new report (additive evolution); keys missing from the new report still drift")
-	verbose := flag.Bool("v", false, "also print informational notes, not just drift")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchdiff [flags] old.json new.json\n")
-		flag.PrintDefaults()
+// run parses args, compares the two named reports and prints every drift
+// finding to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	verbose := fs.Bool("v", false, "also print informational notes, not just drift")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: benchdiff [flags] old.json new.json\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
 		return errors.New("expected exactly two report files")
 	}
 
-	oldRep, err := readReport(flag.Arg(0))
+	oldRep, err := readReport(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	newRep, err := readReport(flag.Arg(1))
+	newRep, err := readReport(fs.Arg(1))
 	if err != nil {
 		return err
 	}
 
-	findings := report.Diff(oldRep, newRep, report.DiffOptions{
-		MissRateTol:  *missTol,
-		CounterTol:   *counterTol,
-		TimingTol:    *timingTol,
-		WithinCI:     *withinCI,
-		AllowNewKeys: *allowNewKeys,
-	})
 	// Every drift finding is printed before the verdict: one run names all
 	// drifting keys and aspects, rather than surfacing them one at a time.
 	drift := 0
-	for _, f := range findings {
+	for _, f := range report.Diff(oldRep, newRep) {
 		if f.Drift {
 			drift++
-			fmt.Println(f)
-		} else if *verbose {
-			fmt.Println(f)
+		}
+		if f.Drift || *verbose {
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if drift > 0 {
-		fmt.Printf("benchdiff: %d drift finding(s) between %s and %s\n", drift, flag.Arg(0), flag.Arg(1))
+		fmt.Fprintf(stdout, "benchdiff: %d drift finding(s) between %s and %s\n", drift, fs.Arg(0), fs.Arg(1))
 		return errDrift
 	}
-	fmt.Printf("benchdiff: no drift between %s and %s\n", flag.Arg(0), flag.Arg(1))
+	fmt.Fprintf(stdout, "benchdiff: no drift between %s and %s\n", fs.Arg(0), fs.Arg(1))
 	return nil
 }
 

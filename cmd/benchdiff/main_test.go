@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/telemetry/report"
 )
 
@@ -27,44 +30,93 @@ func writeReport(t *testing.T, dir, name string, r *report.Report) string {
 	return path
 }
 
-// runMain invokes run() with a fresh flag set, as the command line would.
-func runMain(t *testing.T, args ...string) error {
-	t.Helper()
-	oldArgs, oldFlags := os.Args, flag.CommandLine
-	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
-	flag.CommandLine = flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	os.Args = append([]string{"benchdiff"}, args...)
-	return run()
+// baseReport is a small experiments report with one miss rate, one
+// counter and one timer.
+func baseReport() *report.Report {
+	r := report.New("experiments")
+	r.AddMissRate("perl", "GBSC", 0.0123)
+	r.Counters = map[string]int64{"cache/misses": 123}
+	r.Timers = map[string]telemetry.TimerStats{"prepare/wall": {Count: 1, TotalNS: 1e9, MaxNS: 1e9}}
+	return r
 }
 
-func TestAllowNewKeysFlag(t *testing.T) {
-	dir := t.TempDir()
-	base := report.New("experiments")
-	base.AddMissRate("perl", "GBSC", 0.0123)
-	cand := report.New("experiments")
-	cand.AddMissRate("perl", "GBSC", 0.0123)
-	cand.AddMissRate("vortex", "GBSC", 0.02) // additive: new benchmark
-	oldPath := writeReport(t, dir, "old.json", base)
-	newPath := writeReport(t, dir, "new.json", cand)
+// benchdiff runs the command on args and returns what it printed.
+func benchdiff(args ...string) (string, error) {
+	var out bytes.Buffer
+	err := run(args, &out)
+	return out.String(), err
+}
 
-	if err := runMain(t, oldPath, newPath); !errors.Is(err, errDrift) {
-		t.Errorf("added benchmark without -allow-new-keys: err = %v, want drift", err)
+// The comparison is exact: identical reports pass, any changed miss rate
+// or counter drifts, and timers are never compared.
+func TestExactComparison(t *testing.T) {
+	dir := t.TempDir()
+	base := writeReport(t, dir, "base.json", baseReport())
+
+	out, err := benchdiff(base, writeReport(t, dir, "same.json", baseReport()))
+	if err != nil || !strings.Contains(out, "no drift") {
+		t.Errorf("identical reports: err = %v, output %q, want no drift", err, out)
 	}
-	if err := runMain(t, "-allow-new-keys", oldPath, newPath); err != nil {
-		t.Errorf("added benchmark with -allow-new-keys: err = %v, want nil", err)
+
+	slow := baseReport()
+	slow.Timers["prepare/wall"] = telemetry.TimerStats{Count: 1, TotalNS: 100e9, MaxNS: 100e9}
+	out, err = benchdiff(base, writeReport(t, dir, "slow.json", slow))
+	if err != nil || !strings.Contains(out, "no drift") {
+		t.Errorf("100x slower timer: err = %v, output %q, want no drift", err, out)
 	}
-	// Shrinking coverage still drifts: swap old and new so the vortex
-	// section is missing from the candidate.
-	if err := runMain(t, "-allow-new-keys", newPath, oldPath); !errors.Is(err, errDrift) {
-		t.Errorf("removed benchmark with -allow-new-keys: err = %v, want drift", err)
+
+	missRate := baseReport()
+	missRate.AddMissRate("perl", "GBSC", 0.0124)
+	counter := baseReport()
+	counter.Counters["cache/misses"]++
+	for _, tc := range []struct {
+		name string
+		rep  *report.Report
+		key  string
+	}{
+		{"miss rate", missRate, "missrate perl/GBSC"},
+		{"counter", counter, "counter cache/misses"},
+	} {
+		out, err := benchdiff(base, writeReport(t, dir, tc.name+".json", tc.rep))
+		if !errors.Is(err, errDrift) {
+			t.Errorf("changed %s: err = %v, want drift", tc.name, err)
+		}
+		if !strings.Contains(out, "DRIFT "+tc.key) {
+			t.Errorf("changed %s: output %q does not name %s", tc.name, out, tc.key)
+		}
 	}
 }
 
 func TestUsageErrors(t *testing.T) {
-	if err := runMain(t, "only-one.json"); err == nil || errors.Is(err, errDrift) {
-		t.Errorf("one argument: err = %v, want usage error", err)
+	dir := t.TempDir()
+	a := writeReport(t, dir, "a.json", baseReport())
+	b := writeReport(t, dir, "b.json", baseReport())
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"one argument", []string{"only-one.json"}, "two report files"},
+		{"missing files", []string{"missing-a.json", "missing-b.json"}, "missing-a.json"},
+		{"removed within-ci flag", []string{"-within-ci", a, b}, "flag provided but not defined"},
+		{"removed miss-tol flag", []string{"-miss-tol", "0.01", a, b}, "flag provided but not defined"},
+		{"removed counter-tol flag", []string{"-counter-tol", "0.01", a, b}, "flag provided but not defined"},
+		{"removed timing-tol flag", []string{"-timing-tol", "0.25", a, b}, "flag provided but not defined"},
+		{"removed allow-new-keys flag", []string{"-allow-new-keys", a, b}, "flag provided but not defined"},
+	} {
+		out, err := benchdiff(tc.args...)
+		if err == nil || errors.Is(err, errDrift) || errors.Is(err, flag.ErrHelp) {
+			t.Errorf("%s: err = %v, want usage or I/O error", tc.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%s: printed %q", tc.name, out)
+		}
 	}
-	if err := runMain(t, "missing-a.json", "missing-b.json"); err == nil || errors.Is(err, errDrift) {
-		t.Errorf("missing files: err = %v, want I/O error", err)
+	if _, err := benchdiff("-h"); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: err = %v, want flag.ErrHelp", err)
 	}
 }

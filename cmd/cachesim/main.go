@@ -16,12 +16,6 @@
 // a run with that layout alone. Layouts are labelled by file name without
 // extension ("default" for an empty entry), so two layouts whose names
 // would share a label are rejected.
-//
-// -sample replaces the exact replay with the phase-aware sampled estimator
-// (internal/sample): one window plan is built from the trace and each
-// layout is scored by replaying only the representative windows, printing
-// the estimate with its confidence interval. With -stats the estimate is
-// recorded under the usual label plus a "<label>/ci" half-width key.
 package main
 
 import (
@@ -39,7 +33,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/invariant"
 	"repro/internal/program"
-	"repro/internal/sample"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/report"
 	"repro/internal/trace"
@@ -70,9 +63,6 @@ func run(args []string, stdout io.Writer) error {
 	statsPath := fs.String("stats", "", "write a JSON run report to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
-	sampleFlag := fs.Bool("sample", false, "estimate miss rates from sampled trace windows instead of exact replay (incompatible with -classify)")
-	sampleWindows := fs.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
-	sampleInterval := fs.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -80,16 +70,8 @@ func run(args []string, stdout io.Writer) error {
 	if *progPath == "" || *tracePath == "" {
 		return fmt.Errorf("-prog and -trace are required")
 	}
-	switch {
-	case *top < 0:
+	if *top < 0 {
 		return fmt.Errorf("-top must not be negative, got %d", *top)
-	case *sampleWindows < 0:
-		return fmt.Errorf("-sample-windows must not be negative, got %d", *sampleWindows)
-	case *sampleInterval < 0:
-		return fmt.Errorf("-sample-interval must not be negative, got %d", *sampleInterval)
-	}
-	if *sampleFlag && *classify {
-		return fmt.Errorf("-sample cannot classify misses; drop one of the flags")
 	}
 	cfg := cache.Config{SizeBytes: *cacheBytes, LineBytes: *lineBytes, Assoc: *assoc}
 	if err := cfg.Validate(); err != nil {
@@ -198,7 +180,6 @@ func run(args []string, stdout io.Writer) error {
 		rep.Params["cache"] = strconv.Itoa(*cacheBytes)
 		rep.Params["line"] = strconv.Itoa(*lineBytes)
 		rep.Params["assoc"] = strconv.Itoa(*assoc)
-		rep.Params["sample"] = strconv.FormatBool(*sampleFlag)
 		defer func() {
 			rep.AddSnapshot(reg.Snapshot())
 			rep.CaptureAlloc()
@@ -262,70 +243,32 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	var ev *sample.Evaluator
-	if *sampleFlag {
-		plan, err := sample.NewPlan(prog, tr, cfg.LineBytes, sample.Options{
-			Windows:  *sampleWindows,
-			Interval: *sampleInterval,
-		})
-		if err != nil {
-			return err
-		}
-		ev = sample.NewEvaluator(ct, plan)
-		fmt.Fprintf(stdout, "sampling: %d of %d windows (interval %d events, warm-up %d), replaying %.1f%% of events\n",
-			len(plan.Windows), plan.Partitions, plan.Interval, plan.Warmup, 100*plan.ReplayFraction())
-	}
 	// Layouts score one after another through one simulator, each walking
-	// the compiled trace (or every sampled window).
+	// the compiled trace.
 	bs, err := cache.NewBatchSim(cfg)
 	if err != nil {
 		return err
 	}
-	var stats []cache.Stats
-	var ests []sample.Estimate
 	start := time.Now()
-	if ev != nil {
-		if ests, err = ev.MissRateBatch(bs, layouts); err != nil {
+	tables := make([]*cache.CompiledLayout, len(layouts))
+	for k, layout := range layouts {
+		if tables[k], err = cache.CompileLayout(cfg, ct, layout); err != nil {
 			return err
 		}
-	} else {
-		tables := make([]*cache.CompiledLayout, len(layouts))
-		for k, layout := range layouts {
-			if tables[k], err = cache.CompileLayout(cfg, ct, layout); err != nil {
-				return err
-			}
-		}
-		res, err := bs.Run(ct, tables, cache.BatchOptions{})
-		if err != nil {
-			return err
-		}
-		stats = res.Stats
+	}
+	res, err := bs.Run(ct, tables, cache.BatchOptions{})
+	if err != nil {
+		return err
 	}
 	sh.AddDuration("cachesim/sim_wall", time.Since(start))
 	d := bs.Batch()
-	sh.Add("cache/batch_lanes", int64(len(layouts)))
+	sh.Add("cache/batch_lanes", d.Lanes)
 	sh.Add("cache/batch_abandoned_lanes", d.AbandonedLanes)
 	sh.Add("cache/batch_lane_events", d.LaneEvents)
 	sh.Add("cache/batch_lane_events_saved", d.LaneEventsSaved)
 
-	for i := range layouts {
+	for i, st := range res.Stats {
 		section(i)
-		if ev != nil {
-			est := ests[i]
-			lo, hi := est.Interval()
-			fmt.Fprintf(stdout, "refs sampled: %d (events replayed %d)\n", est.RefsReplayed, est.EventsReplayed)
-			fmt.Fprintf(stdout, "miss rate:    %.4f%% ±%.4f%% [%.4f%%, %.4f%%]\n",
-				100*est.MissRate, 100*est.CIHalf, 100*lo, 100*hi)
-			sh.Add("sample/windows", int64(est.Windows))
-			sh.Add("sample/events_replayed", est.EventsReplayed)
-			sh.Add("sample/refs_replayed", est.RefsReplayed)
-			if rep != nil {
-				rep.AddMissRate(bench, label(i), est.MissRate)
-				rep.AddMissRate(bench, label(i)+"/ci", est.CIHalf)
-			}
-			continue
-		}
-		st := stats[i]
 		fmt.Fprintf(stdout, "refs:      %d\n", st.Refs)
 		fmt.Fprintf(stdout, "misses:    %d (cold %d, conflict+capacity %d)\n", st.Misses, st.Cold, st.Conflict())
 		fmt.Fprintf(stdout, "miss rate: %.4f%%\n", 100*st.MissRate())

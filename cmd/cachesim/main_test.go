@@ -82,8 +82,8 @@ func cachesim(t *testing.T, args ...string) (out string, err error) {
 	return "", run(args, &buf)
 }
 
-// splitHeader splits one run's output into the run header (geometry and
-// sampling plan) and the per-layout figures, which start at "refs".
+// splitHeader splits one run's output into the run header (the cache
+// geometry) and the per-layout figures, which start at "refs".
 func splitHeader(t *testing.T, out string) (header, body string) {
 	t.Helper()
 	i := strings.Index(out, "\nrefs")
@@ -94,11 +94,10 @@ func splitHeader(t *testing.T, out string) (header, body string) {
 }
 
 // A multi-layout run scores its layouts in one batch, so each section
-// must equal the run with that layout alone — exact direct-mapped, LRU,
-// and sampled.
+// must equal the run with that layout alone — direct-mapped and LRU.
 func TestMultiLayoutMatchesSingleRuns(t *testing.T) {
 	f := newFixture(t)
-	for _, mode := range [][]string{nil, {"-assoc", "2"}, {"-sample"}} {
+	for _, mode := range [][]string{nil, {"-assoc", "2"}} {
 		args := append([]string{"-prog", f.prog, "-trace", f.trace}, mode...)
 		var header string
 		var want strings.Builder
@@ -210,15 +209,15 @@ func TestBadInputReturnsError(t *testing.T) {
 	}{
 		{"truncated trace", []string{"-prog", f.prog, "-trace", truncated}, nil},
 		{"layout of another program", append(base, "-layout", foreign), []string{"unknown procedure"}},
-		{"sample with classify", append(base, "-sample", "-classify"), []string{"-sample"}},
 		{"invalid geometry", append(base, "-line", "0"), []string{"non-positive"}},
 		{"duplicate label", append(base, "-layout", dupA+","+dupB), []string{dupA, dupB, `"gbsc"`}},
 		{"removed batch flag", append(base, "-batch", "1"), []string{"flag provided but not defined"}},
 		{"removed static-bounds flag", append(base, "-static-bounds"), []string{"flag provided but not defined"}},
 		{"removed check flag", append(base, "-check", "fatal"), []string{"flag provided but not defined"}},
 		{"negative top", append(base, "-classify", "-top", "-1"), []string{"-top"}},
-		{"negative sample windows", append(base, "-sample", "-sample-windows", "-3"), []string{"-sample-windows"}},
-		{"negative sample interval", append(base, "-sample", "-sample-interval", "-5"), []string{"-sample-interval"}},
+		{"removed sample flag", append(base, "-sample"), []string{"flag provided but not defined: -sample"}},
+		{"removed sample-windows flag", append(base, "-sample-windows", "12"), []string{"flag provided but not defined: -sample-windows"}},
+		{"removed sample-interval flag", append(base, "-sample-interval", "64"), []string{"flag provided but not defined: -sample-interval"}},
 	} {
 		out, err := cachesim(t, tc.args...)
 		if err == nil {

@@ -5,7 +5,7 @@
 //
 //	experiments -run all
 //	experiments -run table1,figure5 -scale 1.0 -runs 40
-//	experiments -run figure6 -csv fig6.csv
+//	experiments -run figure6 -csv fig6.csv   # or -run figure5: its CDF points
 //	experiments -run all -parallel 1   # serial; output identical to parallel
 //	experiments -run all -stats report.json -cpuprofile cpu.pprof
 //
@@ -13,15 +13,10 @@
 // figure6, padding, sameinput, setassoc, ablations, pagelocal, conflicts,
 // splitting, sweep, optimality, blockreorder, headroom, sampling. A -run
 // name outside this list (or "all"), or a -bench name outside the suite,
-// fails the run before anything is printed or written.
-//
-// -sample switches the Figure 5 grid from exact compiled replay to the
-// phase-aware sampled estimator (internal/sample); every reported miss
-// rate becomes an estimate whose confidence half-width lands in the run
-// report under the "<alg>/ci" key, and cmd/benchdiff -within-ci gates a
-// sampled report against an exact one cell by cell. The sampling
-// experiment itself always measures both paths and is unaffected by the
-// flag.
+// fails the run before anything is printed or written. So does -csv when
+// both figure5 and figure6 are selected: each writes its own CSV schema.
+// Every miss rate comes from exact compiled replay; the sampling
+// experiment measures the sampled estimator against it.
 //
 // With -stats, the run emits a versioned JSON run report (see
 // internal/telemetry/report) holding per-benchmark miss rates, pipeline
@@ -65,14 +60,11 @@ func run(args []string, stdout io.Writer) error {
 	runs := fs.Int("runs", 40, "perturbed runs per algorithm (figure 5, must be positive)")
 	seed := fs.Int64("seed", 1, "randomization seed")
 	benches := fs.String("bench", "", "comma-separated benchmark filter (default all six)")
-	csvPath := fs.String("csv", "", "also write figure 6 points as CSV to this path")
+	csvPath := fs.String("csv", "", "also write the CSV points of figure 5 or figure 6, whichever is selected, to this path")
 	parallel := fs.Int("parallel", 0, "experiment worker count (0 = one per CPU, 1 = serial); output is identical at every setting")
 	statsPath := fs.String("stats", "", "write a JSON run report to this path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
-	sampleFlag := fs.Bool("sample", false, "score figure 5 layouts with the phase-aware sampled estimator instead of exact replay; estimates carry <alg>/ci half-widths in the run report")
-	sampleWindows := fs.Int("sample-windows", 0, "sampled windows per trace (0 = default 12)")
-	sampleInterval := fs.Int("sample-interval", 0, "sampled window length in events (0 = derive from trace length)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,21 +74,17 @@ func run(args []string, stdout io.Writer) error {
 	if !(*scale > 0) {
 		return fmt.Errorf("-scale must be positive, got %g", *scale)
 	}
-	// Options.Runs reads 0 as the paper's 40; a run count the user typed
-	// must be taken literally or rejected.
+	// Options.Runs reads 0 as the paper's 40 and Options.Parallel reads a
+	// negative count as serial; a value the user typed must be taken
+	// literally or rejected.
 	switch {
 	case *runs < 1:
 		return fmt.Errorf("-runs must be positive, got %d", *runs)
-	case *sampleWindows < 0:
-		return fmt.Errorf("-sample-windows must not be negative, got %d", *sampleWindows)
-	case *sampleInterval < 0:
-		return fmt.Errorf("-sample-interval must not be negative, got %d", *sampleInterval)
+	case *parallel < 0:
+		return fmt.Errorf("-parallel must not be negative, got %d", *parallel)
 	}
 
-	opts := experiments.Options{
-		Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel,
-		Sample: *sampleFlag, SampleWindows: *sampleWindows, SampleInterval: *sampleInterval,
-	}
+	opts := experiments.Options{Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel}
 	if *benches != "" {
 		for _, name := range strings.Split(*benches, ",") {
 			opts.Benchmarks = append(opts.Benchmarks, strings.TrimSpace(name))
@@ -115,7 +103,6 @@ func run(args []string, stdout io.Writer) error {
 		rep.Params["seed"] = strconv.FormatInt(*seed, 10)
 		rep.Params["bench"] = *benches
 		rep.Params["parallel"] = strconv.Itoa(*parallel)
-		rep.Params["sample"] = strconv.FormatBool(*sampleFlag)
 	}
 
 	// render adapts the common "result with a Render method" experiment
@@ -218,6 +205,11 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-run: unknown experiments %s (valid: %s)", strings.Join(unknown, ", "), strings.Join(names, ", "))
 	}
 	all := want["all"]
+	// figure5 and figure6 would each overwrite -csv with its own schema,
+	// leaving only the later one's points.
+	if *csvPath != "" && (all || want["figure5"] && want["figure6"]) {
+		return fmt.Errorf("-csv: figure5 and figure6 write different CSV schemas to one path; select only one of them")
+	}
 	// Likewise every -bench entry must name a suite benchmark, including
 	// for the single-benchmark steps (padding, sameinput).
 	if err := opts.CheckBenchmarks(); err != nil {

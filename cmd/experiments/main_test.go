@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// Suite generation reads a non-positive scale as full scale and
-// Options.Runs reads 0 as 40, so -scale and -runs must be positive; like
-// a negative sampling override, an unknown -run or -bench name or a
-// removed flag, a bad value fails before any experiment runs or any file
-// is written. Each case's arguments follow the default -run and -bench, so
+// Suite generation reads a non-positive scale as full scale, Options.Runs
+// reads 0 as 40 and Options.Parallel reads a negative count as serial, so
+// -scale and -runs must be positive and -parallel not negative; like an
+// unknown -run or -bench name, a removed flag or a -csv that figure5 and
+// figure6 would both write, a bad value fails before any experiment runs
+// or any file is written. Each case's arguments follow the default -run and -bench, so
 // its own wins. An unknown name is quoted, and no valid name is reported.
 func TestBadFlagsReturnError(t *testing.T) {
 	dir := t.TempDir()
@@ -27,8 +28,12 @@ func TestBadFlagsReturnError(t *testing.T) {
 		{"zero runs", []string{"-runs", "0"}, "-runs"},
 		{"negative runs", []string{"-runs", "-1"}, "-runs"},
 		{"runs below -1", []string{"-runs", "-2"}, "-runs"},
-		{"negative sample windows", []string{"-sample", "-sample-windows", "-1"}, "-sample-windows"},
-		{"negative sample interval", []string{"-sample", "-sample-interval", "-5"}, "-sample-interval"},
+		{"negative parallel", []string{"-parallel", "-4"}, "-parallel"},
+		{"csv for figure5 and figure6", []string{"-run", "figure5,figure6"}, "figure5 and figure6"},
+		{"csv for all", []string{"-run", "all"}, "figure5 and figure6"},
+		{"removed sample flag", []string{"-sample"}, "flag provided but not defined: -sample"},
+		{"removed sample-windows flag", []string{"-sample-windows", "12"}, "flag provided but not defined: -sample-windows"},
+		{"removed sample-interval flag", []string{"-sample-interval", "64"}, "flag provided but not defined: -sample-interval"},
 		{"removed shards flag", []string{"-shards", "4"}, "flag provided but not defined"},
 		{"removed check flag", []string{"-check", "fatal"}, "flag provided but not defined"},
 		{"unknown experiment", []string{"-run", "table1,bogus"}, "bogus"},

@@ -38,7 +38,7 @@ func Conflicts(opts Options) (*ConflictsResult, error) {
 	rows := make([]ConflictRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/popular"
 	"repro/internal/program"
-	"repro/internal/sample"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -50,20 +49,6 @@ type Options struct {
 	// identical at any Parallel setting; only wall-clock timers vary. Nil
 	// disables instrumentation at zero cost.
 	Telemetry *telemetry.Registry
-	// Sample switches the replay-bound grids (Figure 5) from exact
-	// compiled replay of the testing trace to the phase-aware sampled
-	// estimator of internal/sample: each layout is scored by replaying
-	// only the plan's representative windows, and every reported miss
-	// rate becomes an estimate carrying a confidence half-width (recorded
-	// under the "<alg>/ci" report key). The exact simulators remain the
-	// source of truth — CI compares a sampled run against the exact run
-	// and fails if any estimate strays outside its own interval.
-	Sample bool
-	// SampleWindows and SampleInterval override the sampler's window
-	// count and window length in events; 0 keeps the sample package
-	// defaults (12 windows, trace/256-event intervals).
-	SampleWindows  int
-	SampleInterval int
 }
 
 func (o *Options) setDefaults() {
@@ -78,19 +63,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-}
-
-// sampleOptions resolves the sampling configuration, or nil when the run
-// is exact.
-func (o *Options) sampleOptions() *sample.Options {
-	if !o.Sample {
-		return nil
-	}
-	return &sample.Options{
-		Windows:  o.SampleWindows,
-		Interval: o.SampleInterval,
-		Seed:     o.Seed,
 	}
 }
 
@@ -137,7 +109,7 @@ func (o *Options) prepareSuite(cfg cache.Config, par int) (pairs []*tracegen.Pai
 	err = runParallel(par, len(pairs),
 		func() *telemetry.Shard { return o.Telemetry.Shard() },
 		func(sh *telemetry.Shard, i int) error {
-			b, err := prepare(pairs[i], cfg, sh, o.sampleOptions())
+			b, err := prepare(pairs[i], cfg, sh)
 			if err != nil {
 				return err
 			}
@@ -168,11 +140,6 @@ type bench struct {
 	wcgPop  *graph.Graph
 	// trgRes holds TRG_select and TRG_place built from the training trace.
 	trgRes *trg.Result
-	// evalTest, when sampling is enabled, holds the testing trace's
-	// representative windows precompiled for replay. Like the compiled
-	// traces it is layout-independent, so one evaluator serves every
-	// candidate layout of the benchmark.
-	evalTest *sample.Evaluator
 }
 
 // prepare generates traces and builds graphs for one benchmark, recording
@@ -180,7 +147,7 @@ type bench struct {
 // histogram is a deterministic function of the benchmark, so shard merges
 // agree at any worker count. The freshly built TRGs are verified before
 // any placement consumes them.
-func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, smp *sample.Options) (*bench, error) {
+func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard) (*bench, error) {
 	stopPrep := sh.Time("prepare/wall")
 	defer stopPrep()
 	b := &bench{pair: pair}
@@ -215,64 +182,38 @@ func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard, smp *sa
 	sh.Add("trg/place_edges", int64(res.Place.NumEdges()))
 	sh.AddHistogram("trg/q_procs", bs.QLenHist[:], bs.QLenSum, bs.QSteps)
 	sh.Observe("trg/q_max_procs", int64(bs.MaxQLen))
-	if smp != nil {
-		plan, err := sample.NewPlan(pair.Bench.Prog, b.test, cfg.LineBytes, *smp)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: sampling plan for %s: %w", pair.Bench.Name, err)
-		}
-		b.evalTest = sample.NewEvaluator(b.ctTest, plan)
-		sh.Add("sample/windows", int64(len(plan.Windows)))
-		sh.Add("sample/planned_events", plan.EventsReplayed())
-	}
 	return b, nil
 }
 
-// scoreLayouts scores layouts on b's testing trace under cfg, one after
-// another through one compiled simulator: the sampled estimate when b was
-// prepared with an evaluator (ci holds the confidence half-widths), exact
-// compiled replay otherwise (ci stays zero). It records the cache/* or
-// sample/* and batch counters into sh (nil-safe).
-func scoreLayouts(cfg cache.Config, b *bench, layouts []*program.Layout, sh *telemetry.Shard) (mr, ci []float64, err error) {
+// scoreLayouts scores layouts on b's testing trace under cfg by exact
+// compiled replay, one after another through one compiled simulator, and
+// returns their miss rates. It records the cache/* and batch counters into
+// sh (nil-safe).
+func scoreLayouts(cfg cache.Config, b *bench, layouts []*program.Layout, sh *telemetry.Shard) ([]float64, error) {
 	bs, err := cache.NewBatchSim(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	mr = make([]float64, len(layouts))
-	ci = make([]float64, len(layouts))
-	if b.evalTest != nil {
-		ests, err := b.evalTest.MissRateBatch(bs, layouts)
-		if err != nil {
-			return nil, nil, err
-		}
-		for k, est := range ests {
-			sh.Add("sample/events_replayed", est.EventsReplayed)
-			sh.Add("sample/refs_replayed", est.RefsReplayed)
-			mr[k], ci[k] = est.MissRate, est.CIHalf
-		}
-	} else {
-		tables := make([]*cache.CompiledLayout, len(layouts))
-		for k, layout := range layouts {
-			if tables[k], err = cache.CompileLayout(cfg, b.ctTest, layout); err != nil {
-				return nil, nil, err
-			}
-		}
-		res, err := bs.Run(b.ctTest, tables, cache.BatchOptions{})
-		if err != nil {
-			return nil, nil, err
-		}
-		for k, st := range res.Stats {
-			sh.Add("cache/refs", st.Refs)
-			sh.Add("cache/misses", st.Misses)
-			sh.Add("cache/cold_misses", st.Cold)
-			sh.Add("cache/conflict_misses", st.Conflict())
-			mr[k] = st.MissRate()
+	tables := make([]*cache.CompiledLayout, len(layouts))
+	for k, layout := range layouts {
+		if tables[k], err = cache.CompileLayout(cfg, b.ctTest, layout); err != nil {
+			return nil, err
 		}
 	}
-	// Windowed replays do not count lanes the way Run does.
-	d := bs.Batch()
-	d.Lanes = int64(len(layouts))
-	addBatch(sh, d)
-	return mr, ci, nil
+	res, err := bs.Run(b.ctTest, tables, cache.BatchOptions{})
+	if err != nil {
+		return nil, err
+	}
+	mr := make([]float64, len(layouts))
+	for k, st := range res.Stats {
+		sh.Add("cache/refs", st.Refs)
+		sh.Add("cache/misses", st.Misses)
+		sh.Add("cache/cold_misses", st.Cold)
+		sh.Add("cache/conflict_misses", st.Conflict())
+		mr[k] = st.MissRate()
+	}
+	addBatch(sh, bs.Batch())
+	return mr, nil
 }
 
 // addBatch records the compiled replay engine's work counters for one or

@@ -38,17 +38,12 @@ type Figure5Bench struct {
 	// Unperturbed[alg] is the miss rate of the placement computed from the
 	// unmodified profile.
 	Unperturbed map[AlgorithmName]float64
-	// CIHalf[alg] is the confidence half-width of the unperturbed miss
-	// rate on sampled runs (Options.Sample); nil on exact runs, where the
-	// rates carry no estimation error.
-	CIHalf map[AlgorithmName]float64
 }
 
 // Figure5Result aggregates all panels.
 type Figure5Result struct {
 	Runs    int
 	Scale   float64
-	Sampled bool
 	Benches []Figure5Bench
 }
 
@@ -62,10 +57,10 @@ var figure5Algs = []AlgorithmName{AlgPH, AlgHKC, AlgGBSC}
 // The grid runs in two phases sharded across Options.Parallel workers.
 // Phase one places every benchmark × algorithm × run cell; every cell
 // derives its RNG from (Seed, run) alone. Phase two scores each
-// (benchmark, algorithm) panel's layouts through shared walks of the
-// testing trace — exact replay or the sampled window plan. Results land in
-// index-addressed slots, so the result — and the rendered output — is
-// byte-identical to the serial run regardless of scheduling.
+// (benchmark, algorithm) panel's layouts by exact compiled replay of the
+// testing trace. Results land in index-addressed slots, so the result —
+// and the rendered output — is byte-identical to the serial run
+// regardless of scheduling.
 func Figure5(opts Options) (*Figure5Result, error) {
 	opts.setDefaults()
 	if opts.Runs < 0 {
@@ -117,12 +112,10 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		return nil, err
 	}
 
-	// rates and ciHalf mirror layouts: [bi][ai][run+1].
+	// rates mirrors layouts: [bi][ai][run+1].
 	rates := make([][][]float64, len(pairs))
-	ciHalf := make([][][]float64, len(pairs))
 	for bi := range pairs {
 		rates[bi] = make([][]float64, len(figure5Algs))
-		ciHalf[bi] = make([][]float64, len(figure5Algs))
 	}
 	err = runParallel(par, len(pairs)*len(figure5Algs),
 		func() *telemetry.Shard { return opts.Telemetry.Shard() },
@@ -130,32 +123,26 @@ func Figure5(opts Options) (*Figure5Result, error) {
 			bi, ai := j/len(figure5Algs), j%len(figure5Algs)
 			stop := sh.Time("figure5/score_wall")
 			defer stop()
-			mr, ci, err := scoreLayouts(opts.Cache, benches[bi], layouts[bi][ai], sh)
+			mr, err := scoreLayouts(opts.Cache, benches[bi], layouts[bi][ai], sh)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, figure5Algs[ai], err)
 			}
-			rates[bi][ai], ciHalf[bi][ai] = mr, ci
+			rates[bi][ai] = mr
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	out := &Figure5Result{Runs: opts.Runs, Scale: opts.Scale, Sampled: opts.Sample}
+	out := &Figure5Result{Runs: opts.Runs, Scale: opts.Scale}
 	for bi, pair := range pairs {
 		fb := Figure5Bench{
 			Name:        pair.Bench.Name,
 			Sorted:      map[AlgorithmName][]float64{},
 			Unperturbed: map[AlgorithmName]float64{},
 		}
-		if opts.Sample {
-			fb.CIHalf = map[AlgorithmName]float64{}
-		}
 		for ai, alg := range figure5Algs {
 			fb.Unperturbed[alg] = rates[bi][ai][0]
-			if opts.Sample {
-				fb.CIHalf[alg] = ciHalf[bi][ai][0]
-			}
 			sorted := rates[bi][ai][1:]
 			sort.Float64s(sorted)
 			fb.Sorted[alg] = sorted
@@ -163,14 +150,6 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		out.Benches = append(out.Benches, fb)
 	}
 	return out, nil
-}
-
-// figure5State is one worker's scratch in the per-cell driver of the
-// sampling study: a reusable cache simulator plus a telemetry shard (nil
-// when telemetry is off).
-type figure5State struct {
-	sim *cache.Sim
-	sh  *telemetry.Shard
 }
 
 // buildLayout computes a placement with optionally perturbed profile data
@@ -235,11 +214,7 @@ func buildLayout(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, 
 // quantiles for each algorithm.
 func (r *Figure5Result) Render(w io.Writer) error {
 	for _, fb := range r.Benches {
-		mode := ""
-		if r.Sampled {
-			mode = ", sampled"
-		}
-		fmt.Fprintf(w, "== %s (%d perturbed runs, s=%.2f%s) ==\n", fb.Name, r.Runs, perturb.DefaultScale, mode)
+		fmt.Fprintf(w, "== %s (%d perturbed runs, s=%.2f) ==\n", fb.Name, r.Runs, perturb.DefaultScale)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "alg\tMR (no random)\tmin\tp25\tmedian\tp75\tmax")
 		for _, alg := range []AlgorithmName{AlgPH, AlgHKC, AlgGBSC} {
@@ -248,12 +223,8 @@ func (r *Figure5Result) Render(w io.Writer) error {
 				idx := int(f * float64(len(s)-1))
 				return s[idx]
 			}
-			mr := pct(fb.Unperturbed[alg])
-			if fb.CIHalf != nil {
-				mr += "±" + pct(fb.CIHalf[alg])
-			}
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-				alg, mr,
+				alg, pct(fb.Unperturbed[alg]),
 				pct(s[0]), pct(q(0.25)), pct(q(0.5)), pct(q(0.75)), pct(s[len(s)-1]))
 		}
 		if err := tw.Flush(); err != nil {

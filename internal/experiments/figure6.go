@@ -52,7 +52,7 @@ func Figure6(opts Options) (*Figure6Result, error) {
 	if pair == nil {
 		return nil, fmt.Errorf("experiments: go benchmark missing from suite")
 	}
-	b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
+	b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
 	if err != nil {
 		return nil, err
 	}

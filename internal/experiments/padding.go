@@ -34,7 +34,7 @@ func Padding(opts Options) (*PaddingResult, error) {
 		pair = pairs[0]
 	}
 	sh := opts.Telemetry.Shard()
-	b, err := prepare(pair, opts.Cache, sh, nil)
+	b, err := prepare(pair, opts.Cache, sh)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func Padding(opts Options) (*PaddingResult, error) {
 		return nil, err
 	}
 	// Both variants score in one walk of the testing trace.
-	mrs, _, err := scoreLayouts(opts.Cache, b, []*program.Layout{layout, padded}, sh)
+	mrs, err := scoreLayouts(opts.Cache, b, []*program.Layout{layout, padded}, sh)
 	if err != nil {
 		return nil, err
 	}

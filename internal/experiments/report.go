@@ -29,13 +29,6 @@ func Record(rep *report.Report, result any) {
 			sort.Strings(algs)
 			for _, alg := range algs {
 				rep.AddMissRate(fb.Name, alg, fb.Unperturbed[AlgorithmName(alg)])
-				if fb.CIHalf != nil {
-					// Sampled runs publish each estimate's confidence
-					// half-width next to it; benchdiff -within-ci reads the
-					// "<alg>/ci" key as that cell's tolerance against the
-					// exact report.
-					rep.AddMissRate(fb.Name, alg+"/ci", fb.CIHalf[AlgorithmName(alg)])
-				}
 			}
 		}
 	}

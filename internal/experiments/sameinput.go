@@ -35,9 +35,7 @@ func SameInput(opts Options) (*SameInputResult, error) {
 	// Train and test on the same input.
 	same := *pair
 	same.Test = same.Train
-	// Always exact: this aside reproduces three paper numbers, so it never
-	// routes through the sampled estimator.
-	b, err := prepare(&same, opts.Cache, opts.Telemetry.Shard(), nil)
+	b, err := prepare(&same, opts.Cache, opts.Telemetry.Shard())
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +46,7 @@ func SameInput(opts Options) (*SameInputResult, error) {
 			return nil, err
 		}
 	}
-	mrs, _, err := scoreLayouts(opts.Cache, b, layouts, sh)
+	mrs, err := scoreLayouts(opts.Cache, b, layouts, sh)
 	if err != nil {
 		return nil, err
 	}

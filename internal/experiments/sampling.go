@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/program"
 	"repro/internal/sample"
+	"repro/internal/telemetry"
 )
 
 // SamplingCell is one (benchmark, algorithm) comparison of the sampled
@@ -29,11 +30,9 @@ func (c SamplingCell) AbsErr() float64 { return math.Abs(c.Est.MissRate - c.Exac
 // algorithm, the exact miss rate, the sampled estimate with its confidence
 // interval, and the replayed-event reduction buying the speedup.
 //
-// The driver always computes both sides regardless of Options.Sample, so
-// its output is identical in exact and sampled runs; it deliberately
-// records nothing into the run report (the benchdiff gate compares the
-// Figure 5 cells instead). Render emits no wall-clock values — the
-// serial/parallel byte-identity gate covers this output too.
+// Record copies no miss rates out of it: the run report's miss-rate cells
+// are the exact experiments' alone. Render emits no wall-clock values —
+// the serial/parallel byte-identity gate covers this output too.
 type SamplingResult struct {
 	Scale float64
 	Cells []SamplingCell
@@ -87,17 +86,24 @@ func (r *SamplingResult) ReplayFraction() float64 {
 	return float64(r.ReplayedEvents) / float64(r.TotalEvents)
 }
 
+// figure5State is one worker's scratch in the per-cell driver of the
+// sampling study: a reusable cache simulator plus a telemetry shard (nil
+// when telemetry is off).
+type figure5State struct {
+	sim *cache.Sim
+	sh  *telemetry.Shard
+}
+
 // Sampling measures the sampled estimator against the exact oracle on the
-// real benchmark suite: the suite is prepared with sampling forced on, and
-// each (benchmark, algorithm) layout is scored both ways. The grid is
-// sharded across Options.Parallel workers with index-addressed cells, so
-// the result is byte-identical at every worker count.
+// real benchmark suite: each testing trace gets one window plan, and each
+// (benchmark, algorithm) layout is scored both ways. The grid is sharded
+// across Options.Parallel workers with index-addressed cells, so the
+// result is byte-identical at every worker count.
 func Sampling(opts Options) (*SamplingResult, error) {
 	opts.setDefaults()
 	if err := opts.Cache.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Sample = true
 	par := opts.parallelism()
 	pairs, benches, err := opts.prepareSuite(opts.Cache, par)
 	if err != nil {
@@ -105,8 +111,18 @@ func Sampling(opts Options) (*SamplingResult, error) {
 	}
 
 	out := &SamplingResult{Scale: opts.Scale, Cells: make([]SamplingCell, len(pairs)*len(figure5Algs))}
-	for _, b := range benches {
-		plan := b.evalTest.Plan()
+	// A plan is layout-independent, so one evaluator serves all of a
+	// benchmark's layouts.
+	evals := make([]*sample.Evaluator, len(benches))
+	sh := opts.Telemetry.Shard()
+	for i, b := range benches {
+		plan, err := sample.NewPlan(b.pair.Bench.Prog, b.test, opts.Cache.LineBytes, sample.Options{Seed: opts.Seed})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: sampling plan for %s: %w", b.pair.Bench.Name, err)
+		}
+		evals[i] = sample.NewEvaluator(b.ctTest, plan)
+		sh.Add("sample/windows", int64(len(plan.Windows)))
+		sh.Add("sample/planned_events", plan.EventsReplayed())
 		out.TotalEvents += int64(plan.TotalEvents)
 		out.ReplayedEvents += plan.EventsReplayed()
 	}
@@ -122,7 +138,7 @@ func Sampling(opts Options) (*SamplingResult, error) {
 				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
 			}
 			exact := st.sim.RunCompiled(b.ctTest, layout).MissRate()
-			ests, err := b.evalTest.MissRateBatch(cache.MustNewBatchSim(opts.Cache), []*program.Layout{layout})
+			ests, err := evals[bi].MissRateBatch(cache.MustNewBatchSim(opts.Cache), []*program.Layout{layout})
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
 			}

@@ -46,7 +46,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
 		sh := opts.Telemetry.Shard()
-		b, err := prepare(pair, opts.Cache, sh, nil)
+		b, err := prepare(pair, opts.Cache, sh)
 		if err != nil {
 			return err
 		}
@@ -89,7 +89,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 
 		// All three candidates score in one walk of the testing trace on
 		// the 2-way geometry (the batched LRU lanes).
-		mrs, _, err := scoreLayouts(assocCfg, b, []*program.Layout{defLayout, dmLayout, asLayout}, sh)
+		mrs, err := scoreLayouts(assocCfg, b, []*program.Layout{defLayout, dmLayout, asLayout}, sh)
 		if err != nil {
 			return err
 		}

@@ -40,7 +40,7 @@ func Splitting(opts Options) (*SplittingResult, error) {
 	rows := make([]SplittingRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
 		if err != nil {
 			return err
 		}

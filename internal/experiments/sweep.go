@@ -48,7 +48,7 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 	err = forEach(opts.parallelism(), len(cells), func(i int) error {
 		sh := opts.Telemetry.Shard()
 		pair, cfg := pairs[i/len(geometries)], geometries[i%len(geometries)]
-		b, err := prepare(pair, cfg, sh, nil)
+		b, err := prepare(pair, cfg, sh)
 		if err != nil {
 			return err
 		}
@@ -81,7 +81,7 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 		}
 		// The cell's three candidates score one after another through one
 		// compiled simulator (the 2-way geometries take the LRU walk).
-		rates, _, err := scoreLayouts(cfg, b, []*program.Layout{def, phl, gl}, sh)
+		rates, err := scoreLayouts(cfg, b, []*program.Layout{def, phl, gl}, sh)
 		if err != nil {
 			return err
 		}

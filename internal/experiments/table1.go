@@ -46,7 +46,7 @@ func Table1(opts Options) (*Table1Result, error) {
 	rows := make([]Table1Row, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard(), nil)
+		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
 		if err != nil {
 			return err
 		}

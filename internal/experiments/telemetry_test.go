@@ -55,14 +55,14 @@ func TestTelemetryParallelDeterminism(t *testing.T) {
 		}
 	}
 
-	// Reports built from the two runs must pass the default benchdiff
-	// gate (timings excluded).
+	// Reports built from the two runs must pass the benchdiff gate, which
+	// never compares timers.
 	mk := func(s *telemetry.Snapshot) *report.Report {
 		r := report.New("experiments")
 		r.AddSnapshot(s)
 		return r
 	}
-	if fs := report.Diff(mk(serial), mk(par), report.DiffOptions{}); report.HasDrift(fs) {
+	if fs := report.Diff(mk(serial), mk(par)); report.HasDrift(fs) {
 		t.Errorf("serial and parallel reports drift: %v", fs)
 	}
 }

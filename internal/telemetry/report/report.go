@@ -6,18 +6,16 @@
 // per-algorithm miss rates; pipeline counters; histograms) from
 // environment-dependent ones (wall/CPU timers, allocation stats). Two
 // reports produced by the same commit at different -parallel settings must
-// agree exactly on the deterministic sections; timers and allocations are
-// compared only when a tolerance is explicitly supplied.
+// agree exactly on the deterministic sections, and Diff compares nothing
+// else: timers and allocations are never compared.
 package report
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sort"
-	"strings"
 
 	"repro/internal/telemetry"
 )
@@ -146,45 +144,11 @@ func Read(rd io.Reader) (*Report, error) {
 	return &r, nil
 }
 
-// DiffOptions tunes report comparison.
-type DiffOptions struct {
-	// MissRateTol is the absolute miss-rate difference tolerated per
-	// (benchmark, algorithm) cell. 0 means exact: deterministic pipelines
-	// reproduce bit-identical rates.
-	MissRateTol float64
-	// CounterTol is the relative difference tolerated per counter and per
-	// histogram aggregate (|a-b| <= CounterTol * max(|a|,|b|)). 0 means
-	// exact.
-	CounterTol float64
-	// TimingTol, when positive, flags any timer whose new total exceeds
-	// the old total by more than this fraction (0.25 = +25%). Zero or
-	// negative disables timing comparison entirely, which is the right
-	// setting when the two reports come from different worker counts or
-	// machines.
-	TimingTol float64
-	// WithinCI compares a sampled report against an exact one: each
-	// (benchmark, algorithm) cell is allowed to differ by the confidence
-	// half-width its own report carries under the "<alg>/ci" key (falling
-	// back to MissRateTol for cells without one, e.g. the exact table1
-	// rows), the "/ci" keys themselves are never compared, and counters,
-	// histograms and timers are skipped entirely — a sampled run
-	// legitimately replays a different amount of work.
-	WithinCI bool
-	// AllowNewKeys downgrades benchmarks and miss-rate cells present only
-	// in the new report from drift to informational notes — the gate for
-	// comparing a baseline against a candidate that legitimately added
-	// measurements (a new experiment, a new algorithm column). Keys
-	// present only in the old report still drift: a candidate silently
-	// dropping a measurement is exactly what the presence check exists to
-	// catch.
-	AllowNewKeys bool
-}
-
 // Finding is one comparison result. Drift findings are gate failures;
 // the rest are informational notes.
 type Finding struct {
 	Drift  bool
-	Kind   string // "schema", "missrate", "counter", "histogram", "timer"
+	Kind   string // "schema", "missrate", "counter", "histogram"
 	Key    string
 	Detail string
 }
@@ -209,23 +173,22 @@ func HasDrift(fs []Finding) bool {
 
 // Diff compares two reports and returns deterministic, sorted findings.
 // old is the baseline (e.g. the previous commit's artifact), new the
-// candidate.
-func Diff(old, new *Report, o DiffOptions) []Finding {
+// candidate. Miss rates, counters and histograms must agree exactly: the
+// pipelines are deterministic, so any difference is drift. Timers and
+// allocation statistics are never compared.
+func Diff(old, new *Report) []Finding {
 	var fs []Finding
 	if old.Version != new.Version {
 		fs = append(fs, Finding{Drift: false, Kind: "schema", Key: "version",
 			Detail: fmt.Sprintf("%d vs %d", old.Version, new.Version)})
 	}
-	fs = append(fs, diffMissRates(old, new, o)...)
-	if !o.WithinCI {
-		fs = append(fs, diffCounters(old.Counters, new.Counters, o)...)
-		fs = append(fs, diffHistograms(old.Histograms, new.Histograms, o)...)
-		fs = append(fs, diffTimers(old.Timers, new.Timers, o)...)
-	}
+	fs = append(fs, diffMissRates(old, new)...)
+	fs = append(fs, diffCounters(old.Counters, new.Counters)...)
+	fs = append(fs, diffHistograms(old.Histograms, new.Histograms)...)
 	return fs
 }
 
-func diffMissRates(old, new *Report, o DiffOptions) []Finding {
+func diffMissRates(old, new *Report) []Finding {
 	oldB := map[string]Benchmark{}
 	for _, b := range old.Benchmarks {
 		oldB[b.Name] = b
@@ -239,44 +202,29 @@ func diffMissRates(old, new *Report, o DiffOptions) []Finding {
 		ob, inOld := oldB[name]
 		nb, inNew := newB[name]
 		if !inOld || !inNew {
-			fs = append(fs, Finding{Drift: !(o.AllowNewKeys && inNew), Kind: "schema", Key: "benchmark/" + name,
+			fs = append(fs, Finding{Drift: true, Kind: "schema", Key: "benchmark/" + name,
 				Detail: presence(inOld, inNew)})
 			continue
 		}
 		for _, alg := range sortedKeys(ob.MissRates, nb.MissRates) {
-			if o.WithinCI && strings.HasSuffix(alg, "/ci") {
-				continue // a bound, not a measurement
-			}
 			omr, inO := ob.MissRates[alg]
 			nmr, inN := nb.MissRates[alg]
 			key := name + "/" + alg
 			if !inO || !inN {
-				fs = append(fs, Finding{Drift: !(o.AllowNewKeys && inN), Kind: "missrate", Key: key,
+				fs = append(fs, Finding{Drift: true, Kind: "missrate", Key: key,
 					Detail: presence(inO, inN)})
 				continue
 			}
-			tol := o.MissRateTol
-			if o.WithinCI {
-				// Either side may be the sampled report; take the widest
-				// interval on offer for the cell.
-				if ci, ok := ob.MissRates[alg+"/ci"]; ok && ci > tol {
-					tol = ci
-				}
-				if ci, ok := nb.MissRates[alg+"/ci"]; ok && ci > tol {
-					tol = ci
-				}
-			}
-			if d := math.Abs(omr - nmr); d > tol {
+			if omr != nmr {
 				fs = append(fs, Finding{Drift: true, Kind: "missrate", Key: key,
-					Detail: fmt.Sprintf("%.6f%% -> %.6f%% (|Δ| %.6f%% > tol %.6f%%)",
-						100*omr, 100*nmr, 100*d, 100*tol)})
+					Detail: fmt.Sprintf("%.6f%% -> %.6f%%", 100*omr, 100*nmr)})
 			}
 		}
 	}
 	return fs
 }
 
-func diffCounters(old, new map[string]int64, o DiffOptions) []Finding {
+func diffCounters(old, new map[string]int64) []Finding {
 	var fs []Finding
 	for _, name := range sortedKeys(old, new) {
 		ov, inO := old[name]
@@ -286,7 +234,7 @@ func diffCounters(old, new map[string]int64, o DiffOptions) []Finding {
 				Detail: presence(inO, inN)})
 			continue
 		}
-		if !withinRel(float64(ov), float64(nv), o.CounterTol) {
+		if ov != nv {
 			fs = append(fs, Finding{Drift: true, Kind: "counter", Key: name,
 				Detail: fmt.Sprintf("%d -> %d", ov, nv)})
 		}
@@ -294,7 +242,7 @@ func diffCounters(old, new map[string]int64, o DiffOptions) []Finding {
 	return fs
 }
 
-func diffHistograms(old, new map[string]telemetry.HistogramStats, o DiffOptions) []Finding {
+func diffHistograms(old, new map[string]telemetry.HistogramStats) []Finding {
 	var fs []Finding
 	for _, name := range sortedKeys(old, new) {
 		oh, inO := old[name]
@@ -308,51 +256,20 @@ func diffHistograms(old, new map[string]telemetry.HistogramStats, o DiffOptions)
 		// sum, and buckets all drifted yields three findings, so the gate
 		// output names every discrepancy in one pass instead of revealing
 		// them one fix at a time.
-		if !withinRel(float64(oh.Count), float64(nh.Count), o.CounterTol) {
+		if oh.Count != nh.Count {
 			fs = append(fs, Finding{Drift: true, Kind: "histogram", Key: name,
 				Detail: fmt.Sprintf("count %d -> %d", oh.Count, nh.Count)})
 		}
-		if !withinRel(float64(oh.Sum), float64(nh.Sum), o.CounterTol) {
+		if oh.Sum != nh.Sum {
 			fs = append(fs, Finding{Drift: true, Kind: "histogram", Key: name,
 				Detail: fmt.Sprintf("sum %d -> %d", oh.Sum, nh.Sum)})
 		}
-		if o.CounterTol == 0 && !equalBuckets(oh.Buckets, nh.Buckets) {
+		if !equalBuckets(oh.Buckets, nh.Buckets) {
 			fs = append(fs, Finding{Drift: true, Kind: "histogram", Key: name,
 				Detail: "bucket counts differ"})
 		}
 	}
 	return fs
-}
-
-func diffTimers(old, new map[string]telemetry.TimerStats, o DiffOptions) []Finding {
-	if o.TimingTol <= 0 {
-		return nil
-	}
-	var fs []Finding
-	for _, name := range sortedKeys(old, new) {
-		ot, inO := old[name]
-		nt, inN := new[name]
-		if !inO || !inN {
-			continue // timers come and go with instrumented code paths
-		}
-		if ot.TotalNS > 0 && float64(nt.TotalNS) > float64(ot.TotalNS)*(1+o.TimingTol) {
-			fs = append(fs, Finding{Drift: true, Kind: "timer", Key: name,
-				Detail: fmt.Sprintf("total %.3fs -> %.3fs (+%.1f%% > +%.1f%% allowed)",
-					ot.TotalSeconds(), nt.TotalSeconds(),
-					100*(float64(nt.TotalNS)/float64(ot.TotalNS)-1), 100*o.TimingTol)})
-		}
-	}
-	return fs
-}
-
-// withinRel reports whether a and b agree within relative tolerance tol
-// (tol 0 = exact equality).
-func withinRel(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*scale
 }
 
 func equalBuckets(a, b []int64) bool {
