@@ -60,10 +60,11 @@ bench:
 # package) and committed so the perf trajectory is tracked per change. One
 # run writes all three files on one machine: BENCH_gbsc.json holds the
 # Section 4.4 merge-loop benchmarks plus the selector/scorer
-# micro-benchmarks and the trace-replay engine benchmarks. Override
+# micro-benchmarks, the HKC baseline and the trace-replay engine
+# benchmarks. Override
 # BENCHTIME (e.g. BENCHTIME=1x in CI) to trade precision for speed.
 BENCHTIME ?= 1s
-GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace)$$
+GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkHKCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace)$$
 
 # TRG ingest throughput (BENCH_trg.json): the one TRG builder in
 # events/sec on the paper-scale vortex training trace.

@@ -29,6 +29,10 @@ import (
 // which exits 1; every other error is a usage or I/O failure and exits 2.
 var errDrift = errors.New("reports drifted")
 
+// errUsage marks a flag-parse error. The FlagSet has already printed it
+// with the usage, so main exits without printing it again.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchdiff: ")
@@ -38,6 +42,8 @@ func main() {
 			os.Exit(0)
 		case errors.Is(err, errDrift):
 			os.Exit(1)
+		case errors.Is(err, errUsage):
+			os.Exit(2)
 		}
 		log.Print(err)
 		os.Exit(2)
@@ -54,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	if fs.NArg() != 2 {
 		fs.Usage()

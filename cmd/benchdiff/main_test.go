@@ -112,6 +112,9 @@ func TestUsageErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+		if parse := strings.Contains(tc.want, "not defined"); errors.Is(err, errUsage) != parse {
+			t.Errorf("%s: error %q marked as a flag-parse error: %v, want %v", tc.name, err, !parse, parse)
+		}
 		if out != "" {
 			t.Errorf("%s: printed %q", tc.name, out)
 		}

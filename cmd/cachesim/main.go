@@ -38,12 +38,19 @@ import (
 	"repro/internal/trace"
 )
 
+// errUsage marks a flag-parse error. The FlagSet has already printed it
+// with the usage, so main exits without printing it again.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cachesim: ")
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
+		switch {
+		case errors.Is(err, flag.ErrHelp):
 			os.Exit(0)
+		case errors.Is(err, errUsage):
+			os.Exit(1)
 		}
 		log.Fatal(err)
 	}
@@ -64,7 +71,7 @@ func run(args []string, stdout io.Writer) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 
 	if *progPath == "" || *tracePath == "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -228,6 +229,9 @@ func TestBadInputReturnsError(t *testing.T) {
 			if !strings.Contains(err.Error(), w) {
 				t.Errorf("%s: error %q does not mention %q", tc.name, err, w)
 			}
+		}
+		if parse := strings.Contains(tc.name, "flag"); errors.Is(err, errUsage) != parse {
+			t.Errorf("%s: error %q marked as a flag-parse error: %v, want %v", tc.name, err, !parse, parse)
 		}
 		if out != "" {
 			t.Errorf("%s: printed before failing:\n%s", tc.name, out)

@@ -41,12 +41,19 @@ import (
 	"repro/internal/telemetry/report"
 )
 
+// errUsage marks a flag-parse error. The FlagSet has already printed it
+// with the usage, so main exits without printing it again.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
+		switch {
+		case errors.Is(err, flag.ErrHelp):
 			os.Exit(0)
+		case errors.Is(err, errUsage):
+			os.Exit(1)
 		}
 		log.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func run(args []string, stdout io.Writer) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this path")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 	// Suite generation reads a non-positive scale as full scale; reject it
 	// rather than silently running the full-length workload. The negated
@@ -205,15 +212,17 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-run: unknown experiments %s (valid: %s)", strings.Join(unknown, ", "), strings.Join(names, ", "))
 	}
 	all := want["all"]
-	// figure5 and figure6 would each overwrite -csv with its own schema,
-	// leaving only the later one's points.
-	if *csvPath != "" && (all || want["figure5"] && want["figure6"]) {
-		return fmt.Errorf("-csv: figure5 and figure6 write different CSV schemas to one path; select only one of them")
-	}
 	// Likewise every -bench entry must name a suite benchmark, including
 	// for the single-benchmark steps (padding, sameinput).
 	if err := opts.CheckBenchmarks(); err != nil {
 		return fmt.Errorf("-bench: %w", err)
+	}
+
+	// figure5 and figure6 would each overwrite -csv with its own schema,
+	// leaving only the later one's points; without either, nothing writes
+	// it.
+	if fig5, fig6 := all || want["figure5"], all || want["figure6"]; *csvPath != "" && fig5 == fig6 {
+		return fmt.Errorf("-csv: only figure5 and figure6 write CSV points, each in its own schema; select exactly one of them")
 	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)

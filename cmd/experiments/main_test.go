@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,6 +32,7 @@ func TestBadFlagsReturnError(t *testing.T) {
 		{"negative parallel", []string{"-parallel", "-4"}, "-parallel"},
 		{"csv for figure5 and figure6", []string{"-run", "figure5,figure6"}, "figure5 and figure6"},
 		{"csv for all", []string{"-run", "all"}, "figure5 and figure6"},
+		{"csv without figure5 or figure6", []string{"-run", "table1,padding"}, "-csv"},
 		{"removed sample flag", []string{"-sample"}, "flag provided but not defined: -sample"},
 		{"removed sample-windows flag", []string{"-sample-windows", "12"}, "flag provided but not defined: -sample-windows"},
 		{"removed sample-interval flag", []string{"-sample-interval", "64"}, "flag provided but not defined: -sample-interval"},
@@ -50,6 +52,9 @@ func TestBadFlagsReturnError(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		if parse := strings.Contains(tc.want, "not defined"); errors.Is(err, errUsage) != parse {
+			t.Errorf("%s: error %q marked as a flag-parse error: %v, want %v", tc.name, err, !parse, parse)
 		}
 		for _, valid := range []string{"gcc", "perl"} {
 			if strings.Contains(err.Error(), valid) {

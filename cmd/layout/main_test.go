@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -171,6 +172,9 @@ func TestBadInputReturnsError(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		if parse := strings.Contains(tc.want, "not defined"); errors.Is(err, errUsage) != parse {
+			t.Errorf("%s: error %q marked as a flag-parse error: %v, want %v", tc.name, err, !parse, parse)
 		}
 		if got != "" {
 			t.Errorf("%s: printed before failing:\n%s", tc.name, got)

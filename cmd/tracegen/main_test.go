@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -97,6 +98,9 @@ func TestBadFlagsReturnError(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		if parse := strings.Contains(tc.want, "not defined"); errors.Is(err, errUsage) != parse {
+			t.Errorf("%s: error %q marked as a flag-parse error: %v, want %v", tc.name, err, !parse, parse)
 		}
 		if out != "" {
 			t.Errorf("%s: printed before failing:\n%s", tc.name, out)

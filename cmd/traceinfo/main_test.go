@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -113,6 +114,7 @@ func TestBadInputReturnsError(t *testing.T) {
 		{"negative line size", append(base, "-line", "-32"), "-line"},
 		{"zero cache size", append(base, "-cache", "0"), "-cache"},
 		{"negative top", append(base, "-top", "-1"), "-top"},
+		{"undefined flag", append(base, "-bogus"), "flag provided but not defined"},
 	} {
 		out, err := traceinfo(t, tc.args...)
 		if err == nil {
@@ -121,6 +123,9 @@ func TestBadInputReturnsError(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+		if parse := strings.Contains(tc.want, "not defined"); errors.Is(err, errUsage) != parse {
+			t.Errorf("%s: error %q marked as a flag-parse error: %v, want %v", tc.name, err, !parse, parse)
 		}
 		if out != "" {
 			t.Errorf("%s: printed before failing:\n%s", tc.name, out)

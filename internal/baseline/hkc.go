@@ -30,50 +30,46 @@ func HKC(prog *program.Program, g *graph.Graph, pop *popular.Set, cfg cache.Conf
 		pop = popular.All(prog)
 	}
 	period := cfg.NumLines()
-	lb := cfg.LineBytes
+	n := prog.NumProcs()
 
-	// Compound nodes: groups of procedures with absolute cache-line colors.
-	type compound struct {
-		procs []place.Placed // ordered by placement time
+	// Each placed procedure has an absolute first color line[p] and belongs
+	// to the compound comp[p], an index into members (-1 while unplaced).
+	// A compound lists its procedures in placement order; an absorbed
+	// compound's list is nil.
+	size := make([]int, n)
+	line := make([]int, n)
+	comp := make([]int, n)
+	for p := range size {
+		size[p] = prog.SizeLines(program.ProcID(p), cfg.LineBytes)
+		comp[p] = -1
 	}
-	var compounds []*compound
-	compoundOf := make(map[program.ProcID]*compound)
+	var members [][]program.ProcID
 
-	linesOf := func(p program.ProcID) int { return prog.SizeLines(p, lb) }
-
-	// overlap counts cache lines shared by p placed at line ap and q at aq.
-	overlap := func(p program.ProcID, ap int, q program.ProcID, aq int) int64 {
-		return circOverlap(ap, linesOf(p), aq, linesOf(q), period)
-	}
-
-	// conflictCost scores placing proc q at line aq. The primary term is
-	// the weighted overlap with q's placed WCG neighbors ("prevent overlap
-	// between a procedure and any of its immediate neighbors in the call
-	// graph"); the secondary term is the raw line overlap with everything
+	// A slide scores every pad at once: each (mover, placed procedure) pair
+	// is one offset-search term between their colors, a procedure larger
+	// than the cache covering every color once. The primary term is the
+	// weighted overlap with the mover's placed WCG neighbors ("prevent
+	// overlap between a procedure and any of its immediate neighbors in the
+	// call graph"); the secondary term is the raw overlap with everything
 	// already placed in the target compound — HKC packs a compound's
 	// procedures into disjoint colors while empty colors remain, which is
-	// what keeps non-adjacent siblings of a hot caller off each other.
-	conflictCost := func(q program.ProcID, aq int, inCompound *compound, skip *compound) int64 {
-		var neighborCost int64
-		g.Neighbors(graph.NodeID(q), func(v graph.NodeID, w int64) {
-			n := program.ProcID(v)
-			c, ok := compoundOf[n]
-			if !ok || (skip != nil && c != skip) {
-				return
-			}
-			for _, pp := range c.procs {
-				if pp.Proc == n {
-					neighborCost += w * overlap(q, aq, n, pp.Line)
-				}
+	// what keeps non-adjacent siblings of a hot caller off each other. Both
+	// are non-negative, so the first cheapest pad is the first pad of cost
+	// 0 where one exists.
+	offsets := place.NewOffsets(period)
+	// chargeSlide adds the terms of mover q, whose colors start at line at
+	// before the pad, against the procedures of compound in and its
+	// neighbors in compound nbrIn, or in any compound when nbrIn is -1.
+	chargeSlide := func(q program.ProcID, at, in, nbrIn int) {
+		qLen := min(size[q], period)
+		g.ForEachNeighbor(graph.NodeID(q), func(v graph.NodeID, w int64) {
+			if c := comp[v]; c >= 0 && (nbrIn < 0 || c == nbrIn) {
+				offsets.Add(line[v], min(size[v], period), at, qLen, w<<20)
 			}
 		})
-		var spaceCost int64
-		if inCompound != nil {
-			for _, pp := range inCompound.procs {
-				spaceCost += overlap(q, aq, pp.Proc, pp.Line)
-			}
+		for _, f := range members[in] {
+			offsets.Add(line[f], min(size[f], period), at, qLen, 1)
 		}
-		return neighborCost*(1<<20) + spaceCost
 	}
 
 	// Process edges in decreasing weight order.
@@ -90,50 +86,29 @@ func HKC(prog *program.Program, g *graph.Graph, pop *popular.Set, cfg cache.Conf
 
 	for _, e := range edges {
 		p, q := program.ProcID(e.U), program.ProcID(e.V)
-		cp, pOK := compoundOf[p]
-		cq, qOK := compoundOf[q]
+		cp, cq := comp[p], comp[q]
 		switch {
-		case !pOK && !qOK:
+		case cp < 0 && cq < 0:
 			// Neither placed: a fresh compound with the pair adjacent.
-			c := &compound{procs: []place.Placed{
-				{Proc: p, Line: 0},
-				{Proc: q, Line: linesOf(p) % period},
-			}}
-			compounds = append(compounds, c)
-			compoundOf[p] = c
-			compoundOf[q] = c
+			c := len(members)
+			members = append(members, []program.ProcID{p, q})
+			line[p], line[q] = 0, size[p]%period
+			comp[p], comp[q] = c, c
 
-		case pOK != qOK:
+		case cp < 0 || cq < 0:
 			// One placed: place the other right after its edge partner,
 			// sliding forward to the first minimum-conflict color — the
 			// coloring step of HKC.
-			placedC := cp
 			newcomer, partner := q, p
-			if qOK {
-				placedC = cq
+			if cq >= 0 {
 				newcomer, partner = p, q
 			}
-			base := 0
-			for _, pp := range placedC.procs {
-				if pp.Proc == partner {
-					base = pp.Line + linesOf(partner)
-					break
-				}
-			}
-			bestPad, bestCost := 0, int64(-1)
-			for pad := 0; pad < period; pad++ {
-				cost := conflictCost(newcomer, (base+pad)%period, placedC, nil)
-				if bestCost < 0 || cost < bestCost {
-					bestPad, bestCost = pad, cost
-					if cost == 0 {
-						break // first zero-conflict color wins
-					}
-				}
-			}
-			placedC.procs = append(placedC.procs, place.Placed{
-				Proc: newcomer, Line: (base + bestPad) % period,
-			})
-			compoundOf[newcomer] = placedC
+			c := comp[partner]
+			base := line[partner] + size[partner]
+			chargeSlide(newcomer, base, c, -1)
+			line[newcomer] = (base + offsets.Best()) % period
+			comp[newcomer] = c
+			members[c] = append(members[c], newcomer)
 
 		case cp != cq:
 			// Both placed in different compounds: shift cq so the edge
@@ -142,43 +117,17 @@ func HKC(prog *program.Program, g *graph.Graph, pop *popular.Set, cfg cache.Conf
 			// Shifting the whole group realizes HKC's "already mapped
 			// procedures are allowed to move as long as the new location's
 			// cache lines do not conflict with prior decisions".
-			pLine, qLine := 0, 0
-			for _, pp := range cp.procs {
-				if pp.Proc == p {
-					pLine = pp.Line
-				}
+			anchor := line[p] + size[p] - line[q] // q adjacent to p at pad 0
+			for _, m := range members[cq] {
+				chargeSlide(m, line[m]+anchor, cp, cp)
 			}
-			for _, pp := range cq.procs {
-				if pp.Proc == q {
-					qLine = pp.Line
-				}
+			delta := anchor + offsets.Best()
+			for _, m := range members[cq] {
+				line[m] = mod(line[m]+delta, period)
+				comp[m] = cp
 			}
-			anchor := pLine + linesOf(p) - qLine // q adjacent to p at pad 0
-			bestPad, bestCost := 0, int64(-1)
-			for pad := 0; pad < period; pad++ {
-				var cost int64
-				for _, pp := range cq.procs {
-					cost += conflictCost(pp.Proc, mod(pp.Line+anchor+pad, period), cp, cp)
-				}
-				if bestCost < 0 || cost < bestCost {
-					bestPad, bestCost = pad, cost
-					if cost == 0 {
-						break
-					}
-				}
-			}
-			delta := anchor + bestPad
-			for i := range cq.procs {
-				cq.procs[i].Line = mod(cq.procs[i].Line+delta, period)
-				compoundOf[cq.procs[i].Proc] = cp
-			}
-			cp.procs = append(cp.procs, cq.procs...)
-			for i, c := range compounds {
-				if c == cq {
-					compounds = append(compounds[:i], compounds[i+1:]...)
-					break
-				}
-			}
+			members[cp] = append(members[cp], members[cq]...)
+			members[cq] = nil
 
 		default:
 			// Both already in the same compound: the prior decision stands.
@@ -188,12 +137,14 @@ func HKC(prog *program.Program, g *graph.Graph, pop *popular.Set, cfg cache.Conf
 	// Emit compounds in creation order; popular procedures never touched by
 	// an edge, plus all unpopular procedures, fill gaps and the tail.
 	var ordered []place.Placed
-	for _, c := range compounds {
-		ordered = append(ordered, c.procs...)
+	for _, ms := range members {
+		for _, m := range ms {
+			ordered = append(ordered, place.Placed{Proc: m, Line: line[m]})
+		}
 	}
 	filler := append([]program.ProcID(nil), pop.Unpopular(prog)...)
 	for _, p := range pop.IDs {
-		if _, ok := compoundOf[p]; !ok {
+		if comp[p] < 0 {
 			filler = append(filler, p)
 		}
 	}
@@ -206,40 +157,4 @@ func mod(a, n int) int {
 		m += n
 	}
 	return m
-}
-
-// circOverlap returns the number of positions shared by the circular
-// intervals [a, a+la) and [b, b+lb) on a ring of the given period.
-func circOverlap(a, la, b, lb, period int) int64 {
-	if la > period {
-		la = period
-	}
-	if lb > period {
-		lb = period
-	}
-	d := mod(b-a, period)
-	ov := 0
-	// Part of B before the ring wraps, intersected with A = [0, la).
-	end := d + lb
-	if end > period {
-		end = period
-	}
-	if d < la {
-		hi := la
-		if end < hi {
-			hi = end
-		}
-		if hi > d {
-			ov += hi - d
-		}
-	}
-	// Wrapped part of B: [0, d+lb-period), always inside [0, la) up to la.
-	if wrap := d + lb - period; wrap > 0 {
-		hi := wrap
-		if la < hi {
-			hi = la
-		}
-		ov += hi
-	}
-	return int64(ov)
 }

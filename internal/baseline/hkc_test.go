@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/popular"
 	"repro/internal/program"
 	"repro/internal/trace"
+	"repro/internal/tracegen"
 	"repro/internal/wcg"
 )
 
@@ -141,5 +143,83 @@ func TestHKCAlwaysValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+func sameLayout(t *testing.T, ctx string, prog *program.Program, got, want *program.Layout) {
+	t.Helper()
+	for p := 0; p < prog.NumProcs(); p++ {
+		if g, w := got.Addr(program.ProcID(p)), want.Addr(program.ProcID(p)); g != w {
+			t.Fatalf("%s: procedure %d at %d, oracle %d", ctx, p, g, w)
+		}
+	}
+}
+
+// HKC must place exactly as the oracle that scores one pad at a time, on
+// random programs whose procedures range up to twice the cache, with and
+// without a popular subset, across three geometries.
+func TestHKCMatchesOracle(t *testing.T) {
+	geoms := []cache.Config{
+		{SizeBytes: 256, LineBytes: 32, Assoc: 1},
+		{SizeBytes: 512, LineBytes: 64, Assoc: 1},
+		{SizeBytes: 2048, LineBytes: 32, Assoc: 1},
+	}
+	for seed := int64(0); seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(30) + 2
+		maxSize := []int{200, 1000, 4096}[rng.Intn(3)]
+		procs := make([]program.Procedure, n)
+		for i := range procs {
+			procs[i] = program.Procedure{Name: fmt.Sprintf("p%d", i), Size: rng.Intn(maxSize) + 1}
+		}
+		prog := program.MustNew(procs)
+		// A walk that mostly stays among a few recent procedures, so the
+		// call graph has heavy and light edges and compounds merge.
+		tr := &trace.Trace{}
+		cur := 0
+		for i := rng.Intn(400) + 100; i > 0; i-- {
+			if rng.Intn(3) == 0 {
+				cur = rng.Intn(n)
+			} else {
+				cur = (cur + rng.Intn(3)) % n
+			}
+			tr.Append(trace.Event{Proc: program.ProcID(cur)})
+		}
+		pop := popular.All(prog)
+		if rng.Intn(2) == 0 {
+			pop = popular.Select(prog, tr, popular.Options{Coverage: 0.8, MinCount: 2})
+		}
+		g := wcg.BuildFiltered(tr, pop.Contains)
+		for _, cfg := range geoms {
+			ctx := fmt.Sprintf("seed %d cache %d/%d", seed, cfg.SizeBytes, cfg.LineBytes)
+			got, err := HKC(prog, g, pop, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", ctx, err)
+			}
+			want, err := hkcOracle(prog, g, pop, cfg)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", ctx, err)
+			}
+			sameLayout(t, ctx, prog, got, want)
+		}
+	}
+}
+
+// On the benchmark suite, HKC must place exactly as the oracle too.
+func TestHKCMatchesOracleOnSuite(t *testing.T) {
+	for _, pair := range tracegen.Suite(0.3) {
+		prog := pair.Bench.Prog
+		tr := pair.Bench.Trace(pair.Train)
+		pop := popular.Select(prog, tr, popular.Options{})
+		g := wcg.BuildFiltered(tr, pop.Contains)
+		got, err := HKC(prog, g, pop, cache.PaperConfig)
+		if err != nil {
+			t.Fatalf("%s: %v", pair.Bench.Name, err)
+		}
+		want, err := hkcOracle(prog, g, pop, cache.PaperConfig)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", pair.Bench.Name, err)
+		}
+		sameLayout(t, pair.Bench.Name, prog, got, want)
 	}
 }

@@ -2,21 +2,23 @@ package core
 
 import (
 	"repro/internal/graph"
+	"repro/internal/place"
 	"repro/internal/program"
 	"repro/internal/trg"
 )
 
-// This file holds the fast alignment engines behind the GBSC merge loop.
-// The naive scorers the tests keep as reference oracles (oracle_test.go)
-// rebuild both nodes' line occupancy from the chunker and walk all C² line
-// pairs with map lookups on every merge, costing O(C²·occ²) per alignment
-// search. The engines here keep each working node's chunk→line assignment
-// incrementally up to date across shift/absorb. The direct-mapped engine
-// scores an alignment from the TRG_place cross-edges between the two nodes
-// alone: each edge adds a trapezoid to the cost vector (cost[(l1-l2) mod
-// C] += w over its chunks' line runs), summed on a second-difference buffer,
-// so a search costs O(cross-degree + C). Differential tests
-// (differential_test.go) prove the engines byte-identical to the oracles.
+// This file holds the alignment engines behind the GBSC merge loop. The
+// naive scorers the tests keep as reference oracles (oracle_test.go)
+// rebuild both nodes' line occupancy from the chunker and visit all C²
+// line (or set) pairs with lookups on every merge. The engines here keep
+// each working node's chunk→line runs incrementally up to date across
+// shift/absorb and score all C offsets of a merge at once with the offset
+// search the placement algorithms share (place.Offsets). The direct-mapped
+// engine charges one term per TRG_place cross-edge between the two nodes,
+// and the set-associative engine a few terms per non-zero pair-database
+// entry D(p,{r,s}) whose blocks lie in both nodes, so a search costs
+// O(terms + C). Differential tests (differential_test.go) prove the
+// engines byte-identical to the oracles.
 
 // alignEngine is the per-run alignment scorer driven by assign: addNode
 // seeds the incremental occupancy state for one popular procedure, best
@@ -40,14 +42,17 @@ type occState struct {
 	prog      *program.Program
 	chunker   *program.Chunker
 	// owner maps each chunk to the working node currently holding it, or
-	// -1. chunkLines holds the cache lines (node-relative, canonicalized to
-	// [0, period)) each chunk occupies — a multiset mirroring the oracle's
-	// occupancy() entries, one line per cache line of the owning procedure.
-	owner      []graph.NodeID
-	chunkLines [][]int32
+	// -1. A chunk occupies the cache lines of its procedure that start in
+	// it: a run of lines[c] consecutive lines from start[c] (node-relative,
+	// canonicalized to [0, period)), taken modulo the period, so a run
+	// longer than the period holds some lines more than once, as the
+	// oracle's occupancy() entries do.
+	owner        []graph.NodeID
+	start, lines []int
 	// nodeChunks lists each working node's distinct chunks in absorption
 	// order.
 	nodeChunks [][]program.ChunkID
+	offsets    *place.Offsets
 }
 
 func newOccState(prog *program.Program, chunker *program.Chunker, lineBytes, period int) occState {
@@ -62,8 +67,10 @@ func newOccState(prog *program.Program, chunker *program.Chunker, lineBytes, per
 		prog:       prog,
 		chunker:    chunker,
 		owner:      owner,
-		chunkLines: make([][]int32, nc),
+		start:      make([]int, nc),
+		lines:      make([]int, nc),
 		nodeChunks: make([][]program.ChunkID, prog.NumProcs()),
+		offsets:    place.NewOffsets(period),
 	}
 }
 
@@ -71,17 +78,18 @@ func newOccState(prog *program.Program, chunker *program.Chunker, lineBytes, per
 // line i of procedure p (mod period, for procedures larger than the cache)
 // holds the chunk covering byte i*lineBytes, exactly as occupancy() derives.
 func (s *occState) addNode(id graph.NodeID, p program.ProcID) {
-	lines := s.prog.SizeLines(p, s.lineBytes)
+	n := s.prog.SizeLines(p, s.lineBytes)
 	var chunks []program.ChunkID
 	last := program.ChunkID(-1)
-	for i := 0; i < lines; i++ {
+	for i := 0; i < n; i++ {
 		c := s.chunker.ChunkAtOffset(p, i*s.lineBytes)
 		if c != last {
 			chunks = append(chunks, c)
 			s.owner[c] = id
+			s.start[c] = mod(i, s.period)
 			last = c
 		}
-		s.chunkLines[c] = append(s.chunkLines[c], int32(mod(i, s.period)))
+		s.lines[c]++
 	}
 	s.nodeChunks[id] = chunks
 }
@@ -91,10 +99,7 @@ func (s *occState) merged(u, v graph.NodeID, off int) {
 	cv := s.nodeChunks[v]
 	for _, c := range cv {
 		s.owner[c] = u
-		ls := s.chunkLines[c]
-		for j := range ls {
-			ls[j] = int32(mod(int(ls[j])+off, s.period))
-		}
+		s.start[c] = mod(s.start[c]+off, s.period)
 	}
 	s.nodeChunks[u] = append(s.nodeChunks[u], cv...)
 	s.nodeChunks[v] = nil
@@ -138,22 +143,18 @@ func newPlaceCSR(placeG *graph.Graph, nc int) *placeCSR {
 // directEngine scores direct-mapped alignments (the Figure 4 conflict
 // metric) edge-first: every TRG_place cross-edge (c1 ∈ u, c2 ∈ v, w)
 // contributes w to cost[(l1-l2) mod C] for each line pair the two chunks
-// occupy. Iterating the smaller node's adjacency bounds each search by the
-// lighter side's cross-degree.
+// occupy, which is one offset-search term. Iterating the smaller node's
+// adjacency bounds each search by the lighter side's cross-degree.
 type directEngine struct {
 	occState
 	csr   *placeCSR
-	costs []int64
 	cross int64
-	// d2 is the second-difference scratch buffer of accumulateRuns.
-	d2 []int64
 }
 
 func newDirectEngine(prog *program.Program, placeG *graph.Graph, chunker *program.Chunker, lineBytes, period int) *directEngine {
 	return &directEngine{
 		occState: newOccState(prog, chunker, lineBytes, period),
 		csr:      newPlaceCSR(placeG, chunker.NumChunks()),
-		costs:    make([]int64, period),
 	}
 }
 
@@ -162,57 +163,28 @@ func (e *directEngine) crossEdgesScanned() int64 { return e.cross }
 // bestOffset returns the first offset minimizing the conflict metric for
 // shifting node v against node u, identical to the oracle's bestAlignment.
 func (e *directEngine) bestOffset(u, v graph.NodeID) int {
-	costs := e.costs
-	for i := range costs {
-		costs[i] = 0
-	}
-	// Scan from whichever node has fewer chunks; the cost index is always
-	// (u-side line − v-side line) mod period because the offset shifts v.
-	// The accumulation order differs between the two directions but the
-	// int64 sums are exact, so the cost vector is identical either way.
+	e.addTerms(u, v)
+	return e.offsets.Best()
+}
+
+// addTerms charges the search for shifting node v against node u.
+func (e *directEngine) addTerms(u, v graph.NodeID) {
+	// Scan from whichever node has fewer chunks. Either way u's lines stay
+	// fixed and v's slide, because the offset shifts v; the int64 sums are
+	// exact, so the costs do not depend on the scan order.
 	cu, cv := e.nodeChunks[u], e.nodeChunks[v]
 	if len(cu) <= len(cv) {
-		e.accumulateRuns(costs, cu, v, false)
+		e.addCrossEdges(cu, v, false)
 	} else {
-		e.accumulateRuns(costs, cv, u, true)
+		e.addCrossEdges(cv, u, true)
 	}
-	return argmin(costs)
 }
 
-// argmin returns the first index minimizing costs, the tie rule both
-// engines' bestOffset share with the oracle.
-func argmin(costs []int64) int {
-	best, bestCost := 0, costs[0]
-	for i := 1; i < len(costs); i++ {
-		if costs[i] < bestCost {
-			best, bestCost = i, costs[i]
-		}
-	}
-	return best
-}
-
-// accumulateRuns walks the place CSR's adjacency of every chunk in from,
-// keeping the cross-edges whose far end is owned by other, and adds each
-// edge's weight w to cost[(u-side line − v-side line) mod period] for every
-// pair of lines its two chunks occupy. fromIsV says whether the near side
-// is the shifting node v (so its lines are subtracted) or u.
-//
-// It does so in O(edges + period) instead of O(Σ p·q) line pairs by
-// exploiting the chunk-line geometry: a chunk's lines are a consecutive run
-// modulo the period (addNode seeds ls[j] = (ls[0]+j) mod period and merged
-// only rotates the run), so one edge's contribution to the cost vector is
-// the circular convolution of two interval indicators — a trapezoid. Each
-// trapezoid is four impulses on a second-difference buffer; integrating
-// the buffer twice at the end materializes all of them at once. The sums
-// are exact int64, so the result equals the line-pair loop's.
-func (e *directEngine) accumulateRuns(costs []int64, from []program.ChunkID, other graph.NodeID, fromIsV bool) {
-	P, csr := e.period, e.csr
-	if len(e.d2) < 2*P {
-		e.d2 = make([]int64, 2*P)
-	}
-	d2 := e.d2[:2*P]
-	clear(d2)
-	touched := false
+// addCrossEdges walks the place CSR's adjacency of every chunk in from and
+// charges each edge whose far end is owned by other as one term of its
+// weight. fromIsV says whether from is the sliding node v.
+func (e *directEngine) addCrossEdges(from []program.ChunkID, other graph.NodeID, fromIsV bool) {
+	csr := e.csr
 	for _, c := range from {
 		lo, hi := csr.nbrOff[c], csr.nbrOff[c+1]
 		for k := lo; k < hi; k++ {
@@ -221,143 +193,109 @@ func (e *directEngine) accumulateRuns(costs []int64, from []program.ChunkID, oth
 				continue
 			}
 			e.cross++
-			w := csr.nbrW[k]
-			nearLines, farLines := e.chunkLines[c], e.chunkLines[far]
-			p, q := len(nearLines), len(farLines)
-			if p == 0 || q == 0 {
-				continue
-			}
-			if p+q > P {
-				// Runs wrapping the whole period lose the trapezoid shape
-				// after folding; score such (rare, huge-chunk) edges with
-				// the exact nested loop instead.
-				for _, ln := range nearLines {
-					for _, lf := range farLines {
-						if fromIsV {
-							costs[mod(int(lf)-int(ln), P)] += w
-						} else {
-							costs[mod(int(ln)-int(lf), P)] += w
-						}
-					}
-				}
-				continue
-			}
-			// The cost index is (u-side line − v-side line) mod period; over
-			// two runs the differences cover a length p+q-1 window whose
-			// linear start is below. Impulses land in [0, 2P) because the
-			// start is normalized to [0, P) and p+q ≤ P.
-			var s int
+			fixed, slide := c, far
 			if fromIsV {
-				s = int(farLines[0]) - int(nearLines[0]) - (p - 1)
-			} else {
-				s = int(nearLines[0]) - int(farLines[0]) - (q - 1)
+				fixed, slide = far, c
 			}
-			s0 := mod(s, P)
-			d2[s0] += w
-			d2[s0+p] -= w
-			d2[s0+q] -= w
-			d2[s0+p+q] += w
-			touched = true
+			e.offsets.Add(e.start[fixed], e.lines[fixed], e.start[slide], e.lines[slide], csr.nbrW[k])
 		}
 	}
-	if !touched {
-		return
-	}
-	// Double prefix sum turns the impulses into the summed trapezoids; the
-	// four impulses of each edge telescope to zero past its window, so the
-	// running values are exactly the per-index contributions. Fold the
-	// second period back onto the first.
-	var d1, t int64
-	for i := 0; i < P; i++ {
-		d1 += d2[i]
-		t += d1
-		costs[i] += t
-	}
-	for i := P; i < 2*P; i++ {
-		d1 += d2[i]
-		t += d1
-		costs[i-P] += t
-	}
 }
 
-// assocEngine is the Section 6 set-associative scorer with the same
-// incremental occupancy and buffer reuse: the per-merge occupancy arrays
-// are filled from the engine's chunk→line state (no chunker rebuild) and
-// the cost and occupancy buffers are reused across merges. The C² set-pair
-// triple charging of bestAlignmentAssoc is kept verbatim — the pair
-// database semantics need every co-resident set pair.
+// assocEngine is the Section 6 set-associative scorer. An offset's cost
+// charges D(p,{r,s}) for every set holding p, r and s with at least one of
+// them in each node (see bestAlignmentAssoc). Two of the three blocks
+// then share a node, and the charge is the overlap of the sets those two
+// share with the third block's sets in the other node: a few offset-search
+// terms per non-zero entry. Walking the entries of every chunk of both
+// nodes charges each triple once, from p's side.
 type assocEngine struct {
 	occState
-	db         *trg.PairDB
-	occ1, occ2 lineOccupancy
-	costs      []int64
+	pairs [][]trg.PairEntry // D grouped by p
 }
 
-func newAssocEngine(prog *program.Program, db *trg.PairDB, chunker *program.Chunker, lineBytes, period int) *assocEngine {
-	return &assocEngine{
-		occState: newOccState(prog, chunker, lineBytes, period),
-		db:       db,
-		occ1:     make(lineOccupancy, period),
-		occ2:     make(lineOccupancy, period),
-		costs:    make([]int64, period),
+func newAssocEngine(prog *program.Program, db *trg.PairDB, chunker *program.Chunker, lineBytes, period int) (*assocEngine, error) {
+	pairs, err := db.Rows(chunker.NumChunks())
+	if err != nil {
+		return nil, err
 	}
+	return &assocEngine{occState: newOccState(prog, chunker, lineBytes, period), pairs: pairs}, nil
 }
 
 func (e *assocEngine) crossEdgesScanned() int64 { return 0 }
 
-// fillOcc rebuilds a scratch occupancy array from the incremental state,
-// truncating (capacity-preserving) before refilling.
-func (e *assocEngine) fillOcc(occ lineOccupancy, id graph.NodeID) {
-	for i := range occ {
-		occ[i] = occ[i][:0]
-	}
-	for _, c := range e.nodeChunks[id] {
-		for _, l := range e.chunkLines[c] {
-			occ[l] = append(occ[l], c)
-		}
-	}
-}
-
+// bestOffset returns the first offset minimizing the pair-database cost of
+// shifting node v against node u, identical to the oracle's
+// bestAlignmentAssoc.
 func (e *assocEngine) bestOffset(u, v graph.NodeID) int {
-	e.fillOcc(e.occ1, u)
-	e.fillOcc(e.occ2, v)
-	costs := e.costs
-	for i := 0; i < e.period; i++ {
-		var total int64
-		for j := 0; j < e.period; j++ {
-			a := e.occ1[mod(j+i, e.period)]
-			b := e.occ2[j]
-			if len(a) == 0 || len(b) == 0 {
-				continue
-			}
-			total += assocSetCost(a, b, e.db)
-			total += assocSetCost(b, a, e.db)
-		}
-		costs[i] = total
-	}
-	return argmin(costs)
+	e.addTerms(u, v)
+	return e.offsets.Best()
 }
 
-// assocSetCost sums, for every block p in own, the D(p,{r,s}) counts over
-// pairs {r,s} drawn from own∪other with at least one member in other.
-func assocSetCost(own, other []program.ChunkID, db *trg.PairDB) int64 {
-	var total int64
-	for _, p := range own {
-		// Pairs with both members in other.
-		for i := 0; i < len(other); i++ {
-			for j := i + 1; j < len(other); j++ {
-				total += db.Count(trg.BlockID(p), trg.BlockID(other[i]), trg.BlockID(other[j]))
-			}
-		}
-		// Mixed pairs: one member from own (not p itself), one from other.
-		for _, r := range own {
-			if r == p {
+// addTerms charges the search for shifting node v against node u.
+func (e *assocEngine) addTerms(u, v graph.NodeID) {
+	e.addTriples(u, u, v)
+	e.addTriples(v, u, v)
+}
+
+// addTriples charges every non-zero D(p,{r,s}) with p in node from whose r
+// and s lie in u or v, not both in from. p, r and s are distinct blocks.
+func (e *assocEngine) addTriples(from, u, v graph.NodeID) {
+	for _, p := range e.nodeChunks[from] {
+		for _, d := range e.pairs[p] {
+			r, s := program.ChunkID(d.R), program.ChunkID(d.S)
+			or, os := e.owner[r], e.owner[s]
+			if or != u && or != v || os != u && os != v || or == from && os == from {
 				continue
 			}
-			for _, s := range other {
-				total += db.Count(trg.BlockID(p), trg.BlockID(r), trg.BlockID(s))
+			// x and y share a node; lone is alone in the other one.
+			x, y, lone := r, s, p
+			switch from {
+			case or:
+				x, y, lone = p, r, s
+			case os:
+				x, y, lone = p, s, r
 			}
+			e.addShared(x, y, lone, e.owner[x] == u, d.N)
 		}
 	}
-	return total
+}
+
+// addShared charges weight n for every line that chunks x and y share,
+// counted with the product of the two multiplicities, against the lines of
+// chunk lone. The shared lines are the fixed runs when x and y lie in u.
+func (e *assocEngine) addShared(x, y, lone program.ChunkID, pairFixed bool, n int64) {
+	P := e.period
+	add := func(start, lines int, mult int64) {
+		if pairFixed {
+			e.offsets.Add(start, lines, e.start[lone], e.lines[lone], n*mult)
+		} else {
+			e.offsets.Add(e.start[lone], e.lines[lone], start, lines, n*mult)
+		}
+	}
+	// A run of k·P+r lines covers every set k times plus r sets from its
+	// start.
+	a, b := e.start[x], e.start[y]
+	ka, ra := e.lines[x]/P, e.lines[x]%P
+	kb, rb := e.lines[y]/P, e.lines[y]%P
+	if ka > 0 && kb > 0 {
+		add(0, P, int64(ka*kb))
+	}
+	if ka > 0 && rb > 0 {
+		add(b, rb, int64(ka))
+	}
+	if kb > 0 && ra > 0 {
+		add(a, ra, int64(kb))
+	}
+	if ra > 0 && rb > 0 {
+		// Two arcs of the ring meet in up to two arcs: from y's start up to
+		// x's end, and from x's start up to y's wrapped end.
+		d := mod(b-a, P)
+		if d < ra {
+			add(b, min(d+rb, ra)-d, 1)
+		}
+		if w := d + rb - P; w > 0 {
+			add(a, min(w, ra), 1)
+		}
+	}
 }

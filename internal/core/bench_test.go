@@ -29,7 +29,7 @@ func BenchmarkBestAlignment(b *testing.B) {
 }
 
 // BenchmarkBestAlignmentAssoc times one Section 6 set-associative
-// alignment search over the pair database with the buffered scorer.
+// alignment search over the non-zero entries of the pair database.
 func BenchmarkBestAlignmentAssoc(b *testing.B) {
 	pair := tracegen.Lookup(tracegen.Suite(0.1), "perl")
 	prog := pair.Bench.Prog
@@ -41,7 +41,11 @@ func BenchmarkBestAlignmentAssoc(b *testing.B) {
 		b.Fatal(err)
 	}
 	period := cfg.NumSets()
-	benchSearch(b, prog, res, pop, period, newAssocEngine(prog, db, res.Chunker, cfg.LineBytes, period))
+	eng, err := newAssocEngine(prog, db, res.Chunker, cfg.LineBytes, period)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSearch(b, prog, res, pop, period, eng)
 }
 
 // benchSearch replays merges until half the popular nodes remain (so both

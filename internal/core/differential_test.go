@@ -224,9 +224,77 @@ func TestDifferentialAssoc(t *testing.T) {
 	}
 }
 
+// TestDifferentialLongChunks: Place and PlaceAssoc against their oracles,
+// end to end and in the cost of every offset at every merge, on 64–512 B
+// caches with 32–1024 B chunks, where one chunk's run of lines can cover
+// more than half the period or more than all of it, so the offset search
+// folds runs longer than the period.
+func TestDifferentialLongChunks(t *testing.T) {
+	sizes := []int{64, 128, 256, 512}
+	chunks := []int{32, 64, 128, 256, 512, 1024}
+	for seed := int64(0); seed < 240; seed++ {
+		rng := rand.New(rand.NewSource(4000 + seed))
+		prog, tr, pop := randomScenario(rng)
+		size, chunk := sizes[seed%4], chunks[seed/4%6]
+		for _, assoc := range []int{1, 2} {
+			cfg := cache.Config{SizeBytes: size, LineBytes: 32, Assoc: assoc}
+			ctx := fmt.Sprintf("%dB %d-way chunk %d", size, assoc, chunk)
+			opts := trg.Options{CacheBytes: size, ChunkSize: chunk, Popular: pop}
+			var got *program.Layout
+			var wantItems []place.Placed
+			period := cfg.NumSets()
+			if assoc == 1 {
+				res, err := trg.Build(prog, tr, opts)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, ctx, err)
+				}
+				wantItems = oracleAssign(prog, res, pop, period, func(n1, n2 *node) int {
+					off, _ := bestAlignment(n1, n2, res.Place, res.Chunker, prog, cfg.LineBytes, period)
+					return off
+				})
+				got, err = Place(prog, res, pop, cfg)
+				if err != nil {
+					t.Fatalf("seed %d %s: Place: %v", seed, ctx, err)
+				}
+				eng := newDirectEngine(prog, res.Place, res.Chunker, cfg.LineBytes, period)
+				checkEngineSteps(t, fmt.Sprintf("seed %d %s", seed, ctx), prog, res, pop, cfg.LineBytes, period, eng, &eng.occState,
+					func(n1, n2 *node) []int64 {
+						return alignCosts(n1, n2, res.Place, res.Chunker, prog, cfg.LineBytes, period)
+					})
+			} else {
+				res, db, err := trg.BuildPairs(prog, tr, opts)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, ctx, err)
+				}
+				wantItems = oracleAssign(prog, res, pop, period, func(n1, n2 *node) int {
+					off, _ := bestAlignmentAssoc(n1, n2, db, res.Chunker, prog, cfg.LineBytes, period)
+					return off
+				})
+				got, err = PlaceAssoc(prog, res, db, pop, cfg)
+				if err != nil {
+					t.Fatalf("seed %d %s: PlaceAssoc: %v", seed, ctx, err)
+				}
+				eng, err := newAssocEngine(prog, db, res.Chunker, cfg.LineBytes, period)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, ctx, err)
+				}
+				checkEngineSteps(t, fmt.Sprintf("seed %d %s", seed, ctx), prog, res, pop, cfg.LineBytes, period, eng, &eng.occState,
+					func(n1, n2 *node) []int64 {
+						return alignCostsAssoc(n1, n2, db, res.Chunker, prog, cfg.LineBytes, period)
+					})
+			}
+			want, err := place.Linearize(prog, wantItems, pop.Unpopular(prog), cfg, period)
+			if err != nil {
+				t.Fatalf("seed %d %s: oracle linearize: %v", seed, ctx, err)
+			}
+			layoutsEqual(t, seed, ctx, got, want, prog)
+		}
+	}
+}
+
 // TestDirectEngineMatchesOracleScorer compares the edge-driven scorer and
 // the naive scorer on identical node states merge by merge, rather than
-// only end to end: every chosen offset must agree at every step.
+// only end to end: the cost of every offset must agree at every step.
 func TestDirectEngineMatchesOracleScorer(t *testing.T) {
 	cfg := cache.Config{SizeBytes: 256, LineBytes: 32, Assoc: 1}
 	for seed := int64(0); seed < 100; seed++ {
@@ -238,54 +306,70 @@ func TestDirectEngineMatchesOracleScorer(t *testing.T) {
 		}
 		period := cfg.NumLines()
 		eng := newDirectEngine(prog, res.Place, res.Chunker, cfg.LineBytes, period)
+		checkEngineSteps(t, fmt.Sprintf("seed %d", seed), prog, res, pop, cfg.LineBytes, period, eng, &eng.occState,
+			func(n1, n2 *node) []int64 {
+				return alignCosts(n1, n2, res.Place, res.Chunker, prog, cfg.LineBytes, period)
+			})
+	}
+}
 
-		working := res.Select.Clone()
-		nodes := make(map[graph.NodeID]*node)
-		for _, p := range pop.IDs {
-			working.AddNode(graph.NodeID(p))
-			nodes[graph.NodeID(p)] = newNode(p)
-			eng.addNode(graph.NodeID(p), p)
+// checkEngineSteps replays the merge loop with eng, whose state is occ,
+// and checks at every merge the engine's cost of every offset against the
+// oracle's costs on the same node state, and the engine's incremental
+// occupancy against a rebuild of the merged node.
+func checkEngineSteps(t *testing.T, ctx string, prog *program.Program, res *trg.Result, pop *popular.Set, lineBytes, period int,
+	eng interface {
+		alignEngine
+		addTerms(u, v graph.NodeID)
+	}, occ *occState, oracle func(n1, n2 *node) []int64) {
+	t.Helper()
+	working := res.Select.Clone()
+	nodes := make(map[graph.NodeID]*node)
+	for _, p := range pop.IDs {
+		working.AddNode(graph.NodeID(p))
+		nodes[graph.NodeID(p)] = newNode(p)
+		eng.addNode(graph.NodeID(p), p)
+	}
+	for _, id := range working.Nodes() {
+		if _, ok := nodes[id]; !ok {
+			return // mismatched popular mask; assign would error
 		}
-		skip := false
-		for _, id := range working.Nodes() {
-			if _, ok := nodes[id]; !ok {
-				skip = true // mismatched popular mask; assign would error
+	}
+	for step := 0; ; step++ {
+		e, ok := scanHeaviest(working)
+		if !ok {
+			break
+		}
+		n1, n2 := nodes[e.U], nodes[e.V]
+		want := oracle(n1, n2)
+		eng.addTerms(e.U, e.V)
+		got := occ.offsets.Costs()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s step %d: engine cost of offset %d is %d, oracle %d", ctx, step, i, got[i], want[i])
 			}
 		}
-		if skip {
-			continue
+		wantOff, _ := firstMin(want)
+		if gotOff := eng.bestOffset(e.U, e.V); gotOff != wantOff {
+			t.Fatalf("%s step %d: engine offset %d, oracle %d", ctx, step, gotOff, wantOff)
 		}
-		for step := 0; ; step++ {
-			e, ok := scanHeaviest(working)
-			if !ok {
-				break
-			}
-			n1, n2 := nodes[e.U], nodes[e.V]
-			wantOff, _ := bestAlignment(n1, n2, res.Place, res.Chunker, prog, cfg.LineBytes, period)
-			gotOff := eng.bestOffset(e.U, e.V)
-			if gotOff != wantOff {
-				t.Fatalf("seed %d step %d: engine offset %d, oracle %d", seed, step, gotOff, wantOff)
-			}
-			n2.shift(gotOff, period)
-			n1.absorb(n2)
-			eng.merged(e.U, e.V, gotOff)
-			working.MergeNodes(e.U, e.V)
-			delete(nodes, e.V)
+		n2.shift(wantOff, period)
+		n1.absorb(n2)
+		eng.merged(e.U, e.V, wantOff)
+		working.MergeNodes(e.U, e.V)
+		delete(nodes, e.V)
 
-			// The engine's incremental occupancy must mirror a rebuild of
-			// the merged node at every step.
-			rebuilt := occupancy(n1, res.Chunker, prog, cfg.LineBytes, period)
-			var rebuiltEntries, engineEntries int
-			for _, cs := range rebuilt {
-				rebuiltEntries += len(cs)
-			}
-			for _, c := range eng.nodeChunks[e.U] {
-				engineEntries += len(eng.chunkLines[c])
-			}
-			if rebuiltEntries != engineEntries {
-				t.Fatalf("seed %d step %d: engine occupancy has %d entries, rebuild %d",
-					seed, step, engineEntries, rebuiltEntries)
-			}
+		rebuilt := occupancy(n1, res.Chunker, prog, lineBytes, period)
+		var rebuiltEntries, engineEntries int
+		for _, cs := range rebuilt {
+			rebuiltEntries += len(cs)
+		}
+		for _, c := range occ.nodeChunks[e.U] {
+			engineEntries += occ.lines[c]
+		}
+		if rebuiltEntries != engineEntries {
+			t.Fatalf("%s step %d: engine occupancy has %d entries, rebuild %d",
+				ctx, step, engineEntries, rebuiltEntries)
 		}
 	}
 }

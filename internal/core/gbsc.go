@@ -51,7 +51,7 @@ type Metrics struct {
 	StalePops int64
 	// CrossEdges counts TRG_place cross-edges scanned by the edge-driven
 	// direct-mapped alignment scorer across all merges (zero for the
-	// set-associative engine, which charges set pairs instead).
+	// set-associative engine, which walks pair-database entries instead).
 	CrossEdges int64
 }
 
@@ -83,7 +83,10 @@ func PlaceAssoc(prog *program.Program, res *trg.Result, db *trg.PairDB, pop *pop
 		return nil, fmt.Errorf("core: PlaceAssoc requires a pair database; use trg.BuildPairs")
 	}
 	period := cfg.NumSets()
-	eng := newAssocEngine(prog, db, res.Chunker, cfg.LineBytes, period)
+	eng, err := newAssocEngine(prog, db, res.Chunker, cfg.LineBytes, period)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	return placeCommon(prog, res, pop, cfg, period, eng, nil)
 }
 

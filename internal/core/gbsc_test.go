@@ -253,10 +253,19 @@ func TestPlaceAssocRequiresSetAssociativity(t *testing.T) {
 	if _, err := PlaceAssoc(prog, res, db, nil, cache.PaperConfig); err == nil {
 		t.Error("PlaceAssoc accepted direct-mapped config")
 	}
-	if _, err := PlaceAssoc(prog, res, nil, nil, cache.Config{SizeBytes: 8192, LineBytes: 32, Assoc: 2}); err == nil {
+	twoWay := cache.Config{SizeBytes: 8192, LineBytes: 32, Assoc: 2}
+	if _, err := PlaceAssoc(prog, res, nil, nil, twoWay); err == nil {
 		t.Error("PlaceAssoc accepted nil pair database")
 	}
-	_ = db
+	// A database over another, larger program names chunks this one lacks.
+	foreign := trg.NewPairDB()
+	foreign.Add(0, 1, 2)
+	if _, err := PlaceAssoc(prog, res, foreign, nil, twoWay); err == nil {
+		t.Error("PlaceAssoc accepted a pair database over another program")
+	}
+	if _, err := PlaceAssoc(prog, res, db, nil, twoWay); err != nil {
+		t.Errorf("PlaceAssoc: %v", err)
+	}
 }
 
 func TestPlaceAssocTwoWay(t *testing.T) {

@@ -43,8 +43,3 @@ func mod(a, n int) int {
 	}
 	return m
 }
-
-// lineOccupancy maps each cache line (or set, for the associative variant)
-// to the chunk IDs resident there under the node's current alignment.
-// It is the CACHE array of the Figure 4 pseudo-code.
-type lineOccupancy [][]program.ChunkID

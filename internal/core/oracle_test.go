@@ -20,6 +20,11 @@ import (
 // which we compute in a single pass over line pairs: the pair of occupied
 // lines (l1, l2) contributes its chunk-pair weight to cost[(l1-l2) mod C].
 func bestAlignment(n1, n2 *node, placeG *graph.Graph, chunker *program.Chunker, prog *program.Program, lineBytes, period int) (offset int, cost int64) {
+	return firstMin(alignCosts(n1, n2, placeG, chunker, prog, lineBytes, period))
+}
+
+// alignCosts is bestAlignment's cost of every offset.
+func alignCosts(n1, n2 *node, placeG *graph.Graph, chunker *program.Chunker, prog *program.Program, lineBytes, period int) []int64 {
 	c1 := occupancy(n1, chunker, prog, lineBytes, period)
 	c2 := occupancy(n2, chunker, prog, lineBytes, period)
 
@@ -43,21 +48,24 @@ func bestAlignment(n1, n2 *node, placeG *graph.Graph, chunker *program.Chunker, 
 			}
 		}
 	}
+	return costs
+}
 
-	best, bestCost := 0, costs[0]
-	for i := 1; i < period; i++ {
-		if costs[i] < bestCost {
-			best, bestCost = i, costs[i]
+// firstMin returns the first offset of least cost and that cost.
+func firstMin(costs []int64) (offset int, cost int64) {
+	for i, c := range costs {
+		if c < costs[offset] {
+			offset = i
 		}
 	}
-	return best, bestCost
+	return offset, costs[offset]
 }
 
 // bestAlignmentAssoc is the Section 6 variant of the offset search for
 // k-way set-associative caches with k=2. Like bestAlignment it is the
-// naive reference oracle; assocEngine in align.go computes the same costs
-// from incrementally maintained occupancy with reused buffers. The cost of
-// an alignment charges
+// naive reference oracle, visiting all C² set pairs with all-pairs
+// lookups; assocEngine in align.go computes the same costs from the
+// non-zero entries of the pair database. The cost of an alignment charges
 // D(p,{r,s}) whenever p, r and s fall into the same set with the pair {r,s}
 // containing at least one block from the node opposite p — pairs entirely
 // within p's own node are intra-node conflicts that the alignment cannot
@@ -68,6 +76,11 @@ func bestAlignment(n1, n2 *node, placeG *graph.Graph, chunker *program.Chunker, 
 // power-of-two caches a shift by one line shifts the set index by one, so
 // line offsets and set offsets coincide modulo the set count).
 func bestAlignmentAssoc(n1, n2 *node, db *trg.PairDB, chunker *program.Chunker, prog *program.Program, lineBytes, period int) (offset int, cost int64) {
+	return firstMin(alignCostsAssoc(n1, n2, db, chunker, prog, lineBytes, period))
+}
+
+// alignCostsAssoc is bestAlignmentAssoc's cost of every offset.
+func alignCostsAssoc(n1, n2 *node, db *trg.PairDB, chunker *program.Chunker, prog *program.Program, lineBytes, period int) []int64 {
 	c1 := occupancy(n1, chunker, prog, lineBytes, period)
 	c2 := occupancy(n2, chunker, prog, lineBytes, period)
 
@@ -85,15 +98,37 @@ func bestAlignmentAssoc(n1, n2 *node, db *trg.PairDB, chunker *program.Chunker, 
 		}
 		costs[i] = total
 	}
+	return costs
+}
 
-	best, bestCost := 0, costs[0]
-	for i := 1; i < period; i++ {
-		if costs[i] < bestCost {
-			best, bestCost = i, costs[i]
+// assocSetCost sums, for every block p in own, the D(p,{r,s}) counts over
+// pairs {r,s} drawn from own∪other with at least one member in other.
+func assocSetCost(own, other []program.ChunkID, db *trg.PairDB) int64 {
+	var total int64
+	for _, p := range own {
+		// Pairs with both members in other.
+		for i := 0; i < len(other); i++ {
+			for j := i + 1; j < len(other); j++ {
+				total += db.Count(trg.BlockID(p), trg.BlockID(other[i]), trg.BlockID(other[j]))
+			}
+		}
+		// Mixed pairs: one member from own (not p itself), one from other.
+		for _, r := range own {
+			if r == p {
+				continue
+			}
+			for _, s := range other {
+				total += db.Count(trg.BlockID(p), trg.BlockID(r), trg.BlockID(s))
+			}
 		}
 	}
-	return best, bestCost
+	return total
 }
+
+// lineOccupancy maps each cache line (or set, for the associative variant)
+// to the chunk IDs resident there under the node's current alignment.
+// It is the CACHE array of the Figure 4 pseudo-code.
+type lineOccupancy [][]program.ChunkID
 
 // occupancy computes the line→chunks map for a node. For each procedure at
 // offset o, line o+i holds the chunk covering byte i*lineBytes of the

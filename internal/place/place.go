@@ -1,7 +1,8 @@
-// Package place holds the data structures shared by the placement
-// algorithms: cache-relative placements of procedures (the tuples of
-// Section 4.2) and the production of a final linear layout from them
-// (Section 4.3), including gap-filling with unpopular procedures.
+// Package place holds what the placement algorithms share: cache-relative
+// placements of procedures (the tuples of Section 4.2), the production of
+// a final linear layout from them (Section 4.3), including gap-filling
+// with unpopular procedures, and the offset search (Offsets) that GBSC's
+// merge_nodes, its Section 6 variant and HKC's coloring slide all run.
 package place
 
 import (

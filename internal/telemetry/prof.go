@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/metrics"
 	"runtime/pprof"
+	"syscall"
 )
 
 // StartProfiles starts CPU profiling to cpuPath and schedules a heap
@@ -56,15 +56,15 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-// CPUSeconds returns the process's cumulative user-mode CPU time in
-// seconds, from the runtime's scheduler accounting. The runtime documents
-// these as estimates; they are plenty accurate for per-experiment CPU
-// attribution in run reports.
+// CPUSeconds returns the process's cumulative user and system CPU time in
+// seconds, from getrusage(RUSAGE_SELF), or 0 if that call fails. The
+// runtime/metrics CPU classes are no substitute: the runtime refreshes
+// them only when a GC cycle ends, so a span between two reads would
+// measure the CPU between the GCs nearest to its ends.
 func CPUSeconds() float64 {
-	sample := []metrics.Sample{{Name: "/cpu/classes/user:cpu-seconds"}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() != metrics.KindFloat64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		return 0
 	}
-	return sample[0].Value.Float64()
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
 }

@@ -187,3 +187,24 @@ func TestTimer(t *testing.T) {
 		t.Errorf("timer stats = %+v, want positive total == max", st)
 	}
 }
+
+// cpuSink keeps the busy loop of TestCPUSecondsWithoutGC from being
+// optimized away.
+var cpuSink uint64
+
+// CPUSeconds must count CPU burnt without allocating. The runtime/metrics
+// CPU classes refresh only when a GC cycle ends, so they read nothing for
+// such a span.
+func TestCPUSecondsWithoutGC(t *testing.T) {
+	c0 := CPUSeconds()
+	x := uint64(1)
+	for start := time.Now(); time.Since(start) < 200*time.Millisecond; {
+		for i := 0; i < 1000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+	}
+	cpuSink = x
+	if d := CPUSeconds() - c0; d < 0.05 {
+		t.Errorf("CPUSeconds advanced %.3fs over a 200ms busy loop, want at least 0.05s", d)
+	}
+}

@@ -1,6 +1,8 @@
 package trg
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 	"repro/internal/popular"
 	"repro/internal/program"
@@ -74,41 +76,79 @@ func BuildWithStats(prog *program.Program, tr *trace.Trace, opts Options) (*Resu
 	return b.Result(), b.BuildStats(), nil
 }
 
-// PairKey identifies an entry of the pair database D(p,{r,s}); R < S.
-type PairKey struct {
-	P    BlockID
-	R, S BlockID
-}
+// pairBits is the width of each block ID in a packed pair-database key.
+const pairBits = 21
+
+// maxPairBlocks bounds the blocks the pair database tracks: every block ID
+// of a pair-database entry is below it. NewBuilder rejects a program with
+// more chunks when pair tracking is on.
+const maxPairBlocks = 1 << pairBits
 
 // PairDB is the Section-6 temporal-relationship database for set-associative
 // caches: D(p,{r,s}) estimates how many references to p would miss if p, r
 // and s all occupied the same 2-way set, because both r and s intervene
-// between consecutive references to p.
+// between consecutive references to p. p, r and s are distinct blocks. The
+// database counts in the open-addressed table that counts the TRG edges,
+// keyed by the packed triple, and Rows groups it by p for the
+// set-associative placer.
 type PairDB struct {
-	m map[PairKey]int64
+	c counter
 }
 
 // NewPairDB creates an empty database.
-func NewPairDB() *PairDB { return &PairDB{m: make(map[PairKey]int64)} }
+func NewPairDB() *PairDB { return &PairDB{c: newCounter()} }
 
-// Add increments D(p,{r,s}).
+// pairKey packs (p,{r,s}) into three pairBits-wide fields, r < s. No
+// triple packs to key 0, the empty-slot marker, because s > r ≥ 0.
+func pairKey(p, r, s BlockID) uint64 {
+	if r > s {
+		r, s = s, r
+	}
+	return uint64(p)<<(2*pairBits) | uint64(s)<<pairBits | uint64(r)
+}
+
+// Add increments D(p,{r,s}). p, r and s must be distinct block IDs below
+// 2²¹, the most a key holds.
 func (d *PairDB) Add(p, r, s BlockID) {
-	if r > s {
-		r, s = s, r
+	if p == r || p == s || r == s || uint32(p)|uint32(r)|uint32(s) >= maxPairBlocks {
+		panic(fmt.Sprintf("trg: D(%d,{%d,%d}) needs three distinct blocks below %d", p, r, s, maxPairBlocks))
 	}
-	d.m[PairKey{P: p, R: r, S: s}]++
+	d.c.inc(pairKey(p, r, s))
 }
 
-// Count returns D(p,{r,s}).
-func (d *PairDB) Count(p, r, s BlockID) int64 {
-	if r > s {
-		r, s = s, r
-	}
-	return d.m[PairKey{P: p, R: r, S: s}]
-}
+// Count returns D(p,{r,s}) for block IDs below 2²¹; it is 0 unless p, r
+// and s are distinct, because Add counts no other key.
+func (d *PairDB) Count(p, r, s BlockID) int64 { return d.c.get(pairKey(p, r, s)) }
 
 // Len returns the number of non-zero entries.
-func (d *PairDB) Len() int { return len(d.m) }
+func (d *PairDB) Len() int { return d.c.used }
+
+// PairEntry is one non-zero entry D(p,{R,S}) = N in row p of Rows; R < S.
+type PairEntry struct {
+	R, S BlockID
+	N    int64
+}
+
+// Rows groups the entries counted so far by p: row p lists each non-zero
+// D(p,{r,s}), in no particular order. Later Add calls do not change the
+// result. It fails if an entry names a block at or above numBlocks, the
+// chunk count of the program being placed: the database was built over
+// another program.
+func (d *PairDB) Rows(numBlocks int) ([][]PairEntry, error) {
+	const mask = maxPairBlocks - 1
+	rows := make([][]PairEntry, numBlocks)
+	for _, sl := range d.c.slots {
+		if sl.key == 0 {
+			continue
+		}
+		p, r, s := BlockID(sl.key>>(2*pairBits)), BlockID(sl.key&mask), BlockID(sl.key>>pairBits&mask)
+		if int(max(p, r, s)) >= numBlocks {
+			return nil, fmt.Errorf("trg: pair database entry D(%d,{%d,%d}) names a block beyond the %d chunks", p, r, s, numBlocks)
+		}
+		rows[p] = append(rows[p], PairEntry{R: r, S: s, N: sl.n})
+	}
+	return rows, nil
+}
 
 // BuildPairs constructs the chunk-granularity pair database (and the
 // ordinary chunk TRG, which the set-associative placer still uses for its

@@ -125,6 +125,57 @@ func TestPairDB(t *testing.T) {
 	if db.Len() != 1 {
 		t.Errorf("Len = %d, want 1", db.Len())
 	}
+	// Only distinct blocks make an entry.
+	if db.Count(1, 2, 2) != 0 || db.Count(2, 2, 3) != 0 {
+		t.Error("a repeated block has a non-zero count")
+	}
+	for _, k := range [][3]BlockID{{1, 2, 2}, {2, 2, 3}, {0, 1, 0}, {maxPairBlocks, 1, 2}, {0, -1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add%v did not panic", k)
+				}
+			}()
+			db.Add(k[0], k[1], k[2])
+		}()
+	}
+}
+
+// Rows groups the database by p and rejects entries beyond its block
+// count; the largest block IDs keep their own key.
+func TestPairRows(t *testing.T) {
+	const top = maxPairBlocks - 1
+	db := NewPairDB()
+	add := [][3]BlockID{{0, 1, 2}, {0, 2, 1}, {0, 3, 1}, {2, 0, 1}, {top, top - 1, top - 2}, {top - 2, top, 0}}
+	for _, k := range add {
+		db.Add(k[0], k[1], k[2])
+	}
+	if _, err := db.Rows(top); err == nil {
+		t.Error("Rows accepted entries naming a block beyond its count")
+	}
+	rows, err := db.Rows(maxPairBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, p := range []BlockID{0, 1, 2, 3, top - 2, top - 1, top} {
+		row := rows[p]
+		total += len(row)
+		for _, e := range row {
+			if e.R >= e.S || e.N != db.Count(p, e.R, e.S) {
+				t.Errorf("row %d entry %+v, Count %d", p, e, db.Count(p, e.R, e.S))
+			}
+		}
+	}
+	if total != db.Len() || db.Len() != 5 {
+		t.Errorf("rows hold %d entries, Len %d, want 5", total, db.Len())
+	}
+	if got := db.Count(0, 2, 1); got != 2 {
+		t.Errorf("D(0,{1,2}) = %d, want 2", got)
+	}
+	if got := db.Count(top, top-2, top-1); got != 1 {
+		t.Errorf("D(top,{top-2,top-1}) = %d, want 1", got)
+	}
 }
 
 func TestBuildPairsCountsIntervening(t *testing.T) {

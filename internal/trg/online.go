@@ -70,6 +70,9 @@ func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder,
 	if err != nil {
 		return nil, err
 	}
+	if trackPairs && chunker.NumChunks() > maxPairBlocks {
+		return nil, fmt.Errorf("trg: the pair database keys at most %d chunks, the program has %d", maxPairBlocks, chunker.NumChunks())
+	}
 	bound := opts.CacheBytes * opts.QFactor
 	b := &Builder{
 		prog:    prog,
@@ -166,20 +169,17 @@ func (b *Builder) BuildStats() BuildStats {
 // it.
 func (b *Builder) Pairs() *PairDB { return b.db }
 
-// edgeCounter accumulates one TRG: the nodes in first-seen order and the
-// interleaving count of every edge in an open-addressed table keyed by the
-// packed (lo, hi) block pair, with linear probing over a power-of-two
-// number of slots that doubles at half load. Key 0 marks an empty slot;
-// no edge packs to it because lo < hi.
-type edgeCounter struct {
-	slots []edgeSlot
+// counter counts events by packed key in an open-addressed table, with
+// linear probing over a power-of-two number of slots that doubles at half
+// load. Key 0 marks an empty slot, so no counted key may pack to it. It
+// counts the TRG edges and the pair database alike.
+type counter struct {
+	slots []countSlot
 	shift uint // 64 − log2(len(slots)): hash bits kept by slotOf
 	used  int
-	nodes []BlockID
-	seen  []bool // seen[id]: id is in nodes
 }
 
-type edgeSlot struct {
+type countSlot struct {
 	key uint64
 	n   int64
 }
@@ -188,26 +188,14 @@ type edgeSlot struct {
 // exhaustive search stay cheap to build.
 const counterSlots = 64
 
-func newEdgeCounter(numIDs int) edgeCounter {
-	c := edgeCounter{seen: make([]bool, numIDs)}
+func newCounter() counter {
+	var c counter
 	c.resize(counterSlots)
 	return c
 }
 
-// addNode records block id as a node, even if it never gains an edge.
-func (c *edgeCounter) addNode(id BlockID) {
-	if !c.seen[id] {
-		c.seen[id] = true
-		c.nodes = append(c.nodes, id)
-	}
-}
-
-// add counts one interleaving of blocks u and v, which must differ.
-func (c *edgeCounter) add(u, v BlockID) {
-	if u > v {
-		u, v = v, u
-	}
-	key := uint64(u)<<32 | uint64(v)
+// inc counts one event of the non-zero key.
+func (c *counter) inc(key uint64) {
 	mask := uint64(len(c.slots) - 1)
 	for i := c.slotOf(key); ; i = (i + 1) & mask {
 		s := &c.slots[i]
@@ -226,16 +214,26 @@ func (c *edgeCounter) add(u, v BlockID) {
 	}
 }
 
+// get returns the count of the non-zero key.
+func (c *counter) get(key uint64) int64 {
+	mask := uint64(len(c.slots) - 1)
+	for i := c.slotOf(key); ; i = (i + 1) & mask {
+		if s := c.slots[i]; s.key == key || s.key == 0 {
+			return s.n
+		}
+	}
+}
+
 // slotOf is the home slot of key: Fibonacci hashing, keeping the top bits
-// of the product so the packed lo half mixes into the index.
-func (c *edgeCounter) slotOf(key uint64) uint64 {
+// of the product so the low half of the key mixes into the index.
+func (c *counter) slotOf(key uint64) uint64 {
 	return (key * 0x9E3779B97F4A7C15) >> c.shift
 }
 
 // resize rehashes the table into n slots, a power of two.
-func (c *edgeCounter) resize(n int) {
+func (c *counter) resize(n int) {
 	old := c.slots
-	c.slots = make([]edgeSlot, n)
+	c.slots = make([]countSlot, n)
 	c.shift = 64 - uint(bits.TrailingZeros(uint(n)))
 	mask := uint64(n - 1)
 	for _, s := range old {
@@ -248,6 +246,35 @@ func (c *edgeCounter) resize(n int) {
 		}
 		c.slots[i] = s
 	}
+}
+
+// edgeCounter accumulates one TRG: the nodes in first-seen order and the
+// interleaving count of every edge, keyed by the packed (lo, hi) block
+// pair. No edge packs to key 0 because lo < hi.
+type edgeCounter struct {
+	counter
+	nodes []BlockID
+	seen  []bool // seen[id]: id is in nodes
+}
+
+func newEdgeCounter(numIDs int) edgeCounter {
+	return edgeCounter{counter: newCounter(), seen: make([]bool, numIDs)}
+}
+
+// addNode records block id as a node, even if it never gains an edge.
+func (c *edgeCounter) addNode(id BlockID) {
+	if !c.seen[id] {
+		c.seen[id] = true
+		c.nodes = append(c.nodes, id)
+	}
+}
+
+// add counts one interleaving of blocks u and v, which must differ.
+func (c *edgeCounter) add(u, v BlockID) {
+	if u > v {
+		u, v = v, u
+	}
+	c.inc(uint64(u)<<32 | uint64(v))
 }
 
 // graph builds the counted TRG as a fresh graph.

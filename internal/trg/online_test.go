@@ -2,7 +2,6 @@ package trg
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"os"
 	"reflect"
@@ -128,6 +127,58 @@ func TestBuilderRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := NewBuilder(prog, Options{ChunkSize: -1}, false); err == nil {
 		t.Error("NewBuilder accepted negative chunk size")
+	}
+	// A pair-database key holds block IDs below maxPairBlocks: one chunk
+	// more must be an error, never a silent key collision.
+	for _, chunks := range []int{maxPairBlocks, maxPairBlocks + 1} {
+		big := program.MustNew([]program.Procedure{{Name: "big", Size: chunks}})
+		opts := Options{ChunkSize: 1}
+		if _, err := NewBuilder(big, opts, false); err != nil {
+			t.Errorf("%d chunks without pairs: %v", chunks, err)
+		}
+		_, err := NewBuilder(big, opts, true)
+		if tooMany := chunks > maxPairBlocks; (err != nil) != tooMany {
+			t.Errorf("%d chunks with pairs: err = %v, want an error %v", chunks, err, tooMany)
+		}
+	}
+}
+
+// Pairs is the builder's live database, not a snapshot: later Observe
+// calls keep counting into it, while its Rows are a snapshot.
+func TestBuilderPairsTrackLaterObserve(t *testing.T) {
+	prog := program.MustNew([]program.Procedure{
+		{Name: "p", Size: 32},
+		{Name: "r", Size: 32},
+		{Name: "s", Size: 32},
+	})
+	b, err := NewBuilder(prog, Options{CacheBytes: 8192}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []program.ProcID{0, 1, 2} {
+		b.Observe(trace.Event{Proc: p})
+	}
+	db := b.Pairs()
+	before, err := db.Rows(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Len() != 0 || len(before[0]) != 0 {
+		t.Fatalf("pairs before any repeat: Len %d, row %v", db.Len(), before[0])
+	}
+	b.Observe(trace.Event{Proc: 0}) // p (r s) p
+	if got := db.Count(0, 1, 2); got != 1 || db.Len() != 1 {
+		t.Errorf("after p r s p: D(p,{r,s}) = %d with %d entries, want 1 with 1", got, db.Len())
+	}
+	after, err := db.Rows(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := after[0]; len(row) != 1 || row[0] != (PairEntry{R: 1, S: 2, N: 1}) {
+		t.Errorf("row of p = %v, want [{1 2 1}]", row)
+	}
+	if len(before[0]) != 0 {
+		t.Errorf("earlier Rows changed: %v", before[0])
 	}
 }
 
@@ -273,9 +324,9 @@ func TestBuilderMatchesOracle(t *testing.T) {
 						if b.BuildStats() != o.stats {
 							t.Fatalf("%s: BuildStats = %+v, oracle %+v", ctx, b.BuildStats(), o.stats)
 						}
-						if pairs && !maps.Equal(b.Pairs().m, o.db.m) {
+						if pairs && !o.samePairs(b.Pairs()) {
 							t.Fatalf("%s: pair database differs from the oracle (%d vs %d entries)",
-								ctx, b.Pairs().Len(), o.db.Len())
+								ctx, b.Pairs().Len(), len(o.pairs))
 						}
 					}
 				}

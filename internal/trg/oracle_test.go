@@ -117,7 +117,9 @@ type oracleBuilder struct {
 
 	sel   *graph.Graph
 	place *graph.Graph
-	db    *PairDB
+	// pairs is the pair database as a plain map keyed by (p, min(r,s),
+	// max(r,s)); nil unless pair tracking is on.
+	pairs map[[3]BlockID]int64
 
 	qSel   *oracleQueue
 	qPlace *oracleQueue
@@ -144,7 +146,7 @@ func newOracleBuilder(prog *program.Program, opts Options, trackPairs bool) *ora
 		qPlace: newOracleQueue(bound),
 	}
 	if trackPairs {
-		b.db = NewPairDB()
+		b.pairs = make(map[[3]BlockID]int64)
 	}
 	return b
 }
@@ -177,13 +179,26 @@ func (b *oracleBuilder) Observe(e trace.Event) {
 		cid := BlockID(c)
 		b.place.AddNode(cid)
 		inc := func(between BlockID) { b.place.Increment(cid, between) }
-		if b.db != nil {
+		if b.pairs != nil {
 			b.qPlace.TouchPairs(cid, b.chunker.ChunkBytes(c), inc,
-				func(r, s BlockID) { b.db.Add(cid, r, s) })
+				func(r, s BlockID) { b.pairs[[3]BlockID{cid, min(r, s), max(r, s)}]++ })
 		} else {
 			b.qPlace.Touch(cid, b.chunker.ChunkBytes(c), inc)
 		}
 	}
+}
+
+// samePairs reports whether db holds exactly the oracle's pair counts.
+func (b *oracleBuilder) samePairs(db *PairDB) bool {
+	if db.Len() != len(b.pairs) {
+		return false
+	}
+	for k, n := range b.pairs {
+		if db.Count(k[0], k[1], k[2]) != n {
+			return false
+		}
+	}
+	return true
 }
 
 // Result returns the oracle's live graphs: valid until the next Observe.
