@@ -83,9 +83,10 @@ bench-json:
 	$(GO) test -run '^$$' -bench '$(SAMPLE_BENCHES)' -benchmem \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_sample.json
 
-# Regenerate the full paper evaluation (EXPERIMENTS.md numbers).
+# Regenerate the full paper evaluation golden (experiments_output.txt, the
+# EXPERIMENTS.md numbers). CI re-runs it and fails on any diff.
 experiments:
-	$(GO) run ./cmd/experiments -run all -scale 1.0 -runs 40
+	$(GO) run ./cmd/experiments -run all -scale 1.0 -runs 40 -seed 1 > experiments_output.txt
 
 # Regenerate the small-scale golden CI checks against (ci_smoke_output.txt).
 # CI re-runs this and fails on any diff, so commit the refreshed file

@@ -19,28 +19,24 @@ import (
 	"repro/internal/trg"
 )
 
+// startTemp and endTemp bound the geometric cooling schedule, expressed as
+// fractions of the initial cost.
+const startTemp, endTemp = 0.1, 1e-4
+
 // Options tunes the annealer.
 type Options struct {
 	// Steps is the number of proposed moves. Default 20000.
 	Steps int
-	// StartTemp and EndTemp bound the geometric cooling schedule,
-	// expressed as fractions of the initial cost. Defaults 0.1 and 1e-4.
-	StartTemp, EndTemp float64
 	// Seed drives the proposal sequence. Default 1.
 	Seed int64
-	// Init provides the starting offsets; nil starts from all-zero.
+	// Init provides the starting offsets, one entry per popular procedure
+	// in any order; nil starts from all-zero.
 	Init []place.Placed
 }
 
 func (o *Options) setDefaults() {
 	if o.Steps == 0 {
 		o.Steps = 20000
-	}
-	if o.StartTemp == 0 {
-		o.StartTemp = 0.1
-	}
-	if o.EndTemp == 0 {
-		o.EndTemp = 1e-4
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -69,13 +65,13 @@ func Place(prog *program.Program, res *trg.Result, pop *popular.Set, cfg cache.C
 		copy(items, opts.Init)
 	}
 
-	ev := newEvaluator(prog, res, cfg, period, items)
+	ev := newEvaluator(prog, res, cfg, items)
 	cost := ev.totalCost(items)
 	best := append([]place.Placed(nil), items...)
 	bestCost := cost
 
-	t0 := opts.StartTemp * math.Max(float64(cost), 1)
-	t1 := opts.EndTemp * math.Max(float64(cost), 1)
+	t0 := startTemp * math.Max(float64(cost), 1)
+	t1 := endTemp * math.Max(float64(cost), 1)
 	for step := 0; step < opts.Steps; step++ {
 		frac := float64(step) / float64(opts.Steps)
 		temp := t0 * math.Pow(t1/t0, frac)
@@ -88,7 +84,6 @@ func Place(prog *program.Program, res *trg.Result, pop *popular.Set, cfg cache.C
 		}
 		delta := ev.moveDelta(items, idx, newLine)
 		if delta <= 0 || rng.Float64() < math.Exp(-float64(delta)/temp) {
-			ev.apply(items, idx, newLine)
 			items[idx].Line = newLine
 			cost += delta
 			if cost < bestCost {
@@ -100,91 +95,72 @@ func Place(prog *program.Program, res *trg.Result, pop *popular.Set, cfg cache.C
 	return place.Linearize(prog, best, pop.Unpopular(prog), cfg, period)
 }
 
-// evaluator incrementally maintains the TRG_place conflict cost: per cache
-// line, the chunks resident there; per move, only the moved procedure's
-// chunk-pair weights change.
+// evaluator scores moves against the TRG_place conflict metric through the
+// offset search the placement algorithms share (place.Offsets). Each chunk
+// that holds a line start of an item's procedure belongs to that item and
+// holds a run of lines relative to the procedure's start line. Moving an
+// item charges its chunks' edges to other items' chunks as terms, with the
+// mover sliding, and reads the costs of its old and new start lines. The
+// sums are exact int64, so the neighbour visit order cannot change them.
 type evaluator struct {
-	prog   *program.Program
-	res    *trg.Result
-	cfg    cache.Config
-	period int
-	// lineChunks[l] holds resident chunks with their owning item index.
-	lineChunks [][]chunkRef
+	placeG *graph.Graph
+	// owner[c] is the item holding chunk c, or -1 for a chunk of no item
+	// or one that holds no line start. start[c] and lines[c] are its run.
+	owner        []int
+	start, lines []int
+	// chunks lists each item's chunks.
+	chunks  [][]program.ChunkID
+	offsets *place.Offsets
 }
 
-type chunkRef struct {
-	item  int
-	chunk program.ChunkID
-}
-
-func newEvaluator(prog *program.Program, res *trg.Result, cfg cache.Config, period int, items []place.Placed) *evaluator {
-	ev := &evaluator{prog: prog, res: res, cfg: cfg, period: period,
-		lineChunks: make([][]chunkRef, period)}
-	for i, it := range items {
-		ev.insert(items, i, it.Line)
+func newEvaluator(prog *program.Program, res *trg.Result, cfg cache.Config, items []place.Placed) *evaluator {
+	nc := res.Chunker.NumChunks()
+	ev := &evaluator{
+		placeG:  res.Place,
+		owner:   make([]int, nc),
+		start:   make([]int, nc),
+		lines:   make([]int, nc),
+		chunks:  make([][]program.ChunkID, len(items)),
+		offsets: place.NewOffsets(cfg.NumLines()),
+	}
+	for c := range ev.owner {
+		ev.owner[c] = -1
+	}
+	for idx, it := range items {
+		for i := 0; i < prog.SizeLines(it.Proc, cfg.LineBytes); i++ {
+			c := res.Chunker.ChunkAtOffset(it.Proc, i*cfg.LineBytes)
+			if ev.lines[c] == 0 {
+				ev.owner[c], ev.start[c] = idx, i
+				ev.chunks[idx] = append(ev.chunks[idx], c)
+			}
+			ev.lines[c]++
+		}
 	}
 	return ev
 }
 
-func (ev *evaluator) linesOf(p program.ProcID) int {
-	return ev.prog.SizeLines(p, ev.cfg.LineBytes)
-}
-
-func (ev *evaluator) chunkAt(p program.ProcID, lineIdx int) program.ChunkID {
-	return ev.res.Chunker.ChunkAtOffset(p, lineIdx*ev.cfg.LineBytes)
-}
-
-func (ev *evaluator) insert(items []place.Placed, idx, line int) {
-	p := items[idx].Proc
-	for i := 0; i < ev.linesOf(p); i++ {
-		l := (line + i) % ev.period
-		ev.lineChunks[l] = append(ev.lineChunks[l], chunkRef{item: idx, chunk: ev.chunkAt(p, i)})
-	}
-}
-
-func (ev *evaluator) remove(idx int) {
-	for l := range ev.lineChunks {
-		out := ev.lineChunks[l][:0]
-		for _, cr := range ev.lineChunks[l] {
-			if cr.item != idx {
-				out = append(out, cr)
+// costs returns the conflict cost between item idx and every other item
+// for each start line of idx. The slice is reused by the next call.
+func (ev *evaluator) costs(items []place.Placed, idx int) []int64 {
+	for _, c := range ev.chunks[idx] {
+		ev.placeG.ForEachNeighbor(graph.NodeID(c), func(d graph.NodeID, w int64) {
+			if j := ev.owner[d]; j >= 0 && j != idx {
+				ev.offsets.Add(items[j].Line+ev.start[d], ev.lines[d], ev.start[c], ev.lines[c], w)
 			}
-		}
-		ev.lineChunks[l] = out
+		})
 	}
-}
-
-// costAt sums the weights between procedure p's chunks (placed at line)
-// and everything else resident, excluding item idx itself.
-func (ev *evaluator) costAt(items []place.Placed, idx, line int) int64 {
-	p := items[idx].Proc
-	var total int64
-	for i := 0; i < ev.linesOf(p); i++ {
-		l := (line + i) % ev.period
-		mine := ev.chunkAt(p, i)
-		for _, cr := range ev.lineChunks[l] {
-			if cr.item == idx {
-				continue
-			}
-			total += ev.res.Place.Weight(graph.NodeID(mine), graph.NodeID(cr.chunk))
-		}
-	}
-	return total
+	return ev.offsets.Costs()
 }
 
 func (ev *evaluator) moveDelta(items []place.Placed, idx, newLine int) int64 {
-	return ev.costAt(items, idx, newLine) - ev.costAt(items, idx, items[idx].Line)
-}
-
-func (ev *evaluator) apply(items []place.Placed, idx, newLine int) {
-	ev.remove(idx)
-	ev.insert(items, idx, newLine)
+	costs := ev.costs(items, idx)
+	return costs[newLine] - costs[items[idx].Line]
 }
 
 func (ev *evaluator) totalCost(items []place.Placed) int64 {
 	var total int64
-	for i := range items {
-		total += ev.costAt(items, i, items[i].Line)
+	for i, it := range items {
+		total += ev.costs(items, i)[it.Line]
 	}
 	return total / 2
 }

@@ -12,11 +12,6 @@ import (
 	"repro/internal/trg"
 )
 
-// defaultLayoutOf is a tiny indirection so experiment files read uniformly.
-func defaultLayoutOf(prog *program.Program) *program.Layout {
-	return program.DefaultLayout(prog)
-}
-
 // AblationRow holds the miss rates of GBSC variants for one benchmark,
 // probing the design choices Section 4 argues for.
 type AblationRow struct {
@@ -49,7 +44,7 @@ type AblationsResult struct {
 func Ablations(opts Options) (*AblationsResult, error) {
 	opts.setDefaults()
 	par := opts.parallelism()
-	pairs, benches, err := opts.prepareSuite(opts.Cache, par)
+	pairs, benches, err := opts.prepareSuite(par)
 	if err != nil {
 		return nil, err
 	}
@@ -66,20 +61,20 @@ func Ablations(opts Options) (*AblationsResult, error) {
 		gbscAt := func(o trg.Options) (float64, error) {
 			o.Popular = b.pop
 			if o.CacheBytes == 0 {
-				o.CacheBytes = opts.Cache.SizeBytes
+				o.CacheBytes = cache.PaperConfig.SizeBytes
 			}
 			r, err := trg.Build(prog, b.train, o)
 			if err != nil {
 				return 0, err
 			}
-			l, err := core.Place(prog, r, b.pop, opts.Cache)
+			l, err := core.Place(prog, r, b.pop, cache.PaperConfig)
 			if err != nil {
 				return 0, err
 			}
-			if err := checkAligned(rows[bi].Name+"/ablation-gbsc", prog, l, b.pop, opts.Cache); err != nil {
+			if err := checkAligned(rows[bi].Name+"/ablation-gbsc", prog, l, b.pop, cache.PaperConfig); err != nil {
 				return 0, err
 			}
-			return cache.MissRateCompiled(opts.Cache, b.ctTest, l)
+			return cache.MissRateCompiled(cache.PaperConfig, b.ctTest, l)
 		}
 
 		var err error
@@ -102,7 +97,7 @@ func Ablations(opts Options) (*AblationsResult, error) {
 			var phTRG *program.Layout
 			if phTRG, err = baseline.PHLayout(prog, b.trgRes.Select); err == nil {
 				if err = checkPacked(rows[bi].Name+"/ph+trg", prog, phTRG); err == nil {
-					rows[bi].PHWithTRG, err = cache.MissRateCompiled(opts.Cache, b.ctTest, phTRG)
+					rows[bi].PHWithTRG, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, phTRG)
 				}
 			}
 		}

@@ -38,7 +38,7 @@ func Conflicts(opts Options) (*ConflictsResult, error) {
 	rows := make([]ConflictRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
+		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
 		if err != nil {
 			return err
 		}
@@ -52,18 +52,18 @@ func Conflicts(opts Options) (*ConflictsResult, error) {
 		if err := checkPacked(row.Name+"/PH", prog, phl); err != nil {
 			return err
 		}
-		hkcl, err := baseline.HKC(prog, b.wcgPop, b.pop, opts.Cache)
+		hkcl, err := baseline.HKC(prog, b.wcgPop, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
-		if err := checkGeneral(row.Name+"/HKC", prog, hkcl, b.pop, opts.Cache); err != nil {
+		if err := checkGeneral(row.Name+"/HKC", prog, hkcl, b.pop, cache.PaperConfig); err != nil {
 			return err
 		}
-		gbscl, err := core.Place(prog, b.trgRes, b.pop, opts.Cache)
+		gbscl, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(row.Name+"/GBSC", prog, gbscl, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(row.Name+"/GBSC", prog, gbscl, b.pop, cache.PaperConfig); err != nil {
 			return err
 		}
 		def := program.DefaultLayout(prog)
@@ -81,7 +81,7 @@ func Conflicts(opts Options) (*ConflictsResult, error) {
 			{&row.GBSC, gbscl},
 		}
 		for _, l := range layouts {
-			cs, _, err := cache.RunCompiledClassified(opts.Cache, b.ctTest, l.layout)
+			cs, _, err := cache.RunCompiledClassified(cache.PaperConfig, b.ctTest, l.layout)
 			if err != nil {
 				return err
 			}

@@ -27,9 +27,6 @@ type Options struct {
 	// Scale multiplies the suite trace lengths (see tracegen.Suite).
 	// Default 1.0; the checked-in EXPERIMENTS.md was produced at 1.0.
 	Scale float64
-	// Cache is the simulated instruction cache. Default 8 KB direct-mapped
-	// with 32-byte lines, as in the paper.
-	Cache cache.Config
 	// Runs is the number of perturbed profiles per algorithm in Figure 5.
 	// Default 40, as in the paper; Figure5 rejects a negative count.
 	Runs int
@@ -54,9 +51,6 @@ type Options struct {
 func (o *Options) setDefaults() {
 	if o.Scale == 0 {
 		o.Scale = 1
-	}
-	if o.Cache == (cache.Config{}) {
-		o.Cache = cache.PaperConfig
 	}
 	if o.Runs == 0 {
 		o.Runs = 40
@@ -97,10 +91,11 @@ func (o Options) CheckBenchmarks() error {
 	return err
 }
 
-// prepareSuite resolves the filtered suite and prepares every benchmark,
-// fanning the (expensive) per-benchmark trace generation and graph builds
-// across par workers. benches[i] corresponds to pairs[i].
-func (o *Options) prepareSuite(cfg cache.Config, par int) (pairs []*tracegen.Pair, benches []*bench, err error) {
+// prepareSuite resolves the filtered suite and prepares every benchmark
+// for the paper's cache, fanning the (expensive) per-benchmark trace
+// generation and graph builds across par workers. benches[i] corresponds
+// to pairs[i].
+func (o *Options) prepareSuite(par int) (pairs []*tracegen.Pair, benches []*bench, err error) {
 	pairs, err = o.suite()
 	if err != nil {
 		return nil, nil, err
@@ -109,7 +104,7 @@ func (o *Options) prepareSuite(cfg cache.Config, par int) (pairs []*tracegen.Pai
 	err = runParallel(par, len(pairs),
 		func() *telemetry.Shard { return o.Telemetry.Shard() },
 		func(sh *telemetry.Shard, i int) error {
-			b, err := prepare(pairs[i], cfg, sh)
+			b, err := prepare(pairs[i], cache.PaperConfig, sh)
 			if err != nil {
 				return err
 			}

@@ -66,11 +66,8 @@ func Figure5(opts Options) (*Figure5Result, error) {
 	if opts.Runs < 0 {
 		return nil, fmt.Errorf("experiments: negative perturbed run count %d", opts.Runs)
 	}
-	if err := opts.Cache.Validate(); err != nil {
-		return nil, err
-	}
 	par := opts.parallelism()
-	pairs, benches, err := opts.prepareSuite(opts.Cache, par)
+	pairs, benches, err := opts.prepareSuite(par)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +94,7 @@ func Figure5(opts Options) (*Figure5Result, error) {
 				rng = rand.New(rand.NewSource(opts.Seed + int64(run)*7919))
 			}
 			stop := sh.Time("figure5/cell_wall")
-			layout, err := buildLayout(alg, benches[bi], opts.Cache, rng, sh)
+			layout, err := buildLayout(alg, benches[bi], cache.PaperConfig, rng, sh)
 			stop()
 			if err != nil {
 				if run < 0 {
@@ -123,7 +120,7 @@ func Figure5(opts Options) (*Figure5Result, error) {
 			bi, ai := j/len(figure5Algs), j%len(figure5Algs)
 			stop := sh.Time("figure5/score_wall")
 			defer stop()
-			mr, err := scoreLayouts(opts.Cache, benches[bi], layouts[bi][ai], sh)
+			mr, err := scoreLayouts(cache.PaperConfig, benches[bi], layouts[bi][ai], sh)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, figure5Algs[ai], err)
 			}

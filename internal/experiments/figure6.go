@@ -45,19 +45,16 @@ type Figure6Result struct {
 // conflate metric quality with train/test input divergence.
 func Figure6(opts Options) (*Figure6Result, error) {
 	opts.setDefaults()
-	if err := opts.Cache.Validate(); err != nil {
-		return nil, err
-	}
 	pair := tracegen.Lookup(tracegen.Suite(opts.Scale), "go")
 	if pair == nil {
 		return nil, fmt.Errorf("experiments: go benchmark missing from suite")
 	}
-	b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
+	b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
 	if err != nil {
 		return nil, err
 	}
 	prog := pair.Bench.Prog
-	items, err := core.Assign(prog, b.trgRes, b.pop, opts.Cache)
+	items, err := core.Assign(prog, b.trgRes, b.pop, cache.PaperConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +67,7 @@ func Figure6(opts Options) (*Figure6Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	const numPoints = 80
 	res := &Figure6Result{Points: make([]Figure6Point, numPoints)}
-	period := opts.Cache.NumLines()
+	period := cache.PaperConfig.NumLines()
 	mutations := make([][]place.Placed, numPoints)
 	for i := range mutations {
 		mutated := make([]place.Placed, len(items))
@@ -83,24 +80,24 @@ func Figure6(opts Options) (*Figure6Result, error) {
 		mutations[i] = mutated
 	}
 	err = runParallel(opts.parallelism(), numPoints,
-		func() *cache.Sim { return cache.MustNewSim(opts.Cache) },
+		func() *cache.Sim { return cache.MustNewSim(cache.PaperConfig) },
 		func(sim *cache.Sim, i int) error {
-			layout, err := core.Linearize(prog, mutations[i], b.pop, opts.Cache)
+			layout, err := core.Linearize(prog, mutations[i], b.pop, cache.PaperConfig)
 			if err != nil {
 				return err
 			}
 			// Each randomized layout must still honor its mutated line
 			// assignments exactly — that is what the metric evaluates.
 			if err := checkLayout(fmt.Sprintf("figure6/point%d", i), prog, layout, invariant.LayoutOptions{
-				Cache: opts.Cache, Popular: b.pop, Placed: mutations[i],
+				Cache: cache.PaperConfig, Popular: b.pop, Placed: mutations[i],
 				Chunker: b.trgRes.Chunker, RequireAlignedPopular: true,
 			}); err != nil {
 				return err
 			}
 			res.Points[i] = Figure6Point{
 				MissRate:  sim.RunCompiled(b.ctTrain, layout).MissRate(),
-				TRGMetric: metrics.TRGConflict(layout, b.trgRes.Place, b.trgRes.Chunker, opts.Cache),
-				WCGMetric: metrics.WCGConflict(layout, b.wcgFull, opts.Cache),
+				TRGMetric: metrics.TRGConflict(layout, b.trgRes.Place, b.trgRes.Chunker, cache.PaperConfig),
+				WCGMetric: metrics.WCGConflict(layout, b.wcgFull, cache.PaperConfig),
 			}
 			return nil
 		})

@@ -41,33 +41,33 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 	rows := make([]HeadroomRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
+		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
 		if err != nil {
 			return err
 		}
 		prog := pair.Bench.Prog
 		row := HeadroomRow{Name: pair.Bench.Name}
 
-		items, err := core.Assign(prog, b.trgRes, b.pop, opts.Cache)
+		items, err := core.Assign(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
-		gl, err := core.Linearize(prog, items, b.pop, opts.Cache)
+		gl, err := core.Linearize(prog, items, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
 		if err := checkLayout(row.Name+"/headroom-gbsc", prog, gl, invariant.LayoutOptions{
-			Cache: opts.Cache, Popular: b.pop, Placed: items,
+			Cache: cache.PaperConfig, Popular: b.pop, Placed: items,
 			Chunker: b.trgRes.Chunker, RequireAlignedPopular: true,
 		}); err != nil {
 			return err
 		}
-		if row.GBSCMR, err = cache.MissRateCompiled(opts.Cache, b.ctTest, gl); err != nil {
+		if row.GBSCMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, gl); err != nil {
 			return err
 		}
-		row.GBSCMetric = metrics.TRGConflict(gl, b.trgRes.Place, b.trgRes.Chunker, opts.Cache)
+		row.GBSCMetric = metrics.TRGConflict(gl, b.trgRes.Place, b.trgRes.Chunker, cache.PaperConfig)
 
-		al, err := anneal.Place(prog, b.trgRes, b.pop, opts.Cache, anneal.Options{
+		al, err := anneal.Place(prog, b.trgRes, b.pop, cache.PaperConfig, anneal.Options{
 			Steps: steps,
 			Seed:  opts.Seed,
 			Init:  items,
@@ -75,13 +75,13 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(row.Name+"/headroom-anneal", prog, al, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(row.Name+"/headroom-anneal", prog, al, b.pop, cache.PaperConfig); err != nil {
 			return err
 		}
-		if row.AnnealMR, err = cache.MissRateCompiled(opts.Cache, b.ctTest, al); err != nil {
+		if row.AnnealMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, al); err != nil {
 			return err
 		}
-		row.AnnealMetric = metrics.TRGConflict(al, b.trgRes.Place, b.trgRes.Chunker, opts.Cache)
+		row.AnnealMetric = metrics.TRGConflict(al, b.trgRes.Place, b.trgRes.Chunker, cache.PaperConfig)
 		rows[i] = row
 		return nil
 	})

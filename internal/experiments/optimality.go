@@ -85,8 +85,8 @@ func Optimality(opts Options) (*OptimalityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh.Add("static/evaluated", opt.Evaluated)
-		sh.Add("static/abandoned", opt.Abandoned)
+		sh.Add("optimal/evaluated", opt.Evaluated)
+		sh.Add("optimal/abandoned", opt.Abandoned)
 		addBatch(sh, opt.Batch)
 		// Both layouts come from place.Linearize with every procedure
 		// popular, so full alignment applies.

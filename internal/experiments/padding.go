@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/tracegen"
@@ -34,31 +35,31 @@ func Padding(opts Options) (*PaddingResult, error) {
 		pair = pairs[0]
 	}
 	sh := opts.Telemetry.Shard()
-	b, err := prepare(pair, opts.Cache, sh)
+	b, err := prepare(pair, cache.PaperConfig, sh)
 	if err != nil {
 		return nil, err
 	}
-	layout, err := core.Place(pair.Bench.Prog, b.trgRes, b.pop, opts.Cache)
+	layout, err := core.Place(pair.Bench.Prog, b.trgRes, b.pop, cache.PaperConfig)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkAligned(pair.Bench.Name+"/padding-base", pair.Bench.Prog, layout, b.pop, opts.Cache); err != nil {
+	if err := checkAligned(pair.Bench.Name+"/padding-base", pair.Bench.Prog, layout, b.pop, cache.PaperConfig); err != nil {
 		return nil, err
 	}
-	padded := layout.PadAll(opts.Cache.LineBytes)
+	padded := layout.PadAll(cache.PaperConfig.LineBytes)
 	// The padded variant deliberately inserts gaps; only the universal
 	// invariants apply.
-	if err := checkGeneral(pair.Bench.Name+"/padding-padded", pair.Bench.Prog, padded, b.pop, opts.Cache); err != nil {
+	if err := checkGeneral(pair.Bench.Name+"/padding-padded", pair.Bench.Prog, padded, b.pop, cache.PaperConfig); err != nil {
 		return nil, err
 	}
 	// Both variants score in one walk of the testing trace.
-	mrs, err := scoreLayouts(opts.Cache, b, []*program.Layout{layout, padded}, sh)
+	mrs, err := scoreLayouts(cache.PaperConfig, b, []*program.Layout{layout, padded}, sh)
 	if err != nil {
 		return nil, err
 	}
 	return &PaddingResult{
 		Benchmark:    pair.Bench.Name,
-		PadBytes:     opts.Cache.LineBytes,
+		PadBytes:     cache.PaperConfig.LineBytes,
 		BaseMissRate: mrs[0],
 		PadMissRate:  mrs[1],
 	}, nil

@@ -40,32 +40,32 @@ func PageLocality(opts Options) (*PageLocalityResult, error) {
 	rows := make([]PageLocalityRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
+		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
 		if err != nil {
 			return err
 		}
 		prog := pair.Bench.Prog
 
-		std, err := core.Place(prog, b.trgRes, b.pop, opts.Cache)
+		std, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(pair.Bench.Name+"/pagelocal-std", prog, std, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(pair.Bench.Name+"/pagelocal-std", prog, std, b.pop, cache.PaperConfig); err != nil {
 			return err
 		}
-		paged, err := core.PlacePageAware(prog, b.trgRes, b.pop, opts.Cache)
+		paged, err := core.PlacePageAware(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(pair.Bench.Name+"/pagelocal-paged", prog, paged, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(pair.Bench.Name+"/pagelocal-paged", prog, paged, b.pop, cache.PaperConfig); err != nil {
 			return err
 		}
 
 		row := PageLocalityRow{Name: pair.Bench.Name}
-		if row.StdMR, err = cache.MissRateCompiled(opts.Cache, b.ctTest, std); err != nil {
+		if row.StdMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, std); err != nil {
 			return err
 		}
-		if row.PageMR, err = cache.MissRateCompiled(opts.Cache, b.ctTest, paged); err != nil {
+		if row.PageMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, paged); err != nil {
 			return err
 		}
 		row.StdPages = metrics.Pages(std, b.test, pageBytes)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"repro/internal/cache"
 	"repro/internal/program"
 	"repro/internal/tracegen"
 )
@@ -35,18 +36,18 @@ func SameInput(opts Options) (*SameInputResult, error) {
 	// Train and test on the same input.
 	same := *pair
 	same.Test = same.Train
-	b, err := prepare(&same, opts.Cache, opts.Telemetry.Shard())
+	b, err := prepare(&same, cache.PaperConfig, opts.Telemetry.Shard())
 	if err != nil {
 		return nil, err
 	}
 	sh := opts.Telemetry.Shard()
 	layouts := make([]*program.Layout, len(figure5Algs))
 	for i, alg := range figure5Algs {
-		if layouts[i], err = buildLayout(alg, b, opts.Cache, nil, sh); err != nil {
+		if layouts[i], err = buildLayout(alg, b, cache.PaperConfig, nil, sh); err != nil {
 			return nil, err
 		}
 	}
-	mrs, err := scoreLayouts(opts.Cache, b, layouts, sh)
+	mrs, err := scoreLayouts(cache.PaperConfig, b, layouts, sh)
 	if err != nil {
 		return nil, err
 	}

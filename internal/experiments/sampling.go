@@ -101,11 +101,8 @@ type figure5State struct {
 // result is byte-identical at every worker count.
 func Sampling(opts Options) (*SamplingResult, error) {
 	opts.setDefaults()
-	if err := opts.Cache.Validate(); err != nil {
-		return nil, err
-	}
 	par := opts.parallelism()
-	pairs, benches, err := opts.prepareSuite(opts.Cache, par)
+	pairs, benches, err := opts.prepareSuite(par)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +113,7 @@ func Sampling(opts Options) (*SamplingResult, error) {
 	evals := make([]*sample.Evaluator, len(benches))
 	sh := opts.Telemetry.Shard()
 	for i, b := range benches {
-		plan, err := sample.NewPlan(b.pair.Bench.Prog, b.test, opts.Cache.LineBytes, sample.Options{Seed: opts.Seed})
+		plan, err := sample.NewPlan(b.pair.Bench.Prog, b.test, cache.PaperConfig.LineBytes, sample.Options{Seed: opts.Seed})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sampling plan for %s: %w", b.pair.Bench.Name, err)
 		}
@@ -128,17 +125,17 @@ func Sampling(opts Options) (*SamplingResult, error) {
 	}
 	err = runParallel(par, len(out.Cells),
 		func() *figure5State {
-			return &figure5State{sim: cache.MustNewSim(opts.Cache), sh: opts.Telemetry.Shard()}
+			return &figure5State{sim: cache.MustNewSim(cache.PaperConfig), sh: opts.Telemetry.Shard()}
 		},
 		func(st *figure5State, i int) error {
 			bi, ai := i/len(figure5Algs), i%len(figure5Algs)
 			b, alg := benches[bi], figure5Algs[ai]
-			layout, err := buildLayout(alg, b, opts.Cache, nil, st.sh)
+			layout, err := buildLayout(alg, b, cache.PaperConfig, nil, st.sh)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
 			}
 			exact := st.sim.RunCompiled(b.ctTest, layout).MissRate()
-			ests, err := evals[bi].MissRateBatch(cache.MustNewBatchSim(opts.Cache), []*program.Layout{layout})
+			ests, err := evals[bi].MissRateBatch(cache.MustNewBatchSim(cache.PaperConfig), []*program.Layout{layout})
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
 			}

@@ -34,8 +34,8 @@ type SetAssocResult struct {
 func SetAssoc(opts Options) (*SetAssocResult, error) {
 	opts.setDefaults()
 	assocCfg := cache.Config{
-		SizeBytes: opts.Cache.SizeBytes,
-		LineBytes: opts.Cache.LineBytes,
+		SizeBytes: cache.PaperConfig.SizeBytes,
+		LineBytes: cache.PaperConfig.LineBytes,
 		Assoc:     2,
 	}
 	pairs, err := opts.suite()
@@ -46,7 +46,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
 		sh := opts.Telemetry.Shard()
-		b, err := prepare(pair, opts.Cache, sh)
+		b, err := prepare(pair, cache.PaperConfig, sh)
 		if err != nil {
 			return err
 		}
@@ -54,23 +54,23 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 
 		// Pair database for the associative cost model.
 		trgPairs, db, err := trg.BuildPairs(prog, b.train, trg.Options{
-			CacheBytes: opts.Cache.SizeBytes,
+			CacheBytes: cache.PaperConfig.SizeBytes,
 			Popular:    b.pop,
 		})
 		if err != nil {
 			return err
 		}
 
-		defLayout := defaultLayoutOf(prog)
+		defLayout := program.DefaultLayout(prog)
 		if err := checkPacked(pair.Bench.Name+"/setassoc-default", prog, defLayout); err != nil {
 			return err
 		}
 
-		dmLayout, err := core.Place(prog, b.trgRes, b.pop, opts.Cache)
+		dmLayout, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(pair.Bench.Name+"/setassoc-direct", prog, dmLayout, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(pair.Bench.Name+"/setassoc-direct", prog, dmLayout, b.pop, cache.PaperConfig); err != nil {
 			return err
 		}
 

@@ -40,28 +40,28 @@ func Splitting(opts Options) (*SplittingResult, error) {
 	rows := make([]SplittingRow, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
+		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
 		if err != nil {
 			return err
 		}
 		prog := pair.Bench.Prog
 		row := SplittingRow{Name: pair.Bench.Name}
 
-		plain, err := core.Place(prog, b.trgRes, b.pop, opts.Cache)
+		plain, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(row.Name+"/splitting-plain", prog, plain, b.pop, opts.Cache); err != nil {
+		if err := checkAligned(row.Name+"/splitting-plain", prog, plain, b.pop, cache.PaperConfig); err != nil {
 			return err
 		}
-		if row.GBSC, _, err = cache.RunCompiledClassified(opts.Cache, b.ctTest, plain); err != nil {
+		if row.GBSC, _, err = cache.RunCompiledClassified(cache.PaperConfig, b.ctTest, plain); err != nil {
 			return err
 		}
 
 		// Split on the training profile, transform both traces, and run
 		// the full pipeline on the split program.
 		sp, err := split.Split(prog, b.train, split.Options{
-			Align: opts.Cache.LineBytes,
+			Align: cache.PaperConfig.LineBytes,
 		})
 		if err != nil {
 			return err
@@ -77,25 +77,25 @@ func Splitting(opts Options) (*SplittingResult, error) {
 		}
 		spop := popular.Select(sp.Prog, strain, popular.Options{})
 		sres, err := trg.Build(sp.Prog, strain, trg.Options{
-			CacheBytes: opts.Cache.SizeBytes,
+			CacheBytes: cache.PaperConfig.SizeBytes,
 			Popular:    spop,
 		})
 		if err != nil {
 			return err
 		}
-		slayout, err := core.Place(sp.Prog, sres, spop, opts.Cache)
+		slayout, err := core.Place(sp.Prog, sres, spop, cache.PaperConfig)
 		if err != nil {
 			return err
 		}
 		// Checked against the transformed program: splitting must conserve
 		// the split program's bytes, not the original's.
 		if err := checkLayout(row.Name+"/splitting-split", sp.Prog, slayout, invariant.LayoutOptions{
-			Cache: opts.Cache, Popular: spop, Chunker: sres.Chunker,
+			Cache: cache.PaperConfig, Popular: spop, Chunker: sres.Chunker,
 			RequireAlignedPopular: true,
 		}); err != nil {
 			return err
 		}
-		if row.SplitGBSC, err = cache.RunTraceClassified(opts.Cache, slayout, stest); err != nil {
+		if row.SplitGBSC, err = cache.RunTraceClassified(cache.PaperConfig, slayout, stest); err != nil {
 			return err
 		}
 		rows[i] = row

@@ -46,7 +46,7 @@ func Table1(opts Options) (*Table1Result, error) {
 	rows := make([]Table1Row, len(pairs))
 	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
 		pair := pairs[i]
-		b, err := prepare(pair, opts.Cache, opts.Telemetry.Shard())
+		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
 		if err != nil {
 			return err
 		}
@@ -55,7 +55,7 @@ func Table1(opts Options) (*Table1Result, error) {
 		if err := checkPacked(pair.Bench.Name+"/table1-default", prog, def); err != nil {
 			return err
 		}
-		mr, err := cache.MissRateCompiled(opts.Cache, b.ctTest, def)
+		mr, err := cache.MissRateCompiled(cache.PaperConfig, b.ctTest, def)
 		if err != nil {
 			return err
 		}
@@ -67,10 +67,10 @@ func Table1(opts Options) (*Table1Result, error) {
 			PopularCount:    b.pop.Len(),
 			TrainInput:      pair.Train.Name,
 			TrainEvents:     b.train.Len(),
-			TrainRefs:       b.train.NumLineRefs(prog, opts.Cache.LineBytes),
+			TrainRefs:       b.train.NumLineRefs(prog, cache.PaperConfig.LineBytes),
 			TestInput:       pair.Test.Name,
 			TestEvents:      b.test.Len(),
-			TestRefs:        b.test.NumLineRefs(prog, opts.Cache.LineBytes),
+			TestRefs:        b.test.NumLineRefs(prog, cache.PaperConfig.LineBytes),
 			DefaultMissRate: mr,
 			AvgQSize:        b.trgRes.AvgQProcs,
 		}

@@ -6,10 +6,10 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/graph"
+	"repro/internal/place"
 	"repro/internal/program"
 )
 
@@ -17,80 +17,69 @@ import (
 // every pair of chunks mapped to the same cache line, the TRG_place edge
 // weight between them, summed over all lines. This is the quantity
 // merge_nodes minimizes pairwise and the Y-axis of Figure 6 (top).
+//
+// Each line a procedure covers holds the chunk of the procedure's first
+// byte there, so each chunk holds a run of consecutive lines, and a run
+// longer than the period holds some lines more than once. Every TRG_place
+// edge is one term of the offset search the placement algorithms share
+// (place.Offsets) between its two chunks' runs, read at offset 0. placeG's
+// nodes are chunker's chunks.
 func TRGConflict(layout *program.Layout, placeG *graph.Graph, chunker *program.Chunker, cfg cache.Config) int64 {
 	prog := layout.Program()
-	period := cfg.NumLines()
 	lb := cfg.LineBytes
 
-	occ := make([][]program.ChunkID, period)
+	nc := chunker.NumChunks()
+	start, lines := make([]int, nc), make([]int, nc)
 	for p := 0; p < prog.NumProcs(); p++ {
 		id := program.ProcID(p)
-		start := layout.Addr(id) / lb
-		lines := program.CeilDiv(layout.Addr(id)%lb+prog.Size(id), lb)
-		for i := 0; i < lines; i++ {
-			line := (start + i) % period
-			// Byte offset within the procedure of the first byte that this
-			// cache line holds.
-			off := i*lb - layout.Addr(id)%lb
-			if off < 0 {
-				off = 0
+		addr := layout.Addr(id)
+		n := program.CeilDiv(addr%lb+prog.Size(id), lb)
+		for i := 0; i < n; i++ {
+			c := chunker.ChunkAtOffset(id, max(i*lb-addr%lb, 0))
+			if lines[c] == 0 {
+				start[c] = addr/lb + i
 			}
-			if off >= prog.Size(id) {
-				off = prog.Size(id) - 1
-			}
-			occ[line] = append(occ[line], chunker.ChunkAtOffset(id, off))
+			lines[c]++
 		}
 	}
 
-	var total int64
-	for _, chunks := range occ {
-		for i := 0; i < len(chunks); i++ {
-			for j := i + 1; j < len(chunks); j++ {
-				total += placeG.Weight(graph.NodeID(chunks[i]), graph.NodeID(chunks[j]))
+	offsets := place.NewOffsets(cfg.NumLines())
+	for c := 0; c < nc; c++ {
+		placeG.ForEachNeighbor(graph.NodeID(c), func(d graph.NodeID, w int64) {
+			if int(d) > c {
+				offsets.Add(start[c], lines[c], start[d], lines[d], w)
 			}
-		}
+		})
 	}
-	return total
+	return offsets.Costs()[0]
 }
 
 // WCGConflict computes the coarse metric of Figure 6 (bottom): for every
 // pair of procedures that overlap anywhere in the cache, the WCG edge
-// weight between them.
+// weight between them. A procedure covers an arc of consecutive cache
+// lines, at most the whole period, and two arcs overlap when either starts
+// inside the other. wcgG's nodes are the layout's procedures.
 func WCGConflict(layout *program.Layout, wcgG *graph.Graph, cfg cache.Config) int64 {
 	prog := layout.Program()
 	period := cfg.NumLines()
 	lb := cfg.LineBytes
 
-	occ := make([][]program.ProcID, period)
-	for p := 0; p < prog.NumProcs(); p++ {
-		id := program.ProcID(p)
-		start := layout.Addr(id) / lb
-		lines := program.CeilDiv(layout.Addr(id)%lb+prog.Size(id), lb)
-		if lines > period {
-			lines = period
-		}
-		for i := 0; i < lines; i++ {
-			occ[(start+i)%period] = append(occ[(start+i)%period], id)
-		}
+	n := prog.NumProcs()
+	start, lines := make([]int, n), make([]int, n)
+	for p := 0; p < n; p++ {
+		addr := layout.Addr(program.ProcID(p))
+		start[p] = addr / lb % period
+		lines[p] = min(program.CeilDiv(addr%lb+prog.Size(program.ProcID(p)), lb), period)
 	}
+	inside := func(s, from, length int) bool { return (s-from+period)%period < length }
 
-	counted := make(map[[2]program.ProcID]bool)
 	var total int64
-	for _, procs := range occ {
-		for i := 0; i < len(procs); i++ {
-			for j := i + 1; j < len(procs); j++ {
-				a, b := procs[i], procs[j]
-				if a > b {
-					a, b = b, a
-				}
-				key := [2]program.ProcID{a, b}
-				if counted[key] {
-					continue
-				}
-				counted[key] = true
-				total += wcgG.Weight(graph.NodeID(a), graph.NodeID(b))
+	for a := 0; a < n; a++ {
+		wcgG.ForEachNeighbor(graph.NodeID(a), func(b graph.NodeID, w int64) {
+			if int(b) > a && (inside(start[b], start[a], lines[a]) || inside(start[a], start[b], lines[b])) {
+				total += w
 			}
-		}
+		})
 	}
 	return total
 }
@@ -119,43 +108,4 @@ func Pearson(xs, ys []float64) float64 {
 		return math.NaN()
 	}
 	return cov / math.Sqrt(vx*vy)
-}
-
-// Summary holds basic descriptive statistics of a sample.
-type Summary struct {
-	N              int
-	Min, Max, Mean float64
-	Median, StdDev float64
-}
-
-// Summarize computes descriptive statistics. The input is not modified.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	sorted := append([]float64(nil), xs...)
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		sum += x
-	}
-	s.Mean = sum / float64(len(xs))
-	var v float64
-	for _, x := range xs {
-		v += (x - s.Mean) * (x - s.Mean)
-	}
-	s.StdDev = math.Sqrt(v / float64(len(xs)))
-	sort.Float64s(sorted)
-	if n := len(sorted); n%2 == 1 {
-		s.Median = sorted[n/2]
-	} else {
-		s.Median = (sorted[n/2-1] + sorted[n/2]) / 2
-	}
-	return s
 }

@@ -1,10 +1,13 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/graph"
 	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/trg"
@@ -86,20 +89,6 @@ func TestPearson(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 || s.Median != 2.5 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	odd := Summarize([]float64{5, 1, 3})
-	if odd.Median != 3 {
-		t.Errorf("odd median = %v", odd.Median)
-	}
-	if e := Summarize(nil); e.N != 0 {
-		t.Errorf("empty summary = %+v", e)
-	}
-}
-
 // The TRG metric must correlate strongly with simulated misses; this is a
 // small-scale version of Figure 6's claim.
 func TestTRGMetricCorrelatesWithMisses(t *testing.T) {
@@ -144,5 +133,141 @@ func TestTRGMetricCorrelatesWithMisses(t *testing.T) {
 	}
 	if r := Pearson(cs, ms); math.IsNaN(r) || r < 0.9 {
 		t.Errorf("TRG metric correlation r = %v, want >= 0.9", r)
+	}
+}
+
+// layoutAt places each procedure of prog at the given byte address.
+func layoutAt(prog *program.Program, addrs ...int) *program.Layout {
+	l := program.NewLayout(prog)
+	for p, a := range addrs {
+		l.SetAddr(program.ProcID(p), a)
+	}
+	return l
+}
+
+// TestTRGConflictTraps pins the line-run derivation on the cases where a
+// chunk's run is not one line per chunk byte range: unaligned starts,
+// procedures and chunks longer than the cache, and chunks that hold no
+// line start. Each value is worked out by hand and must also match the
+// line-by-line oracle.
+func TestTRGConflictTraps(t *testing.T) {
+	cases := []struct {
+		name  string
+		sizes []int
+		addrs []int
+		chunk int
+		edges [][3]int64 // chunk, chunk, weight
+		want  int64
+	}{
+		// a (64 B at byte 16) covers lines 0–2: line 0 holds its byte 0 and
+		// line 1 its byte 16 (chunk a0), line 2 its byte 48 (chunk a1). b
+		// sits on line 2 and c on line 1.
+		{"unaligned start", []int{64, 32, 32}, []int{16, 128 + 64, 128 + 32}, 32,
+			[][3]int64{{0, 2, 5}, {1, 2, 7}, {0, 3, 11}, {1, 3, 13}}, 7 + 11},
+		// a (256 B) covers every line twice; with 64-byte chunks a0 and a2
+		// share lines 0–1, a1 and a3 lines 2–3, and b on line 1 meets a0
+		// and a2 once each.
+		{"procedure larger than the cache", []int{256, 32}, []int{0, 256 + 32}, 64,
+			[][3]int64{{0, 2, 3}, {1, 3, 5}, {0, 1, 100}, {0, 4, 7}, {2, 4, 11}, {1, 4, 13}}, 2*3 + 2*5 + 7 + 11},
+		// One 256-byte chunk holds all 8 lines of a, each line twice: b on
+		// line 0 pairs with it twice.
+		{"chunk run reaches the period", []int{256, 32}, []int{0, 128}, 256,
+			[][3]int64{{0, 1, 9}}, 2 * 9},
+		// With 16-byte chunks only a0 and a2 hold line starts (bytes 0 and
+		// 32); a1 and a3 hold none, so their edges add nothing.
+		{"chunk holds no line start", []int{64, 32}, []int{0, 128}, 16,
+			[][3]int64{{0, 4, 3}, {1, 4, 100}, {3, 4, 100}, {2, 4, 1000}}, 3},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			procs := make([]program.Procedure, len(c.sizes))
+			for i, sz := range c.sizes {
+				procs[i] = program.Procedure{Name: string(rune('a' + i)), Size: sz}
+			}
+			prog := program.MustNew(procs)
+			chunker := program.MustNewChunker(prog, c.chunk)
+			g := graph.New()
+			for _, e := range c.edges {
+				g.AddEdgeWeight(graph.NodeID(e[0]), graph.NodeID(e[1]), e[2])
+			}
+			l := layoutAt(prog, c.addrs...)
+			if got := TRGConflict(l, g, chunker, cfg); got != c.want {
+				t.Errorf("TRGConflict = %d, want %d", got, c.want)
+			}
+			if got := trgConflictOracle(l, g, chunker, cfg); got != c.want {
+				t.Errorf("oracle = %d, want %d", got, c.want)
+			}
+		})
+	}
+}
+
+// TestWCGConflictTraps: a pair counts once however many lines it shares,
+// and procedure arcs wrap past line 0.
+func TestWCGConflictTraps(t *testing.T) {
+	prog := program.MustNew([]program.Procedure{
+		{Name: "big", Size: 300}, // 10 lines: every line of the 4-line cache
+		{Name: "wrap", Size: 64}, // lines 3 and 0
+		{Name: "one", Size: 32},
+		{Name: "two", Size: 32},
+	})
+	g := graph.New()
+	g.AddEdgeWeight(0, 1, 1)
+	g.AddEdgeWeight(1, 2, 10)
+	g.AddEdgeWeight(1, 3, 100)
+	g.AddEdgeWeight(2, 3, 1000)
+	// wrap starts on line 3; one sits on line 0 (inside wrap's arc), two on
+	// line 1 (outside it). big shares both of wrap's lines, and their edge
+	// counts once.
+	l := layoutAt(prog, 0, 512+96, 1024, 1024+32+128)
+	if got, want := WCGConflict(l, g, cfg), int64(1+10); got != want {
+		t.Errorf("WCGConflict = %d, want %d", got, want)
+	}
+	// wrap starts on line 3, and two, 64 bytes from byte 16 of line 2,
+	// covers lines 2, 3 and 0: only wrap's start lies inside the other arc.
+	prog2 := program.MustNew([]program.Procedure{{Name: "wrap", Size: 64}, {Name: "two", Size: 64}})
+	g2 := graph.New()
+	g2.AddEdgeWeight(0, 1, 7)
+	if got := WCGConflict(layoutAt(prog2, 96, 128+64+16), g2, cfg); got != 7 {
+		t.Errorf("WCGConflict = %d, want 7", got)
+	}
+	if got := WCGConflict(layoutAt(prog2, 96, 128+32), g2, cfg); got != 0 {
+		t.Errorf("disjoint arcs: WCGConflict = %d, want 0", got)
+	}
+}
+
+// TestConflictMetricsMatchOracles holds both metrics to the line-by-line
+// oracles on random programs, layouts, chunk sizes and geometries, with
+// random graphs over every chunk and procedure: unaligned, overlapping and
+// larger-than-cache placements included.
+func TestConflictMetricsMatchOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		lineBytes := 8 << rng.Intn(4)
+		geom := cache.Config{SizeBytes: lineBytes * (rng.Intn(16) + 1), LineBytes: lineBytes, Assoc: 1}
+		n := rng.Intn(12) + 1
+		procs := make([]program.Procedure, n)
+		for i := range procs {
+			procs[i] = program.Procedure{Name: fmt.Sprintf("p%d", i), Size: rng.Intn(3*geom.SizeBytes) + 1}
+		}
+		prog := program.MustNew(procs)
+		chunker := program.MustNewChunker(prog, 4<<rng.Intn(7))
+		l := program.NewLayout(prog)
+		for p := 0; p < n; p++ {
+			l.SetAddr(program.ProcID(p), rng.Intn(8*geom.SizeBytes))
+		}
+		placeG, wcgG := graph.New(), graph.New()
+		nc := chunker.NumChunks()
+		for e := rng.Intn(4 * nc); e > 0; e-- {
+			placeG.AddEdgeWeight(graph.NodeID(rng.Intn(nc)), graph.NodeID(rng.Intn(nc)), rng.Int63n(1000)+1)
+		}
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			wcgG.AddEdgeWeight(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), rng.Int63n(1000)+1)
+		}
+		if got, want := TRGConflict(l, placeG, chunker, geom), trgConflictOracle(l, placeG, chunker, geom); got != want {
+			t.Fatalf("trial %d: TRGConflict = %d, oracle %d", trial, got, want)
+		}
+		if got, want := WCGConflict(l, wcgG, geom), wcgConflictOracle(l, wcgG, geom); got != want {
+			t.Fatalf("trial %d: WCGConflict = %d, oracle %d", trial, got, want)
+		}
 	}
 }

@@ -59,6 +59,9 @@ func TestScopeFilter(t *testing.T) {
 	if !NoDeterm.Applies("repro/internal/optimal") || !NoDeterm.Applies("repro/internal/telemetry") {
 		t.Error("nodeterm must cover the analysis and telemetry packages")
 	}
+	if !NoDeterm.Applies("repro/internal/metrics") {
+		t.Error("nodeterm must cover every package that feeds the rendered tables")
+	}
 	if !StalAllow.Applies("repro/internal/core") || StalAllow.Applies("repro/internal/program") {
 		t.Error("stalallow must audit exactly the packages the primary analyzers cover")
 	}

@@ -19,6 +19,14 @@ var nodetermScope = []string{
 	"repro/internal/sample",
 	"repro/internal/optimal",
 	"repro/internal/telemetry",
+	"repro/internal/anneal",
+	"repro/internal/metrics",
+	"repro/internal/baseline",
+	"repro/internal/popular",
+	"repro/internal/perturb",
+	"repro/internal/split",
+	"repro/internal/bb",
+	"repro/internal/tracegen",
 }
 
 // NoDeterm flags nondeterminism sources in the deterministic pipeline

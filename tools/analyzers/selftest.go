@@ -107,8 +107,8 @@ func Keys(m map[string]int) []string {
 	},
 	{
 		name: "time.Now outside the determinism scope is legal",
-		path: "repro/internal/tracegen",
-		files: map[string]string{"fixture.go": `package tracegen
+		path: "repro/internal/program",
+		files: map[string]string{"fixture.go": `package program
 
 import "time"
 
