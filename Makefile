@@ -61,10 +61,12 @@ bench:
 # run writes all three files on one machine: BENCH_gbsc.json holds the
 # Section 4.4 merge-loop benchmarks plus the selector/scorer
 # micro-benchmarks, the HKC baseline and the trace-replay engine
-# benchmarks. Override
+# benchmarks, among them the 16-layout panel on the direct-mapped walk
+# (BenchmarkRunCompiledSerial16) and on the 2-way LRU walk
+# (BenchmarkRunCompiledLRU16). Override
 # BENCHTIME (e.g. BENCHTIME=1x in CI) to trade precision for speed.
 BENCHTIME ?= 1s
-GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkHKCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace)$$
+GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkHKCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkRunCompiledSerial16|BenchmarkRunCompiledLRU16)$$
 
 # TRG ingest throughput (BENCH_trg.json): the one TRG builder in
 # events/sec on the paper-scale vortex training trace.

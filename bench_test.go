@@ -420,6 +420,20 @@ func batchReplayFixture(b *testing.B) (cache.Config, *cache.CompiledTrace, []*La
 // simulator, reported as layout·events/sec.
 func BenchmarkRunCompiledSerial16(b *testing.B) {
 	cfg, ct, layouts := batchReplayFixture(b)
+	runPanel(b, cfg, ct, layouts)
+}
+
+// BenchmarkRunCompiledLRU16 is BenchmarkRunCompiledSerial16 on the 8 KB
+// 2-way LRU cache of Section 6: the same panel and trace through the LRU
+// walk, reported as layout·events/sec.
+func BenchmarkRunCompiledLRU16(b *testing.B) {
+	_, ct, layouts := batchReplayFixture(b)
+	runPanel(b, cache.Config{SizeBytes: 8192, LineBytes: 32, Assoc: 2}, ct, layouts)
+}
+
+// runPanel times b.N rounds of scoring every layout of the panel against
+// ct through one reused simulator of geometry cfg.
+func runPanel(b *testing.B, cfg cache.Config, ct *cache.CompiledTrace, layouts []*Layout) {
 	sim := cache.MustNewSim(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

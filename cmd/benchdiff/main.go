@@ -1,9 +1,10 @@
 // Command benchdiff compares two run reports produced by the -stats flag
 // of cmd/experiments (or cmd/cachesim, cmd/tracegen) and exits nonzero on
 // drift: any miss-rate, deterministic counter or histogram that differs at
-// all, or a benchmark or miss-rate cell present in only one report. The
-// pipelines are deterministic, so the comparison is exact; timers and
-// allocation statistics depend on the machine and are never compared.
+// all, or a benchmark, miss-rate cell, counter or histogram present in only
+// one report. The pipelines are deterministic, so the comparison is exact;
+// timers and allocation statistics depend on the machine and are never
+// compared.
 //
 // This is the artifact gate the CI pipeline runs between a baseline report
 // and a candidate report:

@@ -147,9 +147,9 @@ type BatchResult struct {
 // compiled layout at a time. The state is the direct-mapped tag array or,
 // for set-associative geometries, per-set MRU-first LRU age vectors, plus
 // epoch-stamped first-touch stamps for the cold/conflict split and the
-// direct-mapped residency memo. Buffers are reused across Bind and Run
-// calls, so a search that scores thousands of candidates allocates per
-// candidate only its compiled table and result.
+// class-residency memo both walks consult. Buffers are reused across Bind
+// and Run calls, so a search that scores thousands of candidates allocates
+// per candidate only its compiled table and result.
 //
 // A BatchSim is not safe for concurrent use; workers bring their own.
 type BatchSim struct {
@@ -162,35 +162,34 @@ type BatchSim struct {
 	tab *CompiledLayout
 
 	// dm[set] is the direct-mapped tag (-1 empty). For assoc > 1,
-	// ways[set*assoc+w] holds the MRU-first tags of the set and wlen[set]
-	// how many are valid.
+	// ways[set*assoc+w] holds the MRU-first tags of the set, -1 for an
+	// empty way; the empty ways are the set's last.
 	dm   []int64
 	ways []int64
-	wlen []int32
 	// seen stamps each line address of the bound layout with the epoch of
 	// its first reference. The epoch discipline makes Reset O(tag state),
 	// not O(address space).
 	seen  []uint32
 	epoch uint32
 
-	// Class-residency memo (direct-mapped only). A direct-mapped tag
-	// write happens only on a miss, and a full walk of a conflict-free
-	// class leaves every one of its lines resident (distinct sets); the
-	// lines then stay resident until a later write hits one of the
-	// class's sets. So: every tag write stamps its set's block in bver
-	// (1<<blockShift sets per block) with the next value of the write
-	// counter wver, and a full walk of a conflict-free class records the
-	// counter in resStamp[c]. On the class's next activation, bver ≤
-	// resStamp across its set blocks proves no write touched its sets
-	// since the walk — every line is still resident, the walk would be
-	// all hits with no state change, and the event settles in O(blocks)
-	// instead of O(span). Block granularity only costs precision (a write
-	// near a class's sets loses a skip), never soundness. wver never
-	// repeats and Reset re-stamps every block with a fresh value, so
-	// stale resStamp entries — including those left in a reused buffer by
-	// an earlier binding — can never claim residency. Unsound for LRU,
-	// where hits promote and a skipped walk would diverge; the LRU walk
-	// never consults the memo.
+	// Class-residency memo. A write is any change to a set's state: a
+	// direct-mapped tag write (a miss) or, under LRU, any change to the
+	// set's MRU-first order (a miss, or a hit below the MRU way; an MRU
+	// hit changes nothing). A full walk of a conflict-free class leaves
+	// every one of its lines resident, and walking it again from that
+	// state is all hits that leave the same state (the §4c collapse
+	// theorem; direct-mapped, the lines sit in distinct sets). So: every
+	// write stamps its set's block in bver (1<<blockShift sets per block)
+	// with the next value of the write counter wver, and a full walk of
+	// a conflict-free class records the counter in resStamp[c]. On the
+	// class's next activation, bver ≤ resStamp across the blocks of its
+	// sets proves no write touched them since the walk — the walk would
+	// be all hits with no state change, and the event settles in
+	// O(blocks) instead of O(span). Block granularity only costs
+	// precision (a write near a class's sets loses a skip), never
+	// soundness. wver never repeats and Reset re-stamps every block with
+	// a fresh value, so stale resStamp entries — including those left in
+	// a reused buffer by an earlier binding — can never claim residency.
 	resStamp []int64
 	bver     []int64
 	wver     int64
@@ -213,11 +212,10 @@ func NewBatchSim(cfg Config) (*BatchSim, error) {
 	_, bs.pow2 = log2(bs.numSets)
 	if bs.assoc == 1 {
 		bs.dm = make([]int64, bs.numSets)
-		bs.bver = make([]int64, (bs.numSets+(1<<blockShift)-1)>>blockShift)
 	} else {
 		bs.ways = make([]int64, bs.numSets*int64(bs.assoc))
-		bs.wlen = make([]int32, bs.numSets)
 	}
+	bs.bver = make([]int64, (bs.numSets+(1<<blockShift)-1)>>blockShift)
 	return bs, nil
 }
 
@@ -274,11 +272,9 @@ func (bs *BatchSim) bind(t *CompiledLayout) {
 	} else {
 		bs.seen = bs.seen[:t.lines]
 	}
-	if bs.assoc == 1 {
-		// Grown resStamp contents are arbitrary; the fresh block versions
-		// Reset draws make any stale stamp a non-match.
-		bs.resStamp = grow(bs.resStamp, int64(len(t.first)))
-	}
+	// Grown resStamp contents are arbitrary; the fresh block versions
+	// Reset draws make any stale stamp a non-match.
+	bs.resStamp = grow(bs.resStamp, int64(len(t.first)))
 	bs.Reset()
 }
 
@@ -299,8 +295,8 @@ func (bs *BatchSim) Reset() {
 	for i := range bs.dm {
 		bs.dm[i] = -1
 	}
-	for i := range bs.wlen {
-		bs.wlen[i] = 0
+	for i := range bs.ways {
+		bs.ways[i] = -1
 	}
 	bs.stats = Stats{}
 	// A fresh write version on every block outdates all residency stamps.
@@ -526,27 +522,59 @@ func blocksClean(lbv []int64, stamp, s0, s1 int64) bool {
 
 // walkLRU is walkDM for set-associative geometries: per set, an
 // MRU-first age vector with hit promotion and LRU eviction. Repeats
-// collapse as in walkDM; the residency memo does not apply.
+// collapse and resident classes settle as in walkDM, with a change to a
+// set's order as the write; a conflict-free span holds up to assoc lines
+// per set, so it covers min(span, sets) sets. A miss or a hit below the
+// MRU way shifts the ways above it down one, in one loop that stops at
+// the hit.
 func (bs *BatchSim) walkLRU(ct *CompiledTrace, budget int64) (int, bool) {
 	t := bs.tab
 	firstA, spanA, freeA := t.first, t.span, t.free
+	stamp := bs.resStamp
 	sets := bs.numSets
 	mask, pow2 := sets-1, bs.pow2
 	assoc := int64(bs.assoc)
-	ways, wlen := bs.ways, bs.wlen
+	ways := bs.ways
+	lbv := bs.bver
+	multiBlock := len(lbv) > 1
 	seen, epoch := bs.seen, bs.epoch
 	refs, misses, cold := bs.stats.Refs, bs.stats.Misses, bs.stats.Cold
+	wver := bs.wver
 	walked, abandoned := ct.n, false
 	for i, c := range ct.classOf {
 		r := int64(ct.reps[i])
-		span, first := spanA[c], firstA[c]
+		span, first, free := spanA[c], firstA[c], freeA[c]
+		if free {
+			sv := stamp[c]
+			resident := sv == wver
+			if !resident && multiBlock {
+				var s0 int64
+				if pow2 {
+					s0 = first & mask
+				} else {
+					s0 = first % sets
+				}
+				if end := s0 + min(span, sets) - 1; end < sets {
+					resident = blocksClean(lbv, sv, s0, end)
+				} else {
+					resident = blocksClean(lbv, sv, s0, sets-1) &&
+						blocksClean(lbv, sv, 0, end-sets)
+				}
+				if resident {
+					stamp[c] = wver
+				}
+			}
+			if resident {
+				refs += r * span
+				continue
+			}
+		}
 		iters := r
-		if r > 1 && freeA[c] {
+		if r > 1 && free {
 			iters = 1
 		}
 		last := first + span
 		for it := int64(0); it < iters; it++ {
-		lines:
 			for ln := first; ln < last; ln++ {
 				var set int64
 				if pow2 {
@@ -554,28 +582,33 @@ func (bs *BatchSim) walkLRU(ct *CompiledTrace, budget int64) (int, bool) {
 				} else {
 					set = ln % sets
 				}
-				base := set * assoc
-				l := int64(wlen[set])
-				valid := ways[base : base+l]
-				for w, tag := range valid {
+				w := ways[set*assoc : set*assoc+assoc]
+				if w[0] == ln {
+					continue // MRU hit: the order stands
+				}
+				prev, hit := ln, false
+				for k, tag := range w {
+					w[k] = prev
 					if tag == ln {
-						copy(valid[1:w+1], valid[:w])
-						valid[0] = ln
-						continue lines
+						hit = true
+						break
 					}
+					prev = tag
+				}
+				wver++
+				lbv[set>>blockShift] = wver
+				if hit {
+					continue
 				}
 				misses++
 				if seen[ln] != epoch {
 					seen[ln] = epoch
 					cold++
 				}
-				if l < assoc {
-					l++
-					wlen[set] = int32(l)
-				}
-				copy(ways[base+1:base+l], ways[base:base+l-1])
-				ways[base] = ln
 			}
+		}
+		if free {
+			stamp[c] = wver
 		}
 		refs += r * span
 		if misses > budget {
@@ -584,14 +617,15 @@ func (bs *BatchSim) walkLRU(ct *CompiledTrace, budget int64) (int, bool) {
 		}
 	}
 	bs.stats = Stats{Refs: refs, Misses: misses, Cold: cold}
+	bs.wver = wver
 	return walked, abandoned
 }
 
 // access references line ln, one line of walkDM or walkLRU on the engine's
 // state with the same tag, LRU and first-touch rules, for walks that need
-// the outcome of every line (the classified replay). A direct-mapped tag
-// write bumps the residency-memo versions as walkDM's do, so the memo stays
-// sound for later walks. It counts the miss, not the reference, and
+// the outcome of every line (the classified replay). A change to the set
+// bumps the residency-memo versions as the walks' changes do, so the memo
+// stays sound for later walks. It counts the miss, not the reference, and
 // reports whether the line missed and whether that was its first touch.
 func (bs *BatchSim) access(ln int64) (miss, cold bool) {
 	var set int64
@@ -600,31 +634,32 @@ func (bs *BatchSim) access(ln int64) (miss, cold bool) {
 	} else {
 		set = ln % bs.numSets
 	}
+	hit := false
 	if bs.assoc == 1 {
 		if bs.dm[set] == ln {
 			return false, false
 		}
 		bs.dm[set] = ln
-		bs.wver++
-		bs.bver[set>>blockShift] = bs.wver
 	} else {
 		assoc := int64(bs.assoc)
-		base := set * assoc
-		l := int64(bs.wlen[set])
-		valid := bs.ways[base : base+l]
-		for w, tag := range valid {
+		w := bs.ways[set*assoc : set*assoc+assoc]
+		if w[0] == ln {
+			return false, false
+		}
+		prev := ln
+		for k, tag := range w {
+			w[k] = prev
 			if tag == ln {
-				copy(valid[1:w+1], valid[:w])
-				valid[0] = ln
-				return false, false
+				hit = true
+				break
 			}
+			prev = tag
 		}
-		if l < assoc {
-			l++
-			bs.wlen[set] = int32(l)
-		}
-		copy(bs.ways[base+1:base+l], bs.ways[base:base+l-1])
-		bs.ways[base] = ln
+	}
+	bs.wver++
+	bs.bver[set>>blockShift] = bs.wver
+	if hit {
+		return false, false
 	}
 	bs.stats.Misses++
 	if bs.seen[ln] == bs.epoch {

@@ -181,8 +181,10 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 //     Iterations 2..r are therefore accounted as Refs += (r−1)·span with no
 //     simulation at all, turning O(r·span) into O(span). Spans that exceed
 //     the limit can self-evict, so they replay every iteration.
-//   - Direct-mapped classes proven still resident settle in O(1) (the
-//     engine's residency memo).
+//   - Conflict-free classes proven still resident settle in O(1) (the
+//     engine's residency memo): no set they cover has been written since
+//     their last walk, where a write is a direct-mapped tag write or a
+//     change to an LRU set's MRU-first order.
 //
 // Stats returns the run's statistics. The layout must place the program
 // the trace was compiled against.

@@ -87,8 +87,8 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 			return err
 		}
 
-		// All three candidates score in one walk of the testing trace on
-		// the 2-way geometry (the batched LRU lanes).
+		// The three candidates score one after another on the 2-way
+		// geometry, through the engine's LRU walk.
 		mrs, err := scoreLayouts(assocCfg, b, []*program.Layout{defLayout, dmLayout, asLayout}, sh)
 		if err != nil {
 			return err

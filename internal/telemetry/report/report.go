@@ -174,7 +174,9 @@ func HasDrift(fs []Finding) bool {
 // Diff compares two reports and returns deterministic, sorted findings.
 // old is the baseline (e.g. the previous commit's artifact), new the
 // candidate. Miss rates, counters and histograms must agree exactly: the
-// pipelines are deterministic, so any difference is drift. Timers and
+// pipelines are deterministic, so any difference is drift, and so is a
+// benchmark, miss-rate cell, counter or histogram present in one report
+// only (a renamed or dropped key cannot pass the gate). Timers and
 // allocation statistics are never compared.
 func Diff(old, new *Report) []Finding {
 	var fs []Finding
@@ -230,7 +232,7 @@ func diffCounters(old, new map[string]int64) []Finding {
 		ov, inO := old[name]
 		nv, inN := new[name]
 		if !inO || !inN {
-			fs = append(fs, Finding{Drift: false, Kind: "counter", Key: name,
+			fs = append(fs, Finding{Drift: true, Kind: "counter", Key: name,
 				Detail: presence(inO, inN)})
 			continue
 		}
@@ -248,7 +250,7 @@ func diffHistograms(old, new map[string]telemetry.HistogramStats) []Finding {
 		oh, inO := old[name]
 		nh, inN := new[name]
 		if !inO || !inN {
-			fs = append(fs, Finding{Drift: false, Kind: "histogram", Key: name,
+			fs = append(fs, Finding{Drift: true, Kind: "histogram", Key: name,
 				Detail: presence(inO, inN)})
 			continue
 		}

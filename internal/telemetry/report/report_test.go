@@ -106,16 +106,14 @@ func TestDiffCounterDrift(t *testing.T) {
 	if fs := Diff(a, b); !HasDrift(fs) {
 		t.Error("exact comparison missed a changed counter")
 	}
-	// A counter present on one side only is a note, not a gate failure:
-	// instrumented code paths legitimately differ across flag sets.
+	// A counter present on one side only drifts, whichever side has it:
+	// a renamed or dropped counter must not pass the gate.
 	b.Counters["cache/misses"] = 123
 	delete(b.Counters, "trg/events_observed")
-	fs := Diff(a, b)
-	if HasDrift(fs) {
-		t.Errorf("missing counter should be a note: %v", fs)
-	}
-	if len(fs) == 0 {
-		t.Error("missing counter should still be reported")
+	for _, fs := range [][]Finding{Diff(a, b), Diff(b, a)} {
+		if len(fs) != 1 || !fs[0].Drift || fs[0].Kind != "counter" || fs[0].Key != "trg/events_observed" {
+			t.Errorf("one-sided counter should be one drift finding: %v", fs)
+		}
 	}
 }
 
@@ -126,6 +124,14 @@ func TestDiffHistogramDrift(t *testing.T) {
 	b.Histograms["trg/q_procs"] = h
 	if fs := Diff(a, b); !HasDrift(fs) {
 		t.Error("exact comparison missed a changed histogram sum")
+	}
+	// A histogram present on one side only drifts, whichever side has it.
+	c := sampleReport()
+	delete(c.Histograms, "trg/q_procs")
+	for _, fs := range [][]Finding{Diff(a, c), Diff(c, a)} {
+		if len(fs) != 1 || !fs[0].Drift || fs[0].Kind != "histogram" || fs[0].Key != "trg/q_procs" {
+			t.Errorf("one-sided histogram should be one drift finding: %v", fs)
+		}
 	}
 }
 
