@@ -57,16 +57,20 @@ bench:
 
 # Machine-readable record of the pipeline hot paths (ns/op, B/op,
 # allocs/op), converted to JSON by cmd/benchjson (each row names its own
-# package) and committed so the perf trajectory is tracked per change. One
-# run writes all three files on one machine: BENCH_gbsc.json holds the
-# Section 4.4 merge-loop benchmarks plus the selector/scorer
-# micro-benchmarks, the HKC baseline and the trace-replay engine
-# benchmarks, among them the 16-layout panel on the direct-mapped walk
-# (BenchmarkRunCompiledSerial16) and on the 2-way LRU walk
-# (BenchmarkRunCompiledLRU16). Override
+# package) and committed so the perf trajectory is tracked per change.
+# Every benchmark runs 5 times (-count 5) and benchjson records the median
+# of each value with the ns/op range, plus the machine's CPU, CPU count,
+# GOMAXPROCS and Go version: one run per commit could not track a change
+# smaller than about a third. One run writes all three files on one
+# machine: BENCH_gbsc.json holds the Section 4.4 merge-loop benchmarks
+# plus the selector/scorer micro-benchmarks, the HKC baseline, the
+# trace-replay engine benchmarks, among them the 16-layout panel on the
+# direct-mapped walk (BenchmarkRunCompiledSerial16) and on the 2-way LRU
+# walk (BenchmarkRunCompiledLRU16), and the exhaustive search
+# (BenchmarkOptimalSearch: six procedures on an 8-line cache). Override
 # BENCHTIME (e.g. BENCHTIME=1x in CI) to trade precision for speed.
 BENCHTIME ?= 1s
-GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkHKCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkRunCompiledSerial16|BenchmarkRunCompiledLRU16)$$
+GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkHKCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkRunCompiledSerial16|BenchmarkRunCompiledLRU16|BenchmarkOptimalSearch)$$
 
 # TRG ingest throughput (BENCH_trg.json): the one TRG builder in
 # events/sec on the paper-scale vortex training trace.
@@ -78,11 +82,11 @@ TRG_BENCHES = ^(BenchmarkTRGBuildSerial)$$
 SAMPLE_BENCHES = ^(BenchmarkSamplePlan|BenchmarkExactMissRate|BenchmarkSampledMissRate)$$
 
 bench-json:
-	$(GO) test -run '^$$' -bench '$(GBSC_BENCHES)' -benchmem \
-		-benchtime=$(BENCHTIME) . ./internal/core/ | $(GO) run ./cmd/benchjson > BENCH_gbsc.json
-	$(GO) test -run '^$$' -bench '$(TRG_BENCHES)' -benchmem \
+	$(GO) test -run '^$$' -bench '$(GBSC_BENCHES)' -benchmem -count 5 \
+		-benchtime=$(BENCHTIME) . ./internal/core/ ./internal/optimal/ | $(GO) run ./cmd/benchjson > BENCH_gbsc.json
+	$(GO) test -run '^$$' -bench '$(TRG_BENCHES)' -benchmem -count 5 \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_trg.json
-	$(GO) test -run '^$$' -bench '$(SAMPLE_BENCHES)' -benchmem \
+	$(GO) test -run '^$$' -bench '$(SAMPLE_BENCHES)' -benchmem -count 5 \
 		-benchtime=$(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_sample.json
 
 # Regenerate the full paper evaluation golden (experiments_output.txt, the

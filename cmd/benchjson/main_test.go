@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -100,5 +101,60 @@ func TestParseRejectsEmpty(t *testing.T) {
 func TestParseRejectsGarbageValue(t *testing.T) {
 	if _, err := parse(strings.NewReader("BenchmarkX 5 abc ns/op\n")); err == nil {
 		t.Fatal("want error on unparsable value")
+	}
+}
+
+// foldInput repeats two benchmarks the way `go test -count` prints them,
+// with BenchmarkB also present in a second package.
+func foldInput(nsA []string) string {
+	var sb strings.Builder
+	sb.WriteString("pkg: repro\ncpu: Intel(R) Xeon(R) Processor @ 2.10GHz\n")
+	for i, ns := range nsA {
+		fmt.Fprintf(&sb, "BenchmarkA-2  \t %d\t %s ns/op\t %d B/op\t %d allocs/op\t %d.5 events/sec\n", 100+i, ns, 1000+10*i, 7+i, 40+i)
+	}
+	sb.WriteString("BenchmarkB-2  \t 9\t 50 ns/op\nBenchmarkB-2  \t 9\t 70 ns/op\nPASS\n")
+	sb.WriteString("pkg: repro/internal/core\nBenchmarkB-2  \t 3\t 900 ns/op\nPASS\n")
+	return sb.String()
+}
+
+// Repeated rows of one (package, name) fold into one row in order of first
+// appearance: the run count, the median of every value and the ns/op
+// range.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		ns                       []string
+		wantNs, wantMin, wantMax float64
+		wantIters                int64
+		wantBytes                int64
+		wantAllocs               int64
+		wantEvents               float64
+	}{
+		// Odd count: the middle value of each field, taken separately.
+		{"odd", []string{"300", "100", "200"}, 200, 100, 300, 101, 1010, 8, 41.5},
+		// Even count: the mean of the middle two, integers rounded.
+		{"even", []string{"400", "100", "300", "200"}, 250, 100, 400, 102, 1015, 9, 42},
+		// One run is its own median and range.
+		{"single", []string{"123"}, 123, 123, 123, 100, 1000, 7, 40.5},
+	} {
+		rep, err := parse(strings.NewReader(foldInput(tc.ns)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Benchmarks) != 3 {
+			t.Fatalf("%s: %d rows, want 3: %+v", tc.name, len(rep.Benchmarks), rep.Benchmarks)
+		}
+		if a := rep.Benchmarks[0]; a.Name != "BenchmarkA-2" || a.Runs != len(tc.ns) ||
+			a.NsPerOp != tc.wantNs || a.NsPerOpMin != tc.wantMin || a.NsPerOpMax != tc.wantMax ||
+			a.Iterations != tc.wantIters || a.BytesPerOp != tc.wantBytes || a.AllocsPerOp != tc.wantAllocs ||
+			a.Extra["events/sec"] != tc.wantEvents {
+			t.Errorf("%s: folded to %+v", tc.name, a)
+		}
+		if b := rep.Benchmarks[1]; b.Pkg != "repro" || b.Runs != 2 || b.NsPerOp != 60 || b.NsPerOpMin != 50 || b.NsPerOpMax != 70 {
+			t.Errorf("%s: BenchmarkB in repro folded to %+v", tc.name, b)
+		}
+		if c := rep.Benchmarks[2]; c.Pkg != "repro/internal/core" || c.Runs != 1 || c.NsPerOp != 900 {
+			t.Errorf("%s: BenchmarkB in repro/internal/core folded to %+v", tc.name, c)
+		}
 	}
 }

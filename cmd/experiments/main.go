@@ -39,6 +39,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/report"
+	"repro/internal/tracegen"
 )
 
 // errUsage marks a flag-parse error. The FlagSet has already printed it
@@ -75,11 +76,11 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-	// Suite generation reads a non-positive scale as full scale; reject it
-	// rather than silently running the full-length workload. The negated
-	// form also rejects NaN.
-	if !(*scale > 0) {
-		return fmt.Errorf("-scale must be positive, got %g", *scale)
+	// tracegen.Suite reads a non-positive scale as full scale, and an
+	// infinite or huge one overflows its event counts; reject any scale
+	// it cannot honour rather than silently running another.
+	if err := tracegen.CheckScale(*scale); err != nil {
+		return fmt.Errorf("-scale: %w", err)
 	}
 	// Options.Runs reads 0 as the paper's 40 and Options.Parallel reads a
 	// negative count as serial; a value the user typed must be taken

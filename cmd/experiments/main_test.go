@@ -9,9 +9,11 @@ import (
 	"testing"
 )
 
-// Suite generation reads a non-positive scale as full scale, Options.Runs
-// reads 0 as 40 and Options.Parallel reads a negative count as serial, so
-// -scale and -runs must be positive and -parallel not negative; like an
+// Suite generation reads a non-positive scale as full scale and overflows
+// its event counts at an infinite or huge one, Options.Runs reads 0 as 40
+// and Options.Parallel reads a negative count as serial, so -scale must be
+// positive and small enough that every input fits in a trace, -runs
+// positive and -parallel not negative; like an
 // unknown -run or -bench name, a removed flag or a -csv that figure5 and
 // figure6 would both write, a bad value fails before any experiment runs
 // or any file is written. Each case's arguments follow the default -run and -bench, so
@@ -26,6 +28,8 @@ func TestBadFlagsReturnError(t *testing.T) {
 	}{
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
+		{"infinite scale", []string{"-scale", "+Inf"}, "-scale"},
+		{"scale beyond a trace's event limit", []string{"-scale", "1e300"}, "-scale"},
 		{"zero runs", []string{"-runs", "0"}, "-runs"},
 		{"negative runs", []string{"-runs", "-1"}, "-runs"},
 		{"runs below -1", []string{"-runs", "-2"}, "-runs"},

@@ -57,11 +57,11 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %w", errUsage, err)
 	}
-	// tracegen.Suite reads a non-positive scale as full scale; reject it
-	// rather than silently writing a full-length trace. The negated form
-	// also rejects NaN.
-	if !(*scale > 0) {
-		return fmt.Errorf("-scale must be positive, got %g", *scale)
+	// tracegen.Suite reads a non-positive scale as full scale, and an
+	// infinite or huge one overflows its event counts; reject any scale
+	// it cannot honour rather than silently running another.
+	if err := tracegen.CheckScale(*scale); err != nil {
+		return fmt.Errorf("-scale: %w", err)
 	}
 
 	stopProf, err := telemetry.StartProfiles(*cpuProfile, *memProfile)

@@ -73,9 +73,10 @@ func TestWritesProgramAndTrace(t *testing.T) {
 	}
 }
 
-// tracegen.Suite reads a non-positive scale as full scale, so -scale must
-// be positive; like the other bad flags, a bad value fails before any file
-// is written.
+// tracegen.Suite reads a non-positive scale as full scale and overflows
+// its event counts at an infinite or huge one, so -scale must be positive
+// and small enough that every input fits in a trace; like the other bad
+// flags, a bad value fails before any file is written.
 func TestBadFlagsReturnError(t *testing.T) {
 	dir := t.TempDir()
 	files := []string{"-out", filepath.Join(dir, "x.trace"), "-prog", filepath.Join(dir, "x.prog"),
@@ -87,6 +88,8 @@ func TestBadFlagsReturnError(t *testing.T) {
 	}{
 		{"zero scale", []string{"-scale", "0"}, "-scale"},
 		{"negative scale", []string{"-scale", "-1"}, "-scale"},
+		{"infinite scale", []string{"-scale", "+Inf"}, "-scale"},
+		{"scale beyond a trace's event limit", []string{"-scale", "1e300"}, "-scale"},
 		{"unknown benchmark", []string{"-bench", "nope"}, "nope"},
 		{"unknown input", []string{"-input", "ref"}, "ref"},
 		{"removed shards flag", []string{"-shards", "1"}, "flag provided but not defined"},

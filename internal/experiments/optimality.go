@@ -86,6 +86,7 @@ func Optimality(opts Options) (*OptimalityResult, error) {
 			return nil, err
 		}
 		sh.Add("optimal/evaluated", opt.Evaluated)
+		sh.Add("optimal/pruned", opt.Pruned)
 		sh.Add("optimal/abandoned", opt.Abandoned)
 		addBatch(sh, opt.Batch)
 		// Both layouts come from place.Linearize with every procedure

@@ -151,9 +151,9 @@ func TestBinaryErrorNamesEventPosition(t *testing.T) {
 }
 
 func TestBinaryRejectsHugeDeclaredCount(t *testing.T) {
-	// Counts beyond maxDeclaredEvents fail at the header.
-	if _, err := ReadBinary(bytes.NewReader(rawTrace(maxDeclaredEvents + 1))); err == nil {
-		t.Error("ReadBinary accepted a count beyond maxDeclaredEvents")
+	// Counts beyond MaxDeclaredEvents fail at the header.
+	if _, err := ReadBinary(bytes.NewReader(rawTrace(MaxDeclaredEvents + 1))); err == nil {
+		t.Error("ReadBinary accepted a count beyond MaxDeclaredEvents")
 	}
 	// A count that passes the header bound but lies about the body must
 	// fail at the first missing event without allocating count events
@@ -161,7 +161,7 @@ func TestBinaryRejectsHugeDeclaredCount(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := ReadBinary(bytes.NewReader(rawTrace(maxDeclaredEvents, 1, 0, 0)))
+	_, err := ReadBinary(bytes.NewReader(rawTrace(MaxDeclaredEvents, 1, 0, 0)))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Error("ReadBinary accepted a lying header over a tiny body")

@@ -30,7 +30,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(rawTrace(1, uint64(math.MaxInt32)+1, 0, 0))
 	f.Add(rawTrace(1, 7, uint64(math.MaxInt32)+1, 0))
 	f.Add(rawTrace(1, 7, 0, math.MaxUint64))
-	f.Add(rawTrace(maxDeclaredEvents, 1, 0, 0))
+	f.Add(rawTrace(MaxDeclaredEvents, 1, 0, 0))
 	f.Add(rawTrace(streamSentinel, 3, 10, 2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

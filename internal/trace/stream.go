@@ -14,17 +14,18 @@ import (
 // streaming producer on a plain io.Writer cannot patch after the fact.
 // Streams therefore declare a count of streamSentinel, meaning "events
 // until EOF"; Reader recognizes it and switches to streaming mode. The
-// sentinel is far above maxDeclaredEvents, so it can never be confused
+// sentinel is far above MaxDeclaredEvents, so it can never be confused
 // with (or abused as) a real count or allocation hint.
 const streamSentinel = ^uint64(0) >> 1 // large, never a real count
 
-// maxDeclaredEvents bounds the event count a counted header may declare;
-// larger counts are rejected before any allocation or decoding happens.
-const maxDeclaredEvents = 1 << 30
+// MaxDeclaredEvents bounds the event count a counted header may declare,
+// so it is the most events a counted trace file can hold; larger counts
+// are rejected before any allocation or decoding happens.
+const MaxDeclaredEvents = 1 << 30
 
 // maxPreallocEvents caps how many events ReadAll preallocates from the
 // declared header count. A corrupt or adversarial header may declare up to
-// maxDeclaredEvents while the body holds almost nothing; decoding fails at
+// MaxDeclaredEvents while the body holds almost nothing; decoding fails at
 // the first missing event, but only if the size hint did not already
 // trigger a giant up-front allocation. Preallocation beyond this cap costs
 // one more append-regrowth sequence and nothing else.
@@ -111,7 +112,7 @@ type Reader struct {
 }
 
 // NewReader parses the header and prepares to stream events. Counted
-// headers declaring more than maxDeclaredEvents (and any count at or above
+// headers declaring more than MaxDeclaredEvents (and any count at or above
 // the streaming sentinel that is not exactly the sentinel) are rejected
 // here, before any allocation.
 func NewReader(r io.Reader) (*Reader, error) {
@@ -127,7 +128,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading event count: %w", err)
 	}
-	if n != streamSentinel && n > maxDeclaredEvents {
+	if n != streamSentinel && n > MaxDeclaredEvents {
 		return nil, fmt.Errorf("trace: event count %d too large", n)
 	}
 	return &Reader{br: br, remaining: n, streaming: n == streamSentinel}, nil

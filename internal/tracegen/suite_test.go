@@ -1,7 +1,10 @@
 package tracegen
 
 import (
+	"math"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestLookup(t *testing.T) {
@@ -41,6 +44,28 @@ func TestSuiteScaleFloorsEventCount(t *testing.T) {
 	for _, p := range pairs {
 		if p.Train.Events < 2000 {
 			t.Errorf("%s: train events %d below floor", p.Bench.Name, p.Train.Events)
+		}
+	}
+}
+
+// CheckScale accepts exactly the scales at which every input's event
+// count is a finite number a trace can hold: perl's 520,000-event test
+// input puts the limit near 2065.
+func TestCheckScale(t *testing.T) {
+	for _, ok := range []float64{0.0001, 1, 2000} {
+		if err := CheckScale(ok); err != nil {
+			t.Errorf("CheckScale(%g): %v", ok, err)
+			continue
+		}
+		for _, p := range Suite(ok) {
+			if p.Train.Events > trace.MaxDeclaredEvents || p.Test.Events > trace.MaxDeclaredEvents {
+				t.Errorf("scale %g: %s inputs of %d and %d events", ok, p.Bench.Name, p.Train.Events, p.Test.Events)
+			}
+		}
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 2100} {
+		if err := CheckScale(bad); err == nil {
+			t.Errorf("CheckScale(%g) accepted", bad)
 		}
 	}
 }
