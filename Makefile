@@ -63,14 +63,17 @@ bench:
 # GOMAXPROCS and Go version: one run per commit could not track a change
 # smaller than about a third. One run writes all three files on one
 # machine: BENCH_gbsc.json holds the Section 4.4 merge-loop benchmarks
-# plus the selector/scorer micro-benchmarks, the HKC baseline, the
-# trace-replay engine benchmarks, among them the 16-layout panel on the
-# direct-mapped walk (BenchmarkRunCompiledSerial16) and on the 2-way LRU
-# walk (BenchmarkRunCompiledLRU16), and the exhaustive search
-# (BenchmarkOptimalSearch: six procedures on an 8-line cache). Override
-# BENCHTIME (e.g. BENCHTIME=1x in CI) to trade precision for speed.
+# plus the selector/scorer micro-benchmarks, the PH and HKC baselines, the
+# profile-graph builds (BenchmarkWCGBuild: both WCGs of the scale-1.0
+# vortex training trace; BenchmarkPerturbGraph: one perturbed copy of its
+# TRG_place), the trace-replay engine benchmarks, among them the 16-layout
+# panel on the direct-mapped walk (BenchmarkRunCompiledSerial16) and on
+# the 2-way LRU walk (BenchmarkRunCompiledLRU16), and the exhaustive
+# search (BenchmarkOptimalSearch: six procedures on an 8-line cache).
+# Override BENCHTIME (e.g. BENCHTIME=1x in CI) to trade precision for
+# speed.
 BENCHTIME ?= 1s
-GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkHKCPlacement|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkRunCompiledSerial16|BenchmarkRunCompiledLRU16|BenchmarkOptimalSearch)$$
+GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkPHPlacement|BenchmarkHKCPlacement|BenchmarkWCGBuild|BenchmarkPerturbGraph|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkRunCompiledSerial16|BenchmarkRunCompiledLRU16|BenchmarkOptimalSearch)$$
 
 # TRG ingest throughput (BENCH_trg.json): the one TRG builder in
 # events/sec on the paper-scale vortex training trace.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
+	"repro/internal/perturb"
 	"repro/internal/popular"
 	"repro/internal/sample"
 	"repro/internal/trace"
@@ -265,11 +266,7 @@ func BenchmarkTRGBuild(b *testing.B) {
 // popularity filter the real pipeline applies, and reports ingest
 // throughput as events/sec (the BENCH_trg.json headline metric).
 func BenchmarkTRGBuildSerial(b *testing.B) {
-	pair := tracegen.Lookup(tracegen.Suite(1.0), "vortex")
-	if pair == nil {
-		b.Fatal("unknown benchmark vortex")
-	}
-	tr := pair.Bench.Trace(pair.Train)
+	pair, tr := vortexTraining(b)
 	opts := trg.Options{
 		CacheBytes: cache.PaperConfig.SizeBytes,
 		Popular:    popular.Select(pair.Bench.Prog, tr, popular.Options{}),
@@ -283,6 +280,51 @@ func BenchmarkTRGBuildSerial(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
+
+// vortexTraining returns the paper-scale (-scale 1.0) vortex benchmark and
+// its training trace, the suite's largest.
+func vortexTraining(b *testing.B) (*tracegen.Pair, *trace.Trace) {
+	b.Helper()
+	pair := tracegen.Lookup(tracegen.Suite(1.0), "vortex")
+	if pair == nil {
+		b.Fatal("unknown benchmark vortex")
+	}
+	return pair, pair.Bench.Trace(pair.Train)
+}
+
+// BenchmarkWCGBuild builds both WCGs of the paper-scale vortex training
+// trace, the full one (PH's input) and the popular-filtered one (HKC's), as
+// the experiments' prepare step does.
+func BenchmarkWCGBuild(b *testing.B) {
+	pair, tr := vortexTraining(b)
+	pop := popular.Select(pair.Bench.Prog, tr, popular.Options{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graphSink = wcg.Build(tr)
+		graphSink = wcg.BuildFiltered(tr, pop.Contains)
+	}
+}
+
+// BenchmarkPerturbGraph draws one perturbed copy of the paper-scale vortex
+// TRG_place, the largest graph a Figure 5 run perturbs.
+func BenchmarkPerturbGraph(b *testing.B) {
+	pair, tr := vortexTraining(b)
+	res, err := trg.Build(pair.Bench.Prog, tr, trg.Options{
+		CacheBytes: cache.PaperConfig.SizeBytes,
+		Popular:    popular.Select(pair.Bench.Prog, tr, popular.Options{}),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		graphSink = perturb.Graph(res.Place, perturb.DefaultScale, rng)
+	}
+}
+
+// graphSink keeps the benchmarked graphs live.
+var graphSink *graph.Graph
 
 // BenchmarkPHPlacement times the Pettis & Hansen baseline.
 func BenchmarkPHPlacement(b *testing.B) {

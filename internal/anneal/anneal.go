@@ -143,7 +143,7 @@ func newEvaluator(prog *program.Program, res *trg.Result, cfg cache.Config, item
 // for each start line of idx. The slice is reused by the next call.
 func (ev *evaluator) costs(items []place.Placed, idx int) []int64 {
 	for _, c := range ev.chunks[idx] {
-		ev.placeG.ForEachNeighbor(graph.NodeID(c), func(d graph.NodeID, w int64) {
+		ev.placeG.Neighbors(graph.NodeID(c), func(d graph.NodeID, w int64) {
 			if j := ev.owner[d]; j >= 0 && j != idx {
 				ev.offsets.Add(items[j].Line+ev.start[d], ev.lines[d], ev.start[c], ev.lines[c], w)
 			}

@@ -62,7 +62,7 @@ func HKC(prog *program.Program, g *graph.Graph, pop *popular.Set, cfg cache.Conf
 	// neighbors in compound nbrIn, or in any compound when nbrIn is -1.
 	chargeSlide := func(q program.ProcID, at, in, nbrIn int) {
 		qLen := min(size[q], period)
-		g.ForEachNeighbor(graph.NodeID(q), func(v graph.NodeID, w int64) {
+		g.Neighbors(graph.NodeID(q), func(v graph.NodeID, w int64) {
 			if c := comp[v]; c >= 0 && (nbrIn < 0 || c == nbrIn) {
 				offsets.Add(line[v], min(size[v], period), at, qLen, w<<20)
 			}

@@ -69,8 +69,7 @@ func PH(prog *program.Program, g *graph.Graph) []program.ProcID {
 		c := chains[n]
 		var w int64
 		for _, p := range c.procs {
-			// Commutative sum: the unordered, allocation-free walk suffices.
-			original.ForEachNeighbor(graph.NodeID(p), func(_ graph.NodeID, ew int64) { w += ew })
+			original.Neighbors(graph.NodeID(p), func(_ graph.NodeID, ew int64) { w += ew })
 		}
 		rems = append(rems, rem{c: c, w: w})
 	}
@@ -107,9 +106,9 @@ func mergeChains(prog *program.Program, original *graph.Graph, a, b *chain) *cha
 	var bestP, bestQ program.ProcID = a.procs[0], b.procs[0]
 	var bestW int64 = -1
 	for _, p := range a.procs {
-		// The (w, p, q) tie-break is a total order, so the unordered walk
-		// picks the same winner as the sorted one.
-		original.ForEachNeighbor(graph.NodeID(p), func(v graph.NodeID, w int64) {
+		// The (w, p, q) tie-break is a total order, so the winner does not
+		// depend on the chain's order.
+		original.Neighbors(graph.NodeID(p), func(v graph.NodeID, w int64) {
 			q := program.ProcID(v)
 			if !inB[q] {
 				return

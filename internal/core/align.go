@@ -105,41 +105,6 @@ func (s *occState) merged(u, v graph.NodeID, off int) {
 	s.nodeChunks[v] = nil
 }
 
-// placeCSR is an immutable CSR adjacency snapshot of TRG_place over
-// chunks. The place graph is never mutated during a merge loop, so slice
-// walks replace map probes.
-type placeCSR struct {
-	nbrOff []int32
-	nbrID  []program.ChunkID
-	nbrW   []int64
-}
-
-func newPlaceCSR(placeG *graph.Graph, nc int) *placeCSR {
-	es := placeG.Edges()
-	c := &placeCSR{}
-	deg := make([]int32, nc+1)
-	for _, ed := range es {
-		deg[ed.U+1]++
-		deg[ed.V+1]++
-	}
-	for i := 0; i < nc; i++ {
-		deg[i+1] += deg[i]
-	}
-	c.nbrOff = deg
-	c.nbrID = make([]program.ChunkID, 2*len(es))
-	c.nbrW = make([]int64, 2*len(es))
-	fill := make([]int32, nc)
-	for _, ed := range es {
-		i := c.nbrOff[ed.U] + fill[ed.U]
-		c.nbrID[i], c.nbrW[i] = program.ChunkID(ed.V), ed.W
-		fill[ed.U]++
-		j := c.nbrOff[ed.V] + fill[ed.V]
-		c.nbrID[j], c.nbrW[j] = program.ChunkID(ed.U), ed.W
-		fill[ed.V]++
-	}
-	return c
-}
-
 // directEngine scores direct-mapped alignments (the Figure 4 conflict
 // metric) edge-first: every TRG_place cross-edge (c1 ∈ u, c2 ∈ v, w)
 // contributes w to cost[(l1-l2) mod C] for each line pair the two chunks
@@ -147,15 +112,12 @@ func newPlaceCSR(placeG *graph.Graph, nc int) *placeCSR {
 // adjacency bounds each search by the lighter side's cross-degree.
 type directEngine struct {
 	occState
-	csr   *placeCSR
-	cross int64
+	placeG *graph.Graph
+	cross  int64
 }
 
 func newDirectEngine(prog *program.Program, placeG *graph.Graph, chunker *program.Chunker, lineBytes, period int) *directEngine {
-	return &directEngine{
-		occState: newOccState(prog, chunker, lineBytes, period),
-		csr:      newPlaceCSR(placeG, chunker.NumChunks()),
-	}
+	return &directEngine{occState: newOccState(prog, chunker, lineBytes, period), placeG: placeG}
 }
 
 func (e *directEngine) crossEdgesScanned() int64 { return e.cross }
@@ -180,25 +142,22 @@ func (e *directEngine) addTerms(u, v graph.NodeID) {
 	}
 }
 
-// addCrossEdges walks the place CSR's adjacency of every chunk in from and
-// charges each edge whose far end is owned by other as one term of its
+// addCrossEdges walks TRG_place's neighbour list of every chunk in from
+// and charges each edge whose far end is owned by other as one term of its
 // weight. fromIsV says whether from is the sliding node v.
 func (e *directEngine) addCrossEdges(from []program.ChunkID, other graph.NodeID, fromIsV bool) {
-	csr := e.csr
 	for _, c := range from {
-		lo, hi := csr.nbrOff[c], csr.nbrOff[c+1]
-		for k := lo; k < hi; k++ {
-			far := csr.nbrID[k]
+		e.placeG.Neighbors(graph.NodeID(c), func(far graph.NodeID, w int64) {
 			if e.owner[far] != other {
-				continue
+				return
 			}
 			e.cross++
-			fixed, slide := c, far
+			fixed, slide := c, program.ChunkID(far)
 			if fromIsV {
-				fixed, slide = far, c
+				fixed, slide = slide, fixed
 			}
-			e.offsets.Add(e.start[fixed], e.lines[fixed], e.start[slide], e.lines[slide], csr.nbrW[k])
-		}
+			e.offsets.Add(e.start[fixed], e.lines[fixed], e.start[slide], e.lines[slide], w)
+		})
 	}
 }
 

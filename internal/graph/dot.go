@@ -22,7 +22,7 @@ func (g *Graph) WriteDOT(w io.Writer, name string, label func(NodeID) string, mi
 		return fmt.Sprintf("n%d", n)
 	}
 	// Emit nodes that either have a heavy edge or are isolated.
-	emitted := make(map[NodeID]bool)
+	emitted := make([]bool, len(g.adj))
 	for _, e := range g.Edges() {
 		if e.W < minWeight {
 			continue

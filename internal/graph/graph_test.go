@@ -12,9 +12,9 @@ func TestAddEdgeSymmetric(t *testing.T) {
 	if g.Weight(1, 2) != 5 || g.Weight(2, 1) != 5 {
 		t.Errorf("weights = %d,%d", g.Weight(1, 2), g.Weight(2, 1))
 	}
-	g.Increment(1, 2)
+	g.AddEdgeWeight(2, 1, 1)
 	if g.Weight(1, 2) != 6 {
-		t.Errorf("after increment: %d", g.Weight(1, 2))
+		t.Errorf("after adding 1: %d", g.Weight(1, 2))
 	}
 }
 
@@ -125,17 +125,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.AddEdgeWeight(1, 2, 10)
 	if g.Weight(1, 2) != 3 {
 		t.Error("Clone shares storage")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	g := New()
-	g.AddEdgeWeight(1, 2, 3)
-	g.AddEdgeWeight(2, 3, 4)
-	g.AddEdgeWeight(1, 3, 5)
-	f := g.Filter(func(n NodeID) bool { return n != 2 })
-	if f.HasNode(2) || f.Weight(1, 3) != 5 || f.NumEdges() != 1 {
-		t.Errorf("Filter wrong: nodes=%v edges=%v", f.Nodes(), f.Edges())
 	}
 }
 

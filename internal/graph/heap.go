@@ -99,16 +99,8 @@ func (g *Graph) notifyEdge(u, v NodeID, w int64) {
 
 // buildSelector snapshots every current edge into a fresh heap.
 func (g *Graph) buildSelector() {
-	s := &edgeSelector{entries: make([]Edge, 0, g.NumEdges())}
-	for u, m := range g.adj {
-		for v, w := range m {
-			if u < v {
-				s.entries = append(s.entries, Edge{U: u, V: v, W: w})
-			}
-		}
-	}
-	s.heapify()
-	g.sel = s
+	g.sel = &edgeSelector{entries: g.Edges()}
+	g.sel.heapify()
 }
 
 // SelectorStats returns the cumulative effort counters of the indexed

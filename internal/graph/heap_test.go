@@ -5,20 +5,14 @@ import (
 	"testing"
 )
 
-// heaviestEdgeScan is the original O(E) linear scan over the adjacency
-// maps, retained as the reference oracle for the differential tests of the
+// heaviestEdgeScan is the original O(E) linear scan, over the ordered edge
+// list, retained as the reference oracle for the differential tests of the
 // heap selector. It must implement the identical (W desc, U asc, V asc)
 // total order.
 func (g *Graph) heaviestEdgeScan() (e Edge, ok bool) {
-	for u, m := range g.adj {
-		for v, w := range m {
-			if u > v {
-				continue
-			}
-			if !ok || w > e.W || (w == e.W && (u < e.U || (u == e.U && v < e.V))) {
-				e = Edge{U: u, V: v, W: w}
-				ok = true
-			}
+	for _, c := range g.Edges() {
+		if !ok || edgeBefore(c, e) {
+			e, ok = c, true
 		}
 	}
 	return e, ok
@@ -169,9 +163,13 @@ func buildAllocGraph() *Graph {
 	return g
 }
 
-// Allocation-count assertions for the hot helpers: Edges makes exactly the
-// result slice, ForEachNeighbor allocates nothing, and Clone is bounded by
-// one map per node plus the graph shell.
+// cloneSink keeps each clone on the heap, as the placement loops keep theirs.
+var cloneSink *Graph
+
+// Allocation-count assertions for the hot helpers: Neighbors walks a
+// slice and allocates nothing, Edges makes exactly the result slice, and
+// Clone makes the graph shell, its two per-node slices and one backing
+// array for every neighbour list, whatever the graph's size.
 func TestHotHelperAllocations(t *testing.T) {
 	g := buildAllocGraph()
 	if n := testing.AllocsPerRun(20, func() { _ = g.Edges() }); n != 1 {
@@ -179,28 +177,11 @@ func TestHotHelperAllocations(t *testing.T) {
 	}
 	var sink int64
 	if n := testing.AllocsPerRun(20, func() {
-		g.ForEachNeighbor(3, func(_ NodeID, w int64) { sink += w })
+		g.Neighbors(3, func(_ NodeID, w int64) { sink += w })
 	}); n != 0 {
-		t.Errorf("ForEachNeighbor allocs = %v, want 0", n)
+		t.Errorf("Neighbors allocs = %v, want 0", n)
 	}
-	// Clone: graph shell + outer map + one inner map per node. Map buckets
-	// can cost a few extra allocations each, so assert a linear bound.
-	bound := float64(4*g.NumNodes() + 8)
-	if n := testing.AllocsPerRun(10, func() { _ = g.Clone() }); n > bound {
-		t.Errorf("Clone allocs = %v, want <= %v", n, bound)
-	}
-}
-
-func TestForEachNeighborMatchesNeighbors(t *testing.T) {
-	g := buildAllocGraph()
-	for _, n := range g.Nodes() {
-		var sumOrdered, sumUnordered int64
-		var cntOrdered, cntUnordered int
-		g.Neighbors(n, func(_ NodeID, w int64) { sumOrdered += w; cntOrdered++ })
-		g.ForEachNeighbor(n, func(_ NodeID, w int64) { sumUnordered += w; cntUnordered++ })
-		if sumOrdered != sumUnordered || cntOrdered != cntUnordered {
-			t.Fatalf("node %d: ForEachNeighbor fold (%d over %d) != Neighbors fold (%d over %d)",
-				n, sumUnordered, cntUnordered, sumOrdered, cntOrdered)
-		}
+	if n := testing.AllocsPerRun(10, func() { cloneSink = g.Clone() }); n != 4 {
+		t.Errorf("Clone allocs = %v, want 4", n)
 	}
 }

@@ -45,7 +45,7 @@ func TRGConflict(layout *program.Layout, placeG *graph.Graph, chunker *program.C
 
 	offsets := place.NewOffsets(cfg.NumLines())
 	for c := 0; c < nc; c++ {
-		placeG.ForEachNeighbor(graph.NodeID(c), func(d graph.NodeID, w int64) {
+		placeG.Neighbors(graph.NodeID(c), func(d graph.NodeID, w int64) {
 			if int(d) > c {
 				offsets.Add(start[c], lines[c], start[d], lines[d], w)
 			}
@@ -75,7 +75,7 @@ func WCGConflict(layout *program.Layout, wcgG *graph.Graph, cfg cache.Config) in
 
 	var total int64
 	for a := 0; a < n; a++ {
-		wcgG.ForEachNeighbor(graph.NodeID(a), func(b graph.NodeID, w int64) {
+		wcgG.Neighbors(graph.NodeID(a), func(b graph.NodeID, w int64) {
 			if int(b) > a && (inside(start[b], start[a], lines[a]) || inside(start[a], start[b], lines[b])) {
 				total += w
 			}

@@ -22,17 +22,14 @@ const DefaultScale = 0.1
 // Graph returns a copy of g with every edge weight w replaced by
 // round(w·exp(s·X)), X ~ N(0,1), drawn from rng. Weights are kept at least
 // 1 so that perturbation never deletes an edge (a deleted edge would change
-// the working-graph topology, which randomized inputs do not do).
+// the working-graph topology, which randomized inputs do not do). The
+// weights are drawn in (U,V) order.
 func Graph(g *graph.Graph, s float64, rng *rand.Rand) *graph.Graph {
-	out := graph.New()
-	for _, n := range g.Nodes() {
-		out.AddNode(n)
+	es := g.Edges()
+	for i := range es {
+		es[i].W = Weight(es[i].W, s, rng)
 	}
-	for _, e := range g.Edges() {
-		w := Weight(e.W, s, rng)
-		out.SetWeight(e.U, e.V, w)
-	}
-	return out
+	return graph.FromEdges(g.Nodes(), es)
 }
 
 // Weight perturbs a single weight: round(w·exp(s·X)), minimum 1.

@@ -3,6 +3,7 @@ package perturb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -84,5 +85,54 @@ func TestGraphLeavesOriginalUntouched(t *testing.T) {
 	_ = Graph(g, 1.0, rng)
 	if g.Weight(1, 2) != 100 {
 		t.Error("perturbation mutated the input graph")
+	}
+}
+
+// oracleGraph is the perturbation this package used before the bulk
+// graph constructor: a fresh graph, every node added, then one SetWeight
+// per edge in (U,V) order.
+func oracleGraph(g *graph.Graph, s float64, rng *rand.Rand) *graph.Graph {
+	out := graph.New()
+	for _, n := range g.Nodes() {
+		out.AddNode(n)
+	}
+	for _, e := range g.Edges() {
+		out.SetWeight(e.U, e.V, Weight(e.W, s, rng))
+	}
+	return out
+}
+
+// TestGraphMatchesOracle perturbs random graphs, isolated nodes and
+// zero-weight edges included, with two generators of one seed: Graph and
+// the oracle must give the same nodes, edges and neighbour lists, and
+// leave both generators at the same next draw.
+func TestGraphMatchesOracle(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(40) + 1
+		g := graph.New()
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			g.AddEdgeWeight(graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n)), int64(rng.Intn(1000)))
+		}
+		for i := rng.Intn(4); i > 0; i-- {
+			g.AddNode(graph.NodeID(rng.Intn(n + 5)))
+		}
+		s := []float64{0, DefaultScale, 1}[seed%3]
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := Graph(g, s, a), oracleGraph(g, s, b)
+		if !slices.Equal(got.Nodes(), want.Nodes()) || !slices.Equal(got.Edges(), want.Edges()) {
+			t.Fatalf("seed %d: Graph = %v %v, oracle %v %v", seed, got.Nodes(), got.Edges(), want.Nodes(), want.Edges())
+		}
+		for _, u := range want.Nodes() {
+			var x, y []graph.Edge
+			got.Neighbors(u, func(v graph.NodeID, w int64) { x = append(x, graph.Edge{U: u, V: v, W: w}) })
+			want.Neighbors(u, func(v graph.NodeID, w int64) { y = append(y, graph.Edge{U: u, V: v, W: w}) })
+			if !slices.Equal(x, y) {
+				t.Fatalf("seed %d: neighbours of %d = %v, oracle %v", seed, u, x, y)
+			}
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("seed %d: next draw %d, oracle %d", seed, x, y)
+		}
 	}
 }

@@ -88,15 +88,15 @@ const maxPairBlocks = 1 << pairBits
 // caches: D(p,{r,s}) estimates how many references to p would miss if p, r
 // and s all occupied the same 2-way set, because both r and s intervene
 // between consecutive references to p. p, r and s are distinct blocks. The
-// database counts in the open-addressed table that counts the TRG edges,
-// keyed by the packed triple, and Rows groups it by p for the
-// set-associative placer.
+// database counts in graph.Counter, the open-addressed table the TRG and
+// WCG edges count in, keyed by the packed triple, and Rows groups it by p
+// for the set-associative placer.
 type PairDB struct {
-	c counter
+	c graph.Counter
 }
 
 // NewPairDB creates an empty database.
-func NewPairDB() *PairDB { return &PairDB{c: newCounter()} }
+func NewPairDB() *PairDB { return &PairDB{c: graph.NewCounter()} }
 
 // pairKey packs (p,{r,s}) into three pairBits-wide fields, r < s. No
 // triple packs to key 0, the empty-slot marker, because s > r ≥ 0.
@@ -113,15 +113,15 @@ func (d *PairDB) Add(p, r, s BlockID) {
 	if p == r || p == s || r == s || uint32(p)|uint32(r)|uint32(s) >= maxPairBlocks {
 		panic(fmt.Sprintf("trg: D(%d,{%d,%d}) needs three distinct blocks below %d", p, r, s, maxPairBlocks))
 	}
-	d.c.inc(pairKey(p, r, s))
+	d.c.Inc(pairKey(p, r, s))
 }
 
 // Count returns D(p,{r,s}) for block IDs below 2²¹; it is 0 unless p, r
 // and s are distinct, because Add counts no other key.
-func (d *PairDB) Count(p, r, s BlockID) int64 { return d.c.get(pairKey(p, r, s)) }
+func (d *PairDB) Count(p, r, s BlockID) int64 { return d.c.Get(pairKey(p, r, s)) }
 
 // Len returns the number of non-zero entries.
-func (d *PairDB) Len() int { return d.c.used }
+func (d *PairDB) Len() int { return d.c.Len() }
 
 // PairEntry is one non-zero entry D(p,{R,S}) = N in row p of Rows; R < S.
 type PairEntry struct {
@@ -137,15 +137,19 @@ type PairEntry struct {
 func (d *PairDB) Rows(numBlocks int) ([][]PairEntry, error) {
 	const mask = maxPairBlocks - 1
 	rows := make([][]PairEntry, numBlocks)
-	for _, sl := range d.c.slots {
-		if sl.key == 0 {
-			continue
+	var err error
+	d.c.Each(func(key uint64, n int64) {
+		p, r, s := BlockID(key>>(2*pairBits)), BlockID(key&mask), BlockID(key>>pairBits&mask)
+		switch {
+		case err != nil:
+		case int(max(p, r, s)) >= numBlocks:
+			err = fmt.Errorf("trg: pair database entry D(%d,{%d,%d}) names a block beyond the %d chunks", p, r, s, numBlocks)
+		default:
+			rows[p] = append(rows[p], PairEntry{R: r, S: s, N: n})
 		}
-		p, r, s := BlockID(sl.key>>(2*pairBits)), BlockID(sl.key&mask), BlockID(sl.key>>pairBits&mask)
-		if int(max(p, r, s)) >= numBlocks {
-			return nil, fmt.Errorf("trg: pair database entry D(%d,{%d,%d}) names a block beyond the %d chunks", p, r, s, numBlocks)
-		}
-		rows[p] = append(rows[p], PairEntry{R: r, S: s, N: sl.n})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

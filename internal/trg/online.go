@@ -2,7 +2,6 @@ package trg
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/popular"
@@ -25,8 +24,8 @@ type Builder struct {
 	chunker *program.Chunker
 	pop     *popular.Set // nil keeps every procedure
 
-	sel   edgeCounter
-	place edgeCounter
+	sel   graph.EdgeCounter
+	place graph.EdgeCounter
 	db    *PairDB // nil unless pair tracking enabled
 
 	qSel   *Queue
@@ -78,8 +77,8 @@ func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder,
 		prog:    prog,
 		chunker: chunker,
 		pop:     opts.Popular,
-		sel:     newEdgeCounter(prog.NumProcs()),
-		place:   newEdgeCounter(chunker.NumChunks()),
+		sel:     graph.NewEdgeCounter(prog.NumProcs()),
+		place:   graph.NewEdgeCounter(chunker.NumChunks()),
 		qSel:    NewQueue(bound),
 		qPlace:  NewQueue(bound),
 	}
@@ -102,9 +101,9 @@ func (b *Builder) Observe(e trace.Event) {
 	// Procedure granularity → TRG_select. Q is charged with the executed
 	// extent, the activation's cache footprint.
 	id := BlockID(p)
-	b.sel.addNode(id)
+	b.sel.AddNode(id)
 	b.qSel.Touch(id, ext, func(between BlockID) {
-		b.sel.add(id, between)
+		b.sel.Add(id, between)
 	})
 	qLen := b.qSel.Len()
 	b.qLenSum += int64(qLen)
@@ -122,8 +121,8 @@ func (b *Builder) Observe(e trace.Event) {
 	first := BlockID(b.chunker.FirstChunk(p))
 	for i := 0; i < n; i++ {
 		cid := first + BlockID(i)
-		b.place.addNode(cid)
-		inc := func(between BlockID) { b.place.add(cid, between) }
+		b.place.AddNode(cid)
+		inc := func(between BlockID) { b.place.Add(cid, between) }
 		if b.db != nil {
 			b.qPlace.TouchPairs(cid, min(cs, size-i*cs), inc,
 				func(r, s BlockID) { b.db.Add(cid, r, s) })
@@ -143,8 +142,8 @@ func (b *Builder) Events() int64 { return b.events }
 // every other snapshot: later Observe calls do not change it.
 func (b *Builder) Result() *Result {
 	res := &Result{
-		Select:  b.sel.graph(),
-		Place:   b.place.graph(),
+		Select:  b.sel.Graph(),
+		Place:   b.place.Graph(),
 		Chunker: b.chunker,
 	}
 	if b.qSteps > 0 {
@@ -168,125 +167,3 @@ func (b *Builder) BuildStats() BuildStats {
 // Unlike Result it is not a snapshot: later Observe calls keep adding to
 // it.
 func (b *Builder) Pairs() *PairDB { return b.db }
-
-// counter counts events by packed key in an open-addressed table, with
-// linear probing over a power-of-two number of slots that doubles at half
-// load. Key 0 marks an empty slot, so no counted key may pack to it. It
-// counts the TRG edges and the pair database alike.
-type counter struct {
-	slots []countSlot
-	shift uint // 64 − log2(len(slots)): hash bits kept by slotOf
-	used  int
-}
-
-type countSlot struct {
-	key uint64
-	n   int64
-}
-
-// counterSlots is the initial table size, small so that the tiny TRGs of
-// exhaustive search stay cheap to build.
-const counterSlots = 64
-
-func newCounter() counter {
-	var c counter
-	c.resize(counterSlots)
-	return c
-}
-
-// inc counts one event of the non-zero key.
-func (c *counter) inc(key uint64) {
-	mask := uint64(len(c.slots) - 1)
-	for i := c.slotOf(key); ; i = (i + 1) & mask {
-		s := &c.slots[i]
-		if s.key == key {
-			s.n++
-			return
-		}
-		if s.key == 0 {
-			s.key, s.n = key, 1
-			c.used++
-			if 2*c.used > len(c.slots) {
-				c.resize(2 * len(c.slots))
-			}
-			return
-		}
-	}
-}
-
-// get returns the count of the non-zero key.
-func (c *counter) get(key uint64) int64 {
-	mask := uint64(len(c.slots) - 1)
-	for i := c.slotOf(key); ; i = (i + 1) & mask {
-		if s := c.slots[i]; s.key == key || s.key == 0 {
-			return s.n
-		}
-	}
-}
-
-// slotOf is the home slot of key: Fibonacci hashing, keeping the top bits
-// of the product so the low half of the key mixes into the index.
-func (c *counter) slotOf(key uint64) uint64 {
-	return (key * 0x9E3779B97F4A7C15) >> c.shift
-}
-
-// resize rehashes the table into n slots, a power of two.
-func (c *counter) resize(n int) {
-	old := c.slots
-	c.slots = make([]countSlot, n)
-	c.shift = 64 - uint(bits.TrailingZeros(uint(n)))
-	mask := uint64(n - 1)
-	for _, s := range old {
-		if s.key == 0 {
-			continue
-		}
-		i := c.slotOf(s.key)
-		for c.slots[i].key != 0 {
-			i = (i + 1) & mask
-		}
-		c.slots[i] = s
-	}
-}
-
-// edgeCounter accumulates one TRG: the nodes in first-seen order and the
-// interleaving count of every edge, keyed by the packed (lo, hi) block
-// pair. No edge packs to key 0 because lo < hi.
-type edgeCounter struct {
-	counter
-	nodes []BlockID
-	seen  []bool // seen[id]: id is in nodes
-}
-
-func newEdgeCounter(numIDs int) edgeCounter {
-	return edgeCounter{counter: newCounter(), seen: make([]bool, numIDs)}
-}
-
-// addNode records block id as a node, even if it never gains an edge.
-func (c *edgeCounter) addNode(id BlockID) {
-	if !c.seen[id] {
-		c.seen[id] = true
-		c.nodes = append(c.nodes, id)
-	}
-}
-
-// add counts one interleaving of blocks u and v, which must differ.
-func (c *edgeCounter) add(u, v BlockID) {
-	if u > v {
-		u, v = v, u
-	}
-	c.inc(uint64(u)<<32 | uint64(v))
-}
-
-// graph builds the counted TRG as a fresh graph.
-func (c *edgeCounter) graph() *graph.Graph {
-	g := graph.New()
-	for _, id := range c.nodes {
-		g.AddNode(id)
-	}
-	for _, s := range c.slots {
-		if s.key != 0 {
-			g.AddEdgeWeight(BlockID(s.key>>32), BlockID(uint32(s.key)), s.n)
-		}
-	}
-	return g
-}

@@ -162,7 +162,7 @@ func (b *oracleBuilder) Observe(e trace.Event) {
 	id := BlockID(p)
 	b.sel.AddNode(id)
 	b.qSel.Touch(id, ext, func(between BlockID) {
-		b.sel.Increment(id, between)
+		b.sel.AddEdgeWeight(id, between, 1)
 	})
 	qLen := b.qSel.Len()
 	b.stats.QLenSum += int64(qLen)
@@ -178,7 +178,7 @@ func (b *oracleBuilder) Observe(e trace.Event) {
 		c := first + program.ChunkID(i)
 		cid := BlockID(c)
 		b.place.AddNode(cid)
-		inc := func(between BlockID) { b.place.Increment(cid, between) }
+		inc := func(between BlockID) { b.place.AddEdgeWeight(cid, between, 1) }
 		if b.pairs != nil {
 			b.qPlace.TouchPairs(cid, b.chunker.ChunkBytes(c), inc,
 				func(r, s BlockID) { b.pairs[[3]BlockID{cid, min(r, s), max(r, s)}]++ })

@@ -18,18 +18,7 @@ import (
 // Build constructs the transition-count WCG from a procedure-level trace.
 // Consecutive activations of the same procedure (e.g. a loop that re-enters
 // an already-running procedure representation) contribute no transition.
-func Build(tr *trace.Trace) *graph.Graph {
-	g := graph.New()
-	prev := program.NoProc
-	tr.ProcRefs(func(p program.ProcID) {
-		g.AddNode(graph.NodeID(p))
-		if prev != program.NoProc && prev != p {
-			g.Increment(graph.NodeID(prev), graph.NodeID(p))
-		}
-		prev = p
-	})
-	return g
-}
+func Build(tr *trace.Trace) *graph.Graph { return count(tr, nil) }
 
 // BuildFiltered constructs the WCG restricted to procedures for which keep
 // returns true. Transitions through filtered-out procedures connect the
@@ -38,17 +27,31 @@ func Build(tr *trace.Trace) *graph.Graph {
 // two popular procedures be through an unpopular procedure" (Section 4.3) —
 // the filtered WCG preserves that connection.
 func BuildFiltered(tr *trace.Trace, keep func(program.ProcID) bool) *graph.Graph {
-	g := graph.New()
+	return count(tr, keep)
+}
+
+// count counts the transitions between consecutive kept activations in the
+// edge counter the TRG builder counts in, and builds the graph once at the
+// end. A nil keep keeps every procedure.
+func count(tr *trace.Trace, keep func(program.ProcID) bool) *graph.Graph {
+	numIDs := 0
+	for _, e := range tr.Events {
+		numIDs = max(numIDs, int(e.Proc)+1)
+	}
+	c := graph.NewEdgeCounter(numIDs)
 	prev := program.NoProc
-	tr.ProcRefs(func(p program.ProcID) {
-		if !keep(p) {
-			return
+	for _, e := range tr.Events {
+		// A repeat of the kept prev is kept, already a node, and no
+		// transition.
+		p := e.Proc
+		if p == prev || keep != nil && !keep(p) {
+			continue
 		}
-		g.AddNode(graph.NodeID(p))
-		if prev != program.NoProc && prev != p {
-			g.Increment(graph.NodeID(prev), graph.NodeID(p))
+		c.AddNode(graph.NodeID(p))
+		if prev != program.NoProc {
+			c.Add(graph.NodeID(prev), graph.NodeID(p))
 		}
 		prev = p
-	})
-	return g
+	}
+	return c.Graph()
 }

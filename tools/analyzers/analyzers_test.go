@@ -59,7 +59,7 @@ func TestScopeFilter(t *testing.T) {
 	if !NoDeterm.Applies("repro/internal/optimal") || !NoDeterm.Applies("repro/internal/telemetry") {
 		t.Error("nodeterm must cover the analysis and telemetry packages")
 	}
-	if !NoDeterm.Applies("repro/internal/metrics") {
+	if !NoDeterm.Applies("repro/internal/metrics") || !NoDeterm.Applies("repro/internal/graph") {
 		t.Error("nodeterm must cover every package that feeds the rendered tables")
 	}
 	if !StalAllow.Applies("repro/internal/core") || StalAllow.Applies("repro/internal/program") {

@@ -27,6 +27,7 @@ var nodetermScope = []string{
 	"repro/internal/split",
 	"repro/internal/bb",
 	"repro/internal/tracegen",
+	"repro/internal/graph",
 }
 
 // NoDeterm flags nondeterminism sources in the deterministic pipeline
