@@ -68,12 +68,14 @@ bench:
 # vortex training trace; BenchmarkPerturbGraph: one perturbed copy of its
 # TRG_place), the trace-replay engine benchmarks, among them the 16-layout
 # panel on the direct-mapped walk (BenchmarkRunCompiledSerial16) and on
-# the 2-way LRU walk (BenchmarkRunCompiledLRU16), and the exhaustive
-# search (BenchmarkOptimalSearch: six procedures on an 8-line cache).
+# the 2-way LRU walk (BenchmarkRunCompiledLRU16), perl's paper-scale PH,
+# HKC and GBSC layouts on both walks (BenchmarkRunCompiledPaperDM and
+# BenchmarkRunCompiledPaperLRU), and the exhaustive search
+# (BenchmarkOptimalSearch: six procedures on an 8-line cache).
 # Override BENCHTIME (e.g. BENCHTIME=1x in CI) to trade precision for
 # speed.
 BENCHTIME ?= 1s
-GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkPHPlacement|BenchmarkHKCPlacement|BenchmarkWCGBuild|BenchmarkPerturbGraph|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkRunCompiledSerial16|BenchmarkRunCompiledLRU16|BenchmarkOptimalSearch)$$
+GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkPHPlacement|BenchmarkHKCPlacement|BenchmarkWCGBuild|BenchmarkPerturbGraph|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkRunCompiledSerial16|BenchmarkRunCompiledLRU16|BenchmarkRunCompiledPaperDM|BenchmarkRunCompiledPaperLRU|BenchmarkOptimalSearch)$$
 
 # TRG ingest throughput (BENCH_trg.json): the one TRG builder in
 # events/sec on the paper-scale vortex training trace.

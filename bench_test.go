@@ -473,6 +473,45 @@ func BenchmarkRunCompiledLRU16(b *testing.B) {
 	runPanel(b, cache.Config{SizeBytes: 8192, LineBytes: 32, Assoc: 2}, ct, layouts)
 }
 
+// paperWalkFixture compiles perl's paper-scale (-scale 1.0) testing trace
+// once and places its PH, HKC and GBSC layouts from the training profile:
+// the unperturbed layouts of perl's Figure 5 panel. Perl's walks are more
+// than half of a Figure 5 run's walk time, and unlike m88ksim's they spend
+// most of their time walking spans rather than settling resident classes.
+func paperWalkFixture(b *testing.B) (*cache.CompiledTrace, []*Layout) {
+	b.Helper()
+	art := prepareArtifacts(b, "perl", 1.0)
+	prog := art.pair.Bench.Prog
+	ph, err := baseline.PHLayout(prog, wcg.Build(art.tr))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hkc, err := baseline.HKC(prog, wcg.BuildFiltered(art.tr, art.pop.Contains), art.pop, cache.PaperConfig)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gbsc, err := core.Place(prog, art.res, art.pop, cache.PaperConfig)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cache.CompileTrace(prog, art.pair.Bench.Trace(art.pair.Test)), []*Layout{ph, hkc, gbsc}
+}
+
+// BenchmarkRunCompiledPaperDM scores perl's paper-scale PH, HKC and GBSC
+// layouts on the 8 KB direct-mapped cache, one walk each per iteration,
+// reported as layout·events/sec.
+func BenchmarkRunCompiledPaperDM(b *testing.B) {
+	ct, layouts := paperWalkFixture(b)
+	runPanel(b, cache.PaperConfig, ct, layouts)
+}
+
+// BenchmarkRunCompiledPaperLRU is BenchmarkRunCompiledPaperDM on the 8 KB
+// 2-way LRU cache of Section 6.
+func BenchmarkRunCompiledPaperLRU(b *testing.B) {
+	ct, layouts := paperWalkFixture(b)
+	runPanel(b, cache.Config{SizeBytes: 8192, LineBytes: 32, Assoc: 2}, ct, layouts)
+}
+
 // runPanel times b.N rounds of scoring every layout of the panel against
 // ct through one reused simulator of geometry cfg.
 func runPanel(b *testing.B, cfg cache.Config, ct *cache.CompiledTrace, layouts []*Layout) {

@@ -177,6 +177,45 @@ func TestClassifyReportMatchesPlain(t *testing.T) {
 	}
 }
 
+// A layout may place a procedure at any address. With m88ksim's hottest
+// procedure moved to 2^44, every mode must print exactly what it prints
+// with the procedure at 573,440, which is ≡ 2^44 mod 8192 (the same sets)
+// and just past the 562,176-byte link order: the simulator's per-line
+// state is sized by the lines the trace touches, not by the address.
+func TestFarProcedureMatchesNear(t *testing.T) {
+	pair := tracegen.Lookup(tracegen.Suite(0.05), "m88ksim")
+	prog := pair.Bench.Prog
+	hot, ok := prog.Lookup("m88ksim_hot014")
+	if !ok {
+		t.Fatal("m88ksim has no procedure m88ksim_hot014")
+	}
+	f := &fixture{dir: t.TempDir()}
+	f.prog = f.write(t, "m88ksim.prog", prog.WriteDescription)
+	f.trace = f.write(t, "m88ksim.trace", tracegen.Generate(pair.Bench, pair.Test, nil).WriteBinary)
+	var paths [2]string
+	for i, addr := range []int{1 << 44, 573440} {
+		l := program.DefaultLayout(prog)
+		l.SetAddr(hot, addr)
+		paths[i] = f.write(t, fmt.Sprintf("hot%d.layout", i), l.WriteLayout)
+	}
+	for _, mode := range [][]string{nil, {"-classify"}, {"-assoc", "2"}} {
+		var outs [2]string
+		for i, path := range paths {
+			out, err := cachesim(t, append([]string{"-prog", f.prog, "-trace", f.trace, "-layout", path}, mode...)...)
+			if err != nil {
+				t.Fatalf("%v %s: %v", mode, path, err)
+			}
+			outs[i] = out
+		}
+		if !strings.Contains(outs[1], "refs:") {
+			t.Fatalf("%v: no figures in output:\n%s", mode, outs[1])
+		}
+		if outs[0] != outs[1] {
+			t.Errorf("%v: procedure at 2^44 prints\n%s\nat 573440\n%s", mode, outs[0], outs[1])
+		}
+	}
+}
+
 // Malformed or mismatched input must fail with an error naming the
 // problem, before anything is printed, and never panic.
 func TestBadInputReturnsError(t *testing.T) {

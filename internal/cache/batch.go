@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/program"
 )
@@ -16,9 +18,13 @@ import (
 //
 // Statistics are byte-identical to the per-reference oracle the tests keep
 // (oracle_test.go): the walk performs exactly the reference stream's
-// accesses, including the §4c repeat collapse, which costs two array loads
-// per event because a class's placed span and conflict-freedom are
-// precomputed per layout by CompileLayout.
+// accesses, including the §4c repeat collapse. Per event the walk reads
+// two records: the trace's 8-byte event (class, repeats) and the bound
+// layout's class record (first line, span, conflict-freedom, dense line
+// offset and residency stamp), which CompileLayout precomputes per layout
+// and Bind copies into the simulator. A span that must be walked goes to
+// the geometry's line loop: the direct-mapped tag compare or the LRU way
+// shift.
 //
 // Early abandonment rides on miss-count monotonicity: the running miss
 // count only grows as the walk proceeds, so once it exceeds a
@@ -26,20 +32,42 @@ import (
 // count must exceed it too and the walk can stop.
 
 // CompiledLayout is a layout compiled against a CompiledTrace's activation
-// classes for one cache geometry: per class, the placed first line, the
-// line span, and whether the span is self-conflict-free (span ≤ NumLines,
-// the §4c collapse criterion). One table serves every replay of the
-// layout against any view — full trace or Slice — sharing the class table
-// it was compiled from. Immutable after CompileLayout returns and safe
-// for concurrent use.
+// classes for one cache geometry: one record per class (classRec). One
+// table serves every replay of the layout against any view — full trace
+// or Slice — sharing the class table it was compiled from. A table is
+// immutable between compiles and safe for concurrent use; a simulator
+// copies what it needs when it binds the table, so recompiling a bound
+// table does not disturb the binding.
 type CompiledLayout struct {
 	layout  *program.Layout
 	classes *classTable
 	cfg     Config
-	first   []int64 // per class: first placed line (line-granular address)
-	span    []int64 // per class: number of consecutive lines referenced
-	free    []bool  // per class: span self-conflict-free in this geometry
-	lines   int64   // 1 + the largest line any class touches (seen sizing)
+	recs    []classRec
+	// lines is the number of distinct lines the classes touch, the range
+	// of the dense line index (seen, the classified replay's shadow).
+	lines int64
+	// runs is compile's scratch for merging the procedures' line ranges.
+	runs []lineRun
+}
+
+// classRec is one activation class as the layout places it: the first
+// placed line (line-granular address), the number of consecutive lines
+// referenced, whether that span is self-conflict-free in this geometry
+// (span ≤ NumLines, the §4c collapse criterion), and the offset that maps
+// each of its lines to a dense index: line ln of the class is line ln+off
+// of the layout's touched lines.
+type classRec struct {
+	first int64
+	off   int64
+	span  int32
+	free  bool
+}
+
+// lineRun is the line range [first, end) of a procedure's widest class
+// c, the unit compile sorts and merges.
+type lineRun struct {
+	first, end int64
+	c          int32
 }
 
 // Layout returns the layout the table was compiled from.
@@ -49,39 +77,74 @@ func (cl *CompiledLayout) Layout() *program.Layout { return cl.layout }
 // given geometry. The per-class resolution (base address → first line,
 // span, conflict-free bit) is what a per-event replay would derive for
 // every activation; compiling hoists it out of the walk so the engine
-// pays two array loads per event instead. The layout must place the
+// pays one record load per event instead. The layout must place the
 // program ct was compiled against.
 func CompileLayout(cfg Config, ct *CompiledTrace, layout *program.Layout) (*CompiledLayout, error) {
-	if err := cfg.Validate(); err != nil {
+	cl := &CompiledLayout{}
+	if err := cl.Recompile(cfg, ct, layout); err != nil {
 		return nil, err
 	}
-	cl := &CompiledLayout{}
-	cl.compile(cfg, ct, layout)
 	return cl, nil
 }
 
-// compile fills cl for layout, reusing its per-class arrays when their
-// capacity suffices. cfg must be valid.
+// Recompile is CompileLayout into cl, reusing its buffers: a caller that
+// scores many candidate layouts one at a time (the exhaustive search)
+// keeps one table and recompiles it per candidate without allocating once
+// the buffers have grown.
+func (cl *CompiledLayout) Recompile(cfg Config, ct *CompiledTrace, layout *program.Layout) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	cl.compile(cfg, ct, layout)
+	return nil
+}
+
+// compile is Recompile without the geometry check: cfg must be valid.
+//
+// The dense line index: a layout may place a procedure at any address, so
+// per-line state sized by the highest line would cost memory in the
+// address, not in the code the trace runs. compile merges the
+// procedures' line ranges — each its widest class's, which covers the
+// procedure's other classes — into disjoint runs, in address order, and
+// numbers the lines of the runs consecutively. A line two classes share —
+// one procedure at two extents, or neighbours meeting mid-line — lies in
+// one run and so gets one index, which is what keeps its first touch a
+// single cold miss. Sorting one range per procedure, not per class, keeps
+// the compile O(classes + procedures·log procedures).
 func (cl *CompiledLayout) compile(cfg Config, ct *CompiledTrace, layout *program.Layout) {
 	ct.checkProgram(layout)
-	nc := int64(ct.NumClasses())
-	cl.layout, cl.classes, cl.cfg, cl.lines = layout, ct.classes, cfg, 0
-	cl.first = grow(cl.first, nc)
-	cl.span = grow(cl.span, nc)
-	cl.free = grow(cl.free, nc)
+	cls := ct.classes
+	cl.layout, cl.classes, cl.cfg = layout, cls, cfg
+	cl.recs = grow(cl.recs, int64(len(cls.proc)))
+	cl.runs = cl.runs[:0]
 	lb := int64(cfg.LineBytes)
 	limit := int64(cfg.NumLines())
-	for c := range cl.first {
-		base := int64(layout.Addr(ct.classes.proc[c]))
-		ext := int64(ct.classes.ext[c])
+	for c := range cl.recs {
+		base := int64(layout.Addr(cls.proc[c]))
+		ext := int64(cls.ext[c])
 		first := base / lb
 		span := (base+ext-1)/lb - first + 1
-		cl.first[c] = first
-		cl.span[c] = span
-		cl.free[c] = span <= limit
-		if end := first + span; end > cl.lines {
-			cl.lines = end
+		cl.recs[c] = classRec{first: first, span: int32(span), free: span <= limit}
+		if cls.lead[c] == int32(c) {
+			cl.runs = append(cl.runs, lineRun{first: first, end: first + span, c: int32(c)})
 		}
+	}
+	slices.SortFunc(cl.runs, func(a, b lineRun) int { return cmp.Compare(a.first, b.first) })
+	// dense is the index of the current run's first line, [start, end)
+	// its lines so far.
+	var dense, start, end int64
+	for k, r := range cl.runs {
+		if k == 0 || r.first > end {
+			dense += end - start
+			start, end = r.first, r.end
+		} else {
+			end = max(end, r.end)
+		}
+		cl.recs[r.c].off = dense - start
+	}
+	cl.lines = dense + end - start
+	for c, l := range cls.lead {
+		cl.recs[c].off = cl.recs[l].off
 	}
 }
 
@@ -149,7 +212,7 @@ type BatchResult struct {
 // epoch-stamped first-touch stamps for the cold/conflict split and the
 // class-residency memo both walks consult. Buffers are reused across Bind
 // and Run calls, so a search that scores thousands of candidates allocates
-// per candidate only its compiled table and result.
+// per candidate only its Run result.
 //
 // A BatchSim is not safe for concurrent use; workers bring their own.
 type BatchSim struct {
@@ -158,17 +221,20 @@ type BatchSim struct {
 	pow2    bool // numSets is a power of two: sets are indexed by mask
 	assoc   int
 
-	// tab is the bound layout; nil until the first Bind.
-	tab *CompiledLayout
+	// classes is the bound layout's class table, nil until the first
+	// Bind; cls holds the bound layout's records, copied at Bind, each
+	// with its class's residency stamp.
+	classes *classTable
+	cls     []classState
 
 	// dm[set] is the direct-mapped tag (-1 empty). For assoc > 1,
 	// ways[set*assoc+w] holds the MRU-first tags of the set, -1 for an
 	// empty way; the empty ways are the set's last.
 	dm   []int64
 	ways []int64
-	// seen stamps each line address of the bound layout with the epoch of
-	// its first reference. The epoch discipline makes Reset O(tag state),
-	// not O(address space).
+	// seen stamps each line of the bound layout, at its dense index, with
+	// the epoch of its first reference. The epoch discipline makes Reset
+	// O(tag state), not O(lines).
 	seen  []uint32
 	epoch uint32
 
@@ -181,21 +247,27 @@ type BatchSim struct {
 	// theorem; direct-mapped, the lines sit in distinct sets). So: every
 	// write stamps its set's block in bver (1<<blockShift sets per block)
 	// with the next value of the write counter wver, and a full walk of
-	// a conflict-free class records the counter in resStamp[c]. On the
-	// class's next activation, bver ≤ resStamp across the blocks of its
+	// a conflict-free class records the counter in its stamp. On the
+	// class's next activation, bver ≤ stamp across the blocks of its
 	// sets proves no write touched them since the walk — the walk would
 	// be all hits with no state change, and the event settles in
 	// O(blocks) instead of O(span). Block granularity only costs
 	// precision (a write near a class's sets loses a skip), never
 	// soundness. wver never repeats and Reset re-stamps every block with
-	// a fresh value, so stale resStamp entries — including those left in
-	// a reused buffer by an earlier binding — can never claim residency.
-	resStamp []int64
-	bver     []int64
-	wver     int64
+	// a fresh value, so no stale stamp — a zero one from Bind, or one
+	// left by a walk before a Reset — can claim residency.
+	bver []int64
+	wver int64
 
 	stats Stats
 	batch BatchStats
+}
+
+// classState is one class of the bound layout: its record and its
+// residency stamp, side by side so an event reads one 32-byte record.
+type classState struct {
+	classRec
+	stamp int64
 }
 
 // NewBatchSim creates a compiled simulator for the given configuration.
@@ -260,9 +332,14 @@ func (bs *BatchSim) Bind(t *CompiledLayout) error {
 	return nil
 }
 
-// bind is Bind without the geometry check.
+// bind is Bind without the geometry check: O(classes) to copy t's records,
+// then a Reset.
 func (bs *BatchSim) bind(t *CompiledLayout) {
-	bs.tab = t
+	bs.classes = t.classes
+	bs.cls = grow(bs.cls, int64(len(t.recs)))
+	for c, rec := range t.recs {
+		bs.cls[c] = classState{classRec: rec}
+	}
 	// A fresh seen allocation starts at epoch 1 with zeroed stamps;
 	// reusing a grown one relies on the epoch bump in Reset to retire
 	// stale stamps.
@@ -272,9 +349,6 @@ func (bs *BatchSim) bind(t *CompiledLayout) {
 	} else {
 		bs.seen = bs.seen[:t.lines]
 	}
-	// Grown resStamp contents are arbitrary; the fresh block versions
-	// Reset draws make any stale stamp a non-match.
-	bs.resStamp = grow(bs.resStamp, int64(len(t.first)))
 	bs.Reset()
 }
 
@@ -348,7 +422,7 @@ func (bs *BatchSim) Run(ct *CompiledTrace, tables []*CompiledLayout, opts BatchO
 		walked, abandoned := bs.walk(ct, budget)
 		res.Stats[i], res.Abandoned[i] = bs.stats, abandoned
 		res.Batch.LaneEvents += int64(walked)
-		res.Batch.LaneEventsSaved += int64(ct.n - walked)
+		res.Batch.LaneEventsSaved += int64(ct.Len() - walked)
 		if abandoned {
 			res.Batch.AbandonedLanes++
 		}
@@ -375,15 +449,15 @@ func (bs *BatchSim) runTable(ct *CompiledTrace, t *CompiledLayout) Stats {
 // delta discarded), and misses on lines it touched count as conflict, not
 // cold, exactly as they would mid-run. No budget applies.
 func (bs *BatchSim) Replay(ct *CompiledTrace) (Stats, error) {
-	if bs.tab == nil {
+	if bs.classes == nil {
 		return Stats{}, fmt.Errorf("cache: Replay before Bind")
 	}
-	if bs.tab.classes != ct.classes { // as in Run
+	if bs.classes != ct.classes { // as in Run
 		return Stats{}, fmt.Errorf("cache: replayed trace is not from the bound compilation family")
 	}
 	before := bs.stats
 	bs.walk(ct, math.MaxInt64)
-	bs.batch.LaneEvents += int64(ct.n)
+	bs.batch.LaneEvents += int64(ct.Len())
 	return Stats{
 		Refs:   bs.stats.Refs - before.Refs,
 		Misses: bs.stats.Misses - before.Misses,
@@ -402,111 +476,109 @@ func (bs *BatchSim) walk(ct *CompiledTrace, budget int64) (walked int, abandoned
 	return bs.walkLRU(ct, budget)
 }
 
-// walkDM is the direct-mapped walk. A resident class (see the memo
-// fields) settles in O(1); otherwise the span walks against stride-1
-// tags. The collapse identity iters·span + (r−1)·span = r·span folds the
-// reference count to one add. The power-of-two set count is chosen once
-// per span, not per line: each branch has its own line loop, and the
-// mask form lets the compiler drop the tag array's bounds check.
+// walkDM is the direct-mapped walk: per event, one event record and one
+// class record. A resident class (see the memo fields) settles in O(1) or
+// O(blocks); any other span is walked by the line loop, the tag compare.
+// The collapse identity iters·span + (r−1)·span = r·span folds the
+// reference count to one add. The set index is chosen once per span: by
+// mask when the set count is a power of two (which also lets the compiler
+// drop the tag array's bounds check), else by one % and a wrapping
+// increment. A missing line takes its set, bumps the write version,
+// stamps the set's block, and is cold on its first touch since Reset (at
+// its dense index ln+off).
 func (bs *BatchSim) walkDM(ct *CompiledTrace, budget int64) (int, bool) {
-	t := bs.tab
-	firstA, spanA, freeA := t.first, t.span, t.free
-	stamp := bs.resStamp
-	dm := bs.dm
-	sets := int64(len(dm))
-	mask := int64(len(dm) - 1)
-	pow2 := bs.pow2
-	lbv := bs.bver
-	// With a single version block any write since a stamp already
-	// invalidates it, so the block scan only pays when blocks partition
-	// the sets.
-	multiBlock := len(lbv) > 1
-	seen, epoch := bs.seen, bs.epoch
-	refs, misses, cold := bs.stats.Refs, bs.stats.Misses, bs.stats.Cold
-	wver := bs.wver
-	walked, abandoned := ct.n, false
-	for i, c := range ct.classOf {
-		r := int64(ct.reps[i])
-		span, first, free := spanA[c], firstA[c], freeA[c]
-		if free {
-			// stamp == wver means no tag write since the class was last
+	cls := bs.cls
+	refs := bs.stats.Refs
+	for i, e := range ct.events {
+		c := &cls[e.class]
+		r, span := int64(e.reps), int64(c.span)
+		refs += r * span
+		if c.free {
+			// stamp == wver means no write since the class was last
 			// proven resident, so the span is still intact — the
 			// steady-state one-compare fast path. Otherwise scan the
 			// covering block versions and, on success, re-stamp so the
-			// next check is again one compare.
-			sv := stamp[c]
-			resident := sv == wver
-			if !resident && multiBlock {
-				var s0 int64
-				if pow2 {
-					s0 = first & mask
-				} else {
-					s0 = first % sets
-				}
-				if end := s0 + span - 1; end < sets {
-					resident = blocksClean(lbv, sv, s0, end)
-				} else {
-					resident = blocksClean(lbv, sv, s0, sets-1) &&
-						blocksClean(lbv, sv, 0, end-sets)
-				}
-				if resident {
-					stamp[c] = wver
-				}
-			}
-			if resident {
-				// All hits, no state change, no new misses — the budget
-				// cannot newly trip.
-				refs += r * span
+			// next check is again one compare. A resident class is all
+			// hits with no state change: the budget cannot newly trip.
+			if c.stamp == bs.wver {
 				continue
 			}
+			if bs.clean(c.first, span, c.stamp) {
+				c.stamp = bs.wver
+				continue
+			}
+			r = 1
 		}
-		iters := r
-		if r > 1 && free {
-			iters = 1
-		}
-		last := first + span
-		for it := int64(0); it < iters; it++ {
-			if pow2 {
+		first, last, off := c.first, c.first+span, c.off
+		dm, lbv, seen, epoch := bs.dm, bs.bver, bs.seen, bs.epoch
+		wver, misses, cold := bs.wver, bs.stats.Misses, bs.stats.Cold
+		for ; r > 0; r-- {
+			if bs.pow2 {
+				mask := int64(len(dm) - 1)
 				for ln := first; ln < last; ln++ {
 					if dm[ln&mask] != ln {
 						dm[ln&mask] = ln
 						wver++
 						lbv[(ln&mask)>>blockShift] = wver
 						misses++
-						if seen[ln] != epoch {
-							seen[ln] = epoch
+						if seen[ln+off] != epoch {
+							seen[ln+off] = epoch
 							cold++
 						}
 					}
 				}
 				continue
 			}
+			sets := int64(len(dm))
+			s := first % sets
 			for ln := first; ln < last; ln++ {
-				s := ln % sets
 				if dm[s] != ln {
 					dm[s] = ln
 					wver++
 					lbv[s>>blockShift] = wver
 					misses++
-					if seen[ln] != epoch {
-						seen[ln] = epoch
+					if seen[ln+off] != epoch {
+						seen[ln+off] = epoch
 						cold++
 					}
 				}
+				if s++; s == sets {
+					s = 0
+				}
 			}
 		}
-		if free {
-			stamp[c] = wver
+		bs.wver, bs.stats.Misses, bs.stats.Cold = wver, misses, cold
+		if c.free {
+			c.stamp = wver
 		}
-		refs += r * span
 		if misses > budget {
-			walked, abandoned = i+1, true
-			break
+			bs.stats.Refs = refs
+			return i + 1, true
 		}
 	}
-	bs.stats = Stats{Refs: refs, Misses: misses, Cold: cold}
-	bs.wver = wver
-	return walked, abandoned
+	bs.stats.Refs = refs
+	return len(ct.events), false
+}
+
+// clean reports whether no write version in the blocks covering the n
+// consecutive sets from line first's set exceeds stamp. With a single
+// version block any write since a stamp already invalidates it, so the
+// scan only pays when blocks partition the sets.
+func (bs *BatchSim) clean(first, n, stamp int64) bool {
+	lbv, sets := bs.bver, bs.numSets
+	if len(lbv) == 1 {
+		return false
+	}
+	var s0 int64
+	if bs.pow2 {
+		s0 = first & (sets - 1)
+	} else {
+		s0 = first % sets
+	}
+	if end := s0 + n - 1; end >= sets {
+		return blocksClean(lbv, stamp, s0, sets-1) && blocksClean(lbv, stamp, 0, end-sets)
+	}
+	return blocksClean(lbv, stamp, s0, s0+n-1)
 }
 
 // blocksClean reports whether no write version in the blocks covering
@@ -520,74 +592,56 @@ func blocksClean(lbv []int64, stamp, s0, s1 int64) bool {
 	return true
 }
 
-// walkLRU is walkDM for set-associative geometries: per set, an
-// MRU-first age vector with hit promotion and LRU eviction. Repeats
-// collapse and resident classes settle as in walkDM, with a change to a
-// set's order as the write; a conflict-free span holds up to assoc lines
-// per set, so it covers min(span, sets) sets. A miss or a hit below the
-// MRU way shifts the ways above it down one, in one loop that stops at
-// the hit.
+// walkLRU is walkDM for set-associative geometries: per set, an MRU-first
+// age vector with hit promotion and LRU eviction. Repeats collapse and
+// resident classes settle as in walkDM, with a change to a set's order as
+// the write; a conflict-free span holds up to assoc lines per set, so it
+// covers min(span, sets) sets. The line loop is the way shift: a miss or a
+// hit below the MRU way shifts the ways above it down one, in one loop
+// that stops at the hit; an MRU hit changes nothing. The span's first set
+// costs one mask or %, each later line a wrapping increment.
 func (bs *BatchSim) walkLRU(ct *CompiledTrace, budget int64) (int, bool) {
-	t := bs.tab
-	firstA, spanA, freeA := t.first, t.span, t.free
-	stamp := bs.resStamp
-	sets := bs.numSets
-	mask, pow2 := sets-1, bs.pow2
-	assoc := int64(bs.assoc)
-	ways := bs.ways
-	lbv := bs.bver
-	multiBlock := len(lbv) > 1
-	seen, epoch := bs.seen, bs.epoch
-	refs, misses, cold := bs.stats.Refs, bs.stats.Misses, bs.stats.Cold
-	wver := bs.wver
-	walked, abandoned := ct.n, false
-	for i, c := range ct.classOf {
-		r := int64(ct.reps[i])
-		span, first, free := spanA[c], firstA[c], freeA[c]
-		if free {
-			sv := stamp[c]
-			resident := sv == wver
-			if !resident && multiBlock {
-				var s0 int64
-				if pow2 {
-					s0 = first & mask
-				} else {
-					s0 = first % sets
-				}
-				if end := s0 + min(span, sets) - 1; end < sets {
-					resident = blocksClean(lbv, sv, s0, end)
-				} else {
-					resident = blocksClean(lbv, sv, s0, sets-1) &&
-						blocksClean(lbv, sv, 0, end-sets)
-				}
-				if resident {
-					stamp[c] = wver
-				}
-			}
-			if resident {
-				refs += r * span
+	cls := bs.cls
+	sets, assoc := bs.numSets, int64(bs.assoc)
+	refs := bs.stats.Refs
+	for i, e := range ct.events {
+		c := &cls[e.class]
+		r, span := int64(e.reps), int64(c.span)
+		refs += r * span
+		if c.free {
+			if c.stamp == bs.wver {
 				continue
 			}
+			if bs.clean(c.first, min(span, sets), c.stamp) {
+				c.stamp = bs.wver
+				continue
+			}
+			r = 1
 		}
-		iters := r
-		if r > 1 && free {
-			iters = 1
-		}
-		last := first + span
-		for it := int64(0); it < iters; it++ {
+		first, last, off := c.first, c.first+span, c.off
+		ways, lbv, seen, epoch := bs.ways, bs.bver, bs.seen, bs.epoch
+		wver, misses, cold := bs.wver, bs.stats.Misses, bs.stats.Cold
+		for ; r > 0; r-- {
+			var s int64
+			if bs.pow2 {
+				s = first & (sets - 1)
+			} else {
+				s = first % sets
+			}
 			for ln := first; ln < last; ln++ {
-				var set int64
-				if pow2 {
-					set = ln & mask
-				} else {
-					set = ln % sets
+				w := ways[s*assoc : s*assoc+assoc]
+				set := s
+				if s++; s == sets {
+					s = 0
 				}
-				w := ways[set*assoc : set*assoc+assoc]
-				if w[0] == ln {
+				prev := w[0]
+				if prev == ln {
 					continue // MRU hit: the order stands
 				}
-				prev, hit := ln, false
-				for k, tag := range w {
+				w[0] = ln
+				hit := false
+				for k := 1; k < len(w); k++ {
+					tag := w[k]
 					w[k] = prev
 					if tag == ln {
 						hit = true
@@ -601,33 +655,33 @@ func (bs *BatchSim) walkLRU(ct *CompiledTrace, budget int64) (int, bool) {
 					continue
 				}
 				misses++
-				if seen[ln] != epoch {
-					seen[ln] = epoch
+				if seen[ln+off] != epoch {
+					seen[ln+off] = epoch
 					cold++
 				}
 			}
 		}
-		if free {
-			stamp[c] = wver
+		bs.wver, bs.stats.Misses, bs.stats.Cold = wver, misses, cold
+		if c.free {
+			c.stamp = wver
 		}
-		refs += r * span
 		if misses > budget {
-			walked, abandoned = i+1, true
-			break
+			bs.stats.Refs = refs
+			return i + 1, true
 		}
 	}
-	bs.stats = Stats{Refs: refs, Misses: misses, Cold: cold}
-	bs.wver = wver
-	return walked, abandoned
+	bs.stats.Refs = refs
+	return len(ct.events), false
 }
 
-// access references line ln, one line of walkDM or walkLRU on the engine's
-// state with the same tag, LRU and first-touch rules, for walks that need
-// the outcome of every line (the classified replay). A change to the set
-// bumps the residency-memo versions as the walks' changes do, so the memo
-// stays sound for later walks. It counts the miss, not the reference, and
-// reports whether the line missed and whether that was its first touch.
-func (bs *BatchSim) access(ln int64) (miss, cold bool) {
+// access references line ln, whose dense index is idx, one line of walkDM
+// or walkLRU on the engine's state with the same tag, LRU and first-touch
+// rules, for walks that need the outcome of every line (the classified
+// replay). A change to the set bumps the residency-memo versions as the
+// walks' changes do, so the memo stays sound for later walks. It counts
+// the miss, not the reference, and reports whether the line missed and
+// whether that was its first touch.
+func (bs *BatchSim) access(ln, idx int64) (miss, cold bool) {
 	var set int64
 	if bs.pow2 {
 		set = ln & (bs.numSets - 1)
@@ -662,10 +716,10 @@ func (bs *BatchSim) access(ln int64) (miss, cold bool) {
 		return false, false
 	}
 	bs.stats.Misses++
-	if bs.seen[ln] == bs.epoch {
+	if bs.seen[idx] == bs.epoch {
 		return true, false
 	}
-	bs.seen[ln] = bs.epoch
+	bs.seen[idx] = bs.epoch
 	bs.stats.Cold++
 	return true, true
 }

@@ -171,8 +171,8 @@ func (s *Sim) RunTrace(layout *program.Layout, tr *trace.Trace) Stats {
 //
 //   - The effective extent and repeat count of every activation come from
 //     the compilation, and each activation class's placed span and
-//     conflict-freedom from the compiled layout, so per event the walk pays
-//     two array loads.
+//     conflict-freedom from the compiled layout, so per event the walk
+//     reads one 8-byte event record and one class record.
 //   - Repeat collapsing: an activation whose placed span of consecutive
 //     lines is self-conflict-free in this geometry (span ≤ NumLines — which
 //     gives distinct sets when direct-mapped and at most Assoc span lines

@@ -137,11 +137,11 @@ func RunTraceClassified(cfg Config, layout *program.Layout, tr *trace.Trace) (Cl
 // activation goes through the engine's per-line step, whose first-touch
 // stamps decide cold misses. A miss that hits in the fully-associative
 // shadow — an LRU list of the same capacity (Config.NumLines) over the
-// layout's line range — is a conflict miss, any other non-cold miss a
-// capacity miss. Repeats collapse exactly as in the plain walk: a span
-// within the collapse limit fits the shadow too, so iterations 2..r hit in
-// both caches, produce no misses to classify, and leave both LRU states as
-// iteration 1 left them.
+// layout's touched lines, keyed by their dense index — is a conflict
+// miss, any other non-cold miss a capacity miss. Repeats collapse exactly
+// as in the plain walk: a span within the collapse limit fits the shadow
+// too, so iterations 2..r hit in both caches, produce no misses to
+// classify, and leave both LRU states as iteration 1 left them.
 func RunCompiledClassified(cfg Config, ct *CompiledTrace, layout *program.Layout) (ClassifiedStats, ReplayStats, error) {
 	tab, err := CompileLayout(cfg, ct, layout)
 	if err != nil {
@@ -151,20 +151,21 @@ func RunCompiledClassified(cfg Config, ct *CompiledTrace, layout *program.Layout
 	bs.bind(tab)
 	shadow := newLRUList(tab.lines, cfg.NumLines())
 	cs := ClassifiedStats{PerProc: make([]int64, ct.prog.NumProcs())}
-	for i, c := range ct.classOf {
-		r, first, span := int64(ct.reps[i]), tab.first[c], tab.span[c]
+	for _, e := range ct.events {
+		c := &tab.recs[e.class]
+		r, span := int64(e.reps), int64(c.span)
 		iters := r
-		if r > 1 && tab.free[c] {
+		if r > 1 && c.free {
 			iters = 1
 		}
 		for it := int64(0); it < iters; it++ {
-			for ln := first; ln < first+span; ln++ {
-				faHit := shadow.access(ln)
-				miss, cold := bs.access(ln)
+			for ln := c.first; ln < c.first+span; ln++ {
+				faHit := shadow.access(ln + c.off)
+				miss, cold := bs.access(ln, ln+c.off)
 				if !miss {
 					continue
 				}
-				cs.PerProc[ct.procs[i]]++
+				cs.PerProc[ct.classes.proc[e.class]]++
 				switch {
 				case cold:
 					cs.Cold++

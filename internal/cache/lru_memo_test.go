@@ -146,16 +146,16 @@ func (mc memoCase) build(s int) (*program.Layout, *trace.Trace) {
 // by set: whether the next activation of class c would settle without a
 // walk.
 func memoSettles(bs *BatchSim, c int32) bool {
-	t := bs.tab
-	if !t.free[c] {
+	cs := bs.cls[c]
+	if !cs.free {
 		return false
 	}
-	sv := bs.resStamp[c]
+	sv := cs.stamp
 	if sv == bs.wver {
 		return true
 	}
-	for k := int64(0); k < min(t.span[c], bs.numSets); k++ {
-		if bs.bver[((t.first[c]+k)%bs.numSets)>>blockShift] > sv {
+	for k := int64(0); k < min(int64(cs.span), bs.numSets); k++ {
+		if bs.bver[((cs.first+k)%bs.numSets)>>blockShift] > sv {
 			return false
 		}
 	}
@@ -198,7 +198,7 @@ func TestLRUResidencyMemoTraps(t *testing.T) {
 				if _, err := bs.Replay(ct.Slice(0, ck.after)); err != nil {
 					t.Fatal(err)
 				}
-				if got := memoSettles(bs, ct.classOf[ck.event]); got != ck.settles {
+				if got := memoSettles(bs, ct.events[ck.event].class); got != ck.settles {
 					t.Errorf("%s: after %d events, event %d's class settles = %v, want %v",
 						name, ck.after, ck.event, got, ck.settles)
 				}

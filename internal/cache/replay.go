@@ -9,8 +9,8 @@ import (
 
 // CompiledTrace is a trace precompiled for replay: the effective extent and
 // repeat count of every activation resolved once against one program and
-// stored in flat arrays. The resolution (Extent 0 → full procedure size,
-// extents clamped to the procedure, Repeat 0 → 1) is exactly what
+// stored in one flat array. The resolution (Extent 0 → full procedure
+// size, extents clamped to the procedure, Repeat 0 → 1) is exactly what
 // trace.Event.ExtentBytes/Repeats compute per reference in the general
 // loop; compiling hoists it out of the replay entirely.
 //
@@ -25,30 +25,35 @@ import (
 type CompiledTrace struct {
 	prog *program.Program
 	src  *trace.Trace
-	n    int
-	// Flat per-event arrays: procs[i], exts[i] (effective extent in bytes,
-	// ≥ 1) and reps[i] (effective repeat count, ≥ 1) describe event i.
-	procs []program.ProcID
-	exts  []int32
-	reps  []int32
-	// classOf[i] names event i's activation class — its (proc, effective
-	// extent) pair, deduplicated in first-appearance order. Everything a
-	// replay derives from an event besides its repeat count (placed line
-	// span, conflict-freedom) is a function of the class alone, so a layout
-	// compiled against the classes (CompileLayout) answers those questions
-	// with two array loads per event. Slices share the class table, so
-	// tables compiled against the full trace serve every window of it.
-	classOf []int32
+	// events[i] is activation i, one 8-byte record per event.
+	events  []event
 	classes *classTable
 }
 
+// event is one compiled activation: its activation class — its (proc,
+// effective extent) pair, deduplicated in first-appearance order — and its
+// effective repeat count (≥ 1). Everything a replay derives from an event
+// besides its repeat count (placed line span, conflict-freedom) is a
+// function of the class alone, so a layout compiled against the classes
+// (CompileLayout) answers those questions with one record load per event.
+// Slices share the class table, so tables compiled against the full trace
+// serve every window of it.
+type event struct {
+	class int32
+	reps  int32
+}
+
 // classTable is the deduplicated (proc, effective extent) universe of one
-// compilation. It is shared by pointer across every Slice of the
-// compilation, so pointer identity decides whether a CompiledLayout built
-// for one view is valid for another.
+// compilation: class c is procedure proc[c] fetched for ext[c] bytes (≥ 1).
+// lead[c] is the widest class of the same procedure: under any layout the
+// procedure's classes start on one line, and the widest class's lines
+// cover every other's. The table is shared by pointer across every Slice
+// of the compilation, so pointer identity decides whether a
+// CompiledLayout built for one view is valid for another.
 type classTable struct {
 	proc []program.ProcID
 	ext  []int32
+	lead []int32
 }
 
 // CompileTrace precompiles tr for replay against layouts of prog. The
@@ -56,33 +61,36 @@ type classTable struct {
 // out-of-range extents are clamped exactly as the general loop clamps
 // them.
 func CompileTrace(prog *program.Program, tr *trace.Trace) *CompiledTrace {
-	n := len(tr.Events)
 	ct := &CompiledTrace{
-		prog:  prog,
-		src:   tr,
-		n:     n,
-		procs: make([]program.ProcID, n),
-		exts:  make([]int32, n),
-		reps:  make([]int32, n),
+		prog:    prog,
+		src:     tr,
+		events:  make([]event, len(tr.Events)),
+		classes: &classTable{},
 	}
-	ct.classOf = make([]int32, n)
-	ct.classes = &classTable{}
 	// Class IDs are assigned in first-appearance order — a deterministic
-	// function of the trace, independent of map iteration.
+	// function of the trace, independent of map iteration. widest[p] is
+	// 1 + procedure p's widest class so far, 0 before its first.
 	seen := make(map[int64]int32, 64)
+	widest := make([]int32, prog.NumProcs())
+	cls := ct.classes
 	for i, e := range tr.Events {
-		ct.procs[i] = e.Proc
-		ct.exts[i] = int32(e.ExtentBytes(prog))
-		ct.reps[i] = int32(e.Repeats())
-		key := int64(ct.procs[i])<<32 | int64(ct.exts[i])
+		ext := int32(e.ExtentBytes(prog))
+		key := int64(e.Proc)<<32 | int64(ext)
 		id, ok := seen[key]
 		if !ok {
-			id = int32(len(ct.classes.proc))
+			id = int32(len(cls.proc))
 			seen[key] = id
-			ct.classes.proc = append(ct.classes.proc, ct.procs[i])
-			ct.classes.ext = append(ct.classes.ext, ct.exts[i])
+			cls.proc = append(cls.proc, e.Proc)
+			cls.ext = append(cls.ext, ext)
+			if w := widest[e.Proc]; w == 0 || ext > cls.ext[w-1] {
+				widest[e.Proc] = id + 1
+			}
 		}
-		ct.classOf[i] = id
+		ct.events[i] = event{class: id, reps: int32(e.Repeats())}
+	}
+	cls.lead = make([]int32, len(cls.proc))
+	for c, p := range cls.proc {
+		cls.lead[c] = widest[p] - 1
 	}
 	return ct
 }
@@ -96,25 +104,21 @@ func (ct *CompiledTrace) NumClasses() int { return len(ct.classes.proc) }
 func (ct *CompiledTrace) Program() *program.Program { return ct.prog }
 
 // Len returns the number of activations.
-func (ct *CompiledTrace) Len() int { return ct.n }
+func (ct *CompiledTrace) Len() int { return len(ct.events) }
 
 // Slice returns a view of activations [lo, hi) sharing the compilation's
-// flat arrays — no per-event work is repeated. This is the unit of the
+// event records — no per-event work is repeated. This is the unit of the
 // sampled evaluation path (internal/sample): one full-trace compilation is
 // sliced into warm-up and measurement windows that replay independently.
 // The slice does not memoize as a whole-trace compilation (Sim.RunTrace
 // will recompile rather than mistake a window for its source trace).
 func (ct *CompiledTrace) Slice(lo, hi int) *CompiledTrace {
-	if lo < 0 || hi > ct.n || lo > hi {
-		panic(fmt.Sprintf("cache: compiled trace slice [%d:%d) out of range [0:%d)", lo, hi, ct.n))
+	if lo < 0 || hi > len(ct.events) || lo > hi {
+		panic(fmt.Sprintf("cache: compiled trace slice [%d:%d) out of range [0:%d)", lo, hi, len(ct.events)))
 	}
 	return &CompiledTrace{
 		prog:    ct.prog,
-		n:       hi - lo,
-		procs:   ct.procs[lo:hi],
-		exts:    ct.exts[lo:hi],
-		reps:    ct.reps[lo:hi],
-		classOf: ct.classOf[lo:hi],
+		events:  ct.events[lo:hi],
 		classes: ct.classes,
 	}
 }
@@ -125,7 +129,7 @@ func (ct *CompiledTrace) Slice(lo, hi int) *CompiledTrace {
 // that grew via Append between calls (in-place mutation of existing events
 // is not detected — recompile explicitly after editing a trace).
 func (ct *CompiledTrace) matches(prog *program.Program, tr *trace.Trace) bool {
-	return ct != nil && ct.prog == prog && ct.src == tr && ct.n == len(tr.Events)
+	return ct != nil && ct.prog == prog && ct.src == tr && len(ct.events) == len(tr.Events)
 }
 
 // checkProgram panics unless layout places the compiled program: replaying
@@ -168,16 +172,16 @@ type ReplayStats struct {
 // self-conflict-free, so the counters follow from the compiled layout and
 // the repeat counts alone, in one pass over the trace.
 func replayStats(ct *CompiledTrace, tab *CompiledLayout) ReplayStats {
-	rs := ReplayStats{Events: int64(ct.n)}
-	for i, c := range ct.classOf {
-		r := int64(ct.reps[i])
-		if r == 1 {
+	rs := ReplayStats{Events: int64(len(ct.events))}
+	for _, e := range ct.events {
+		if e.reps == 1 {
 			continue
 		}
-		if tab.free[c] {
+		r, c := int64(e.reps), &tab.recs[e.class]
+		if c.free {
 			rs.FastEvents++
 			rs.CollapsedRepeats += r - 1
-			rs.CollapsedRefs += (r - 1) * tab.span[c]
+			rs.CollapsedRefs += (r - 1) * int64(c.span)
 		} else {
 			rs.FallbackEvents++
 		}

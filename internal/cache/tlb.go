@@ -62,9 +62,9 @@ func RunCompiledTLB(cfg TLBConfig, ct *CompiledTrace, layout *program.Layout) (S
 	tlb := newLRUList(pages, cfg.Entries)
 	var st Stats
 	var rs ReplayStats
-	for i, p := range ct.procs {
-		start := layout.Addr(p)
-		end := start + int(ct.exts[i]) - 1
+	for _, e := range ct.events {
+		start := layout.Addr(ct.classes.proc[e.class])
+		end := start + int(ct.classes.ext[e.class]) - 1
 		firstPg, lastPg := int64(start/pb), int64(end/pb)
 		rs.Events++
 		if firstPg == lastPg && tlb.head == firstPg {

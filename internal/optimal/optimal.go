@@ -131,6 +131,11 @@ type searcher struct {
 	lines int
 	bs    *cache.BatchSim
 	res   *Result
+	// tab is recompiled for every walk; tables and budgets are the walk's
+	// Run arguments, holding tab and the walk's budget.
+	tab     cache.CompiledLayout
+	tables  []*cache.CompiledLayout
+	budgets []int64
 	// layout is the region layout of the current candidate: procedure p
 	// starts on line p·stride + off[p]. stride is a multiple of NumLines,
 	// so each line maps to the set it would under place.Linearize, and
@@ -175,7 +180,9 @@ func newSearcher(prog *program.Program, tr *trace.Trace, cfg cache.Config) (*sea
 		prefix:      make([]*cache.CompiledTrace, n),
 		rest:        make([]int64, n),
 		completions: make([]int64, n),
+		budgets:     make([]int64, 1),
 	}
+	s.tables = []*cache.CompiledLayout{&s.tab}
 	for p := 0; p < n; p++ {
 		s.place(p, 0)
 	}
@@ -256,11 +263,11 @@ func (s *searcher) leaf() error {
 // walk scores the region layout on ct under budget and returns its miss
 // count (partial if the walk was abandoned) and whether it was.
 func (s *searcher) walk(ct *cache.CompiledTrace, budget int64) (int64, bool, error) {
-	cl, err := cache.CompileLayout(s.cfg, ct, s.layout)
-	if err != nil {
+	if err := s.tab.Recompile(s.cfg, ct, s.layout); err != nil {
 		return 0, false, err
 	}
-	run, err := s.bs.Run(ct, []*cache.CompiledLayout{cl}, cache.BatchOptions{Budgets: []int64{budget}})
+	s.budgets[0] = budget
+	run, err := s.bs.Run(ct, s.tables, cache.BatchOptions{Budgets: s.budgets})
 	if err != nil {
 		return 0, false, err
 	}
