@@ -92,7 +92,11 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-parallel must not be negative, got %d", *parallel)
 	}
 
-	opts := experiments.Options{Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel}
+	// Every step reads one store, so each input is prepared once per run.
+	opts := experiments.Options{
+		Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel,
+		Store: experiments.NewStore(*scale),
+	}
 	if *benches != "" {
 		for _, name := range strings.Split(*benches, ",") {
 			opts.Benchmarks = append(opts.Benchmarks, strings.TrimSpace(name))

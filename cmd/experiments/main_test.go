@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry/report"
 )
 
 // Suite generation reads a non-positive scale as full scale and overflows
@@ -89,5 +91,45 @@ func TestBenchListWithSpaces(t *testing.T) {
 	}
 	if strings.Join(rows, ",") != "perl,m88ksim" {
 		t.Errorf("table rows %v, want perl and m88ksim:\n%s", rows, out.String())
+	}
+}
+
+// The whole smoke evaluation reproduces the CI golden, which was produced
+// with every step preparing its own inputs, from one shared store: its
+// report counts the 12 traces (6 benchmarks × 2 inputs) and 18 TRGs (4, 8
+// and 16 KB) once each.
+func TestSmokeGolden(t *testing.T) {
+	want, err := os.ReadFile("../../ci_smoke_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := filepath.Join(t.TempDir(), "report.json")
+	var out bytes.Buffer
+	if err := run([]string{"-run", "all", "-scale", "0.05", "-runs", "3", "-seed", "1", "-stats", stats}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(got), len(wantLines)) {
+		if got[i] != wantLines[i] {
+			t.Fatalf("line %d: got %q, golden %q", i+1, got[i], wantLines[i])
+		}
+	}
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d lines, golden %d", len(got), len(wantLines))
+	}
+	f, err := os.Open(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := report.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rep.Counters["tracegen/traces"]; n != 12 {
+		t.Errorf("tracegen/traces = %d, want 12", n)
+	}
+	if n := rep.Timers["trg/build_wall"].Count; n != 18 {
+		t.Errorf("trg/build_wall count = %d, want 18", n)
 	}
 }

@@ -52,11 +52,11 @@ func main() {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].mr < rows[j].mr })
 	for i, r := range rows {
-		marker := "  "
+		marker := ""
 		if i == 0 {
-			marker = "← best"
+			marker = " ← best"
 		}
-		fmt.Printf("  %-5s %.3f%% %s\n", r.alg, 100*r.mr, marker)
+		fmt.Printf("  %-5s %.3f%%%s\n", r.alg, 100*r.mr, marker)
 	}
 
 	fmt.Println("\nmiss-rate distribution over randomized profiles (min / median / max):")

@@ -129,3 +129,29 @@ func TestDenseLineIndexFarProcedure(t *testing.T) {
 		}
 	}
 }
+
+// TestTLBFarProcedure moves m88ksim's hottest procedure to 2^44. Sized by
+// the highest page, the iTLB's LRU list would take 2^32 entries (tens of
+// gigabytes); on the dense page index the layout scores as the same layout
+// with the procedure at 2^20, past the link order, and as the per-page
+// oracle.
+func TestTLBFarProcedure(t *testing.T) {
+	layouts, tr := farLayouts(t, 1<<44, 1<<20)
+	far, near := layouts[0], layouts[1]
+	cfg := TLBConfig{Entries: 64, PageBytes: 4096}
+	ct := CompileTrace(far.Program(), tr)
+	got, _, err := RunCompiledTLB(cfg, ct, far)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runTraceTLBOracle(cfg, far, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("engine %+v, oracle %+v", got, want)
+	}
+	if got, _, err := RunCompiledTLB(cfg, ct, near); err != nil || got != want {
+		t.Errorf("procedure at 2^20 scores %+v (%v), at 2^44 %+v", got, err, want)
+	}
+}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/program"
 	"repro/internal/trace"
@@ -22,6 +23,10 @@ func (c TLBConfig) Validate() error {
 	if c.Entries <= 0 || c.PageBytes <= 0 {
 		return fmt.Errorf("cache: non-positive TLB config %+v", c)
 	}
+	// The replay compiles the layout for a cache of Entries pages.
+	if c.Entries > math.MaxInt/c.PageBytes {
+		return fmt.Errorf("cache: TLB config %+v spans more than %d bytes", c, math.MaxInt)
+	}
 	return nil
 }
 
@@ -41,39 +46,39 @@ func RunTraceTLB(cfg TLBConfig, layout *program.Layout, tr *trace.Trace) (Stats,
 
 // RunCompiledTLB replays a precompiled trace through the iTLB simulation,
 // returning statistics byte-identical to RunTraceTLB on the source trace
-// plus the replay engine counters. The TLB is an LRU list over the
-// layout's pages (the classified replay's shadow structure). The loop
-// visits each page of an activation once (repeats do not re-reference
-// pages), so there is nothing to collapse; the fast path instead
-// short-circuits the dominant case of a single-page activation whose page
-// is already most recently used — consecutive activations of co-paged
-// procedures — by reading the list head (MRU re-reference leaves the list
-// unchanged).
+// plus the replay engine counters. A page is a line of a one-set cache
+// with Entries ways, so the layout compiles at page granularity
+// (CompileLayout) and the TLB is an LRU list (the classified replay's
+// shadow structure) over the dense index of the pages the trace touches,
+// however far apart the layout places them. The loop visits each page of
+// an activation once (repeats do not re-reference pages), so there is
+// nothing to collapse; the fast path instead short-circuits the dominant
+// case of a single-page activation whose page is already most recently
+// used — consecutive activations of co-paged procedures — by reading the
+// list head (MRU re-reference leaves the list unchanged).
 func RunCompiledTLB(cfg TLBConfig, ct *CompiledTrace, layout *program.Layout) (Stats, ReplayStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, ReplayStats{}, err
 	}
-	ct.checkProgram(layout)
-	pb := cfg.PageBytes
-	var pages int64
-	if ext := layout.Extent(); ext > 0 {
-		pages = int64((ext-1)/pb + 1)
+	pages := Config{SizeBytes: cfg.Entries * cfg.PageBytes, LineBytes: cfg.PageBytes, Assoc: cfg.Entries}
+	tab, err := CompileLayout(pages, ct, layout)
+	if err != nil {
+		return Stats{}, ReplayStats{}, err
 	}
-	tlb := newLRUList(pages, cfg.Entries)
+	tlb := newLRUList(tab.lines, cfg.Entries)
 	var st Stats
 	var rs ReplayStats
 	for _, e := range ct.events {
-		start := layout.Addr(ct.classes.proc[e.class])
-		end := start + int(ct.classes.ext[e.class]) - 1
-		firstPg, lastPg := int64(start/pb), int64(end/pb)
+		c := &tab.recs[e.class]
+		first, last := c.first+c.off, c.first+c.off+int64(c.span)
 		rs.Events++
-		if firstPg == lastPg && tlb.head == firstPg {
+		if c.span == 1 && tlb.head == first {
 			st.Refs++
 			rs.FastEvents++
 			continue
 		}
 		rs.FallbackEvents++
-		for pg := firstPg; pg <= lastPg; pg++ {
+		for pg := first; pg < last; pg++ {
 			st.Refs++
 			if !tlb.access(pg) {
 				st.Misses++

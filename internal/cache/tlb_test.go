@@ -11,7 +11,8 @@ func TestTLBConfigValidate(t *testing.T) {
 	if err := (TLBConfig{Entries: 32, PageBytes: 8192}).Validate(); err != nil {
 		t.Error(err)
 	}
-	for _, bad := range []TLBConfig{{}, {Entries: 32}, {PageBytes: 8192}} {
+	// The last spans more bytes than an int holds.
+	for _, bad := range []TLBConfig{{}, {Entries: 32}, {PageBytes: 8192}, {Entries: 1 << 40, PageBytes: 1 << 40}} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("accepted %+v", bad)
 		}

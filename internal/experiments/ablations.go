@@ -43,30 +43,23 @@ type AblationsResult struct {
 // fields of their row, keyed by cell index.
 func Ablations(opts Options) (*AblationsResult, error) {
 	opts.setDefaults()
-	par := opts.parallelism()
-	pairs, benches, err := opts.prepareSuite(par)
+	benches, err := forSuite(&opts, cache.PaperConfig, keep)
 	if err != nil {
 		return nil, err
 	}
 
 	const numVariants = 5
-	rows := make([]AblationRow, len(pairs))
-	for i, pair := range pairs {
-		rows[i].Name = pair.Bench.Name
+	rows := make([]AblationRow, len(benches))
+	for i, b := range benches {
+		rows[i].Name = b.pair.Bench.Name
 	}
-	err = forEach(par, len(pairs)*numVariants, func(i int) error {
+	err = forEach(opts.parallelism(), len(benches)*numVariants, func(i int) error {
 		bi, vi := i/numVariants, i%numVariants
-		b, prog := benches[bi], pairs[bi].Bench.Prog
+		b, prog := benches[bi], benches[bi].pair.Bench.Prog
 
-		gbscAt := func(o trg.Options) (float64, error) {
-			o.Popular = b.pop
-			if o.CacheBytes == 0 {
-				o.CacheBytes = cache.PaperConfig.SizeBytes
-			}
-			r, err := trg.Build(prog, b.train, o)
-			if err != nil {
-				return 0, err
-			}
+		// gbscFrom places and scores GBSC from r; gbscAt does so from a TRG
+		// built with o's changes to the stored TRG's options.
+		gbscFrom := func(r *trg.Result) (float64, error) {
 			l, err := core.Place(prog, r, b.pop, cache.PaperConfig)
 			if err != nil {
 				return 0, err
@@ -76,11 +69,19 @@ func Ablations(opts Options) (*AblationsResult, error) {
 			}
 			return cache.MissRateCompiled(cache.PaperConfig, b.ctTest, l)
 		}
+		gbscAt := func(o trg.Options) (float64, error) {
+			o.CacheBytes, o.Popular = cache.PaperConfig.SizeBytes, b.pop
+			r, err := trg.Build(prog, b.train, o)
+			if err != nil {
+				return 0, err
+			}
+			return gbscFrom(r)
+		}
 
 		var err error
 		switch vi {
 		case 0:
-			rows[bi].Full, err = gbscAt(trg.Options{})
+			rows[bi].Full, err = gbscFrom(b.trgRes)
 		case 1:
 			maxProc := 0
 			for _, pr := range prog.Procs {

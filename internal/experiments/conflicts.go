@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/program"
+	"repro/internal/telemetry"
 )
 
 // ConflictRow breaks down the misses of each placement by class for one
@@ -31,19 +32,9 @@ type ConflictsResult struct {
 // on each benchmark's testing trace.
 func Conflicts(opts Options) (*ConflictsResult, error) {
 	opts.setDefaults()
-	pairs, err := opts.suite()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ConflictRow, len(pairs))
-	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
-		pair := pairs[i]
-		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
-		if err != nil {
-			return err
-		}
-		prog := pair.Bench.Prog
-		row := ConflictRow{Name: pair.Bench.Name}
+	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *ConflictRow) error {
+		prog := b.pair.Bench.Prog
+		row.Name = b.pair.Bench.Name
 
 		phl, err := baseline.PHLayout(prog, b.wcgFull)
 		if err != nil {
@@ -87,7 +78,6 @@ func Conflicts(opts Options) (*ConflictsResult, error) {
 			}
 			*l.dst = cs
 		}
-		rows[i] = row
 		return nil
 	})
 	if err != nil {

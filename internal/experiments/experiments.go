@@ -11,15 +11,9 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/graph"
-	"repro/internal/invariant"
-	"repro/internal/popular"
 	"repro/internal/program"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/tracegen"
-	"repro/internal/trg"
-	"repro/internal/wcg"
 )
 
 // Options configures an experiment run.
@@ -46,6 +40,11 @@ type Options struct {
 	// identical at any Parallel setting; only wall-clock timers vary. Nil
 	// disables instrumentation at zero cost.
 	Telemetry *telemetry.Registry
+	// Store, when non-nil, serves prepared inputs (traces, profile graphs,
+	// TRGs) to every call at its scale, so calls that share it build each
+	// input once. Nil, or a store of another scale, makes the call prepare
+	// its own. Outputs are identical either way.
+	Store *Store
 }
 
 func (o *Options) setDefaults() {
@@ -58,13 +57,16 @@ func (o *Options) setDefaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
+	if o.Store == nil || o.Store.scale != o.Scale {
+		o.Store = NewStore(o.Scale)
+	}
 }
 
-// suite resolves the benchmark filter against the generated suite. Unknown
+// suite resolves the benchmark filter against the store's suite. Unknown
 // names are an error rather than a silent omission: a typo in a -bench flag
 // must not quietly shrink the evaluated suite.
 func (o *Options) suite() ([]*tracegen.Pair, error) {
-	pairs := tracegen.Suite(o.Scale)
+	pairs := o.Store.pairs
 	if len(o.Benchmarks) == 0 {
 		return pairs, nil
 	}
@@ -87,97 +89,9 @@ func (o *Options) suite() ([]*tracegen.Pair, error) {
 // from the suite, the check each experiment makes before it runs, so a
 // command can reject a -bench typo before it prints or writes anything.
 func (o Options) CheckBenchmarks() error {
+	o.setDefaults()
 	_, err := o.suite()
 	return err
-}
-
-// prepareSuite resolves the filtered suite and prepares every benchmark
-// for the paper's cache, fanning the (expensive) per-benchmark trace
-// generation and graph builds across par workers. benches[i] corresponds
-// to pairs[i].
-func (o *Options) prepareSuite(par int) (pairs []*tracegen.Pair, benches []*bench, err error) {
-	pairs, err = o.suite()
-	if err != nil {
-		return nil, nil, err
-	}
-	benches = make([]*bench, len(pairs))
-	err = runParallel(par, len(pairs),
-		func() *telemetry.Shard { return o.Telemetry.Shard() },
-		func(sh *telemetry.Shard, i int) error {
-			b, err := prepare(pairs[i], cache.PaperConfig, sh)
-			if err != nil {
-				return err
-			}
-			benches[i] = b
-			return nil
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pairs, benches, nil
-}
-
-// bench is the fully prepared per-benchmark state shared by experiments.
-type bench struct {
-	pair  *tracegen.Pair
-	train *trace.Trace
-	test  *trace.Trace
-	// ctTrain and ctTest are the traces precompiled for replay (extent and
-	// repeat resolution hoisted out of the simulation loop). Every driver
-	// that replays a benchmark trace against candidate layouts goes through
-	// these shared compilations rather than iterating Events directly.
-	ctTrain *cache.CompiledTrace
-	ctTest  *cache.CompiledTrace
-	pop     *popular.Set
-	// wcgFull is the transition graph over all executed procedures (PH's
-	// input); wcgPop is restricted to popular procedures (HKC's input).
-	wcgFull *graph.Graph
-	wcgPop  *graph.Graph
-	// trgRes holds TRG_select and TRG_place built from the training trace.
-	trgRes *trg.Result
-}
-
-// prepare generates traces and builds graphs for one benchmark, recording
-// pipeline telemetry into sh (nil-safe). Every recorded counter and
-// histogram is a deterministic function of the benchmark, so shard merges
-// agree at any worker count. The freshly built TRGs are verified before
-// any placement consumes them.
-func prepare(pair *tracegen.Pair, cfg cache.Config, sh *telemetry.Shard) (*bench, error) {
-	stopPrep := sh.Time("prepare/wall")
-	defer stopPrep()
-	b := &bench{pair: pair}
-	b.train = tracegen.Generate(pair.Bench, pair.Train, sh)
-	b.test = tracegen.Generate(pair.Bench, pair.Test, sh)
-	b.ctTrain = cache.CompileTrace(pair.Bench.Prog, b.train)
-	b.ctTest = cache.CompileTrace(pair.Bench.Prog, b.test)
-	b.pop = popular.Select(pair.Bench.Prog, b.train, popular.Options{})
-	sh.Add("popular/procs", int64(b.pop.Len()))
-	b.wcgFull = wcg.Build(b.train)
-	b.wcgPop = wcg.BuildFiltered(b.train, b.pop.Contains)
-	sh.Add("wcg/full_edges", int64(b.wcgFull.NumEdges()))
-	sh.Add("wcg/popular_edges", int64(b.wcgPop.NumEdges()))
-	stopTRG := sh.Time("trg/build_wall")
-	res, bs, err := trg.BuildWithStats(pair.Bench.Prog, b.train, trg.Options{
-		CacheBytes: cfg.SizeBytes,
-		Popular:    b.pop,
-	})
-	stopTRG()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: building TRG for %s: %w", pair.Bench.Name, err)
-	}
-	b.trgRes = res
-	vs := invariant.CheckTRG(pair.Bench.Prog, res, bs, b.pop)
-	if err := invariant.Error(pair.Bench.Name+"/trg", vs); err != nil {
-		return nil, err
-	}
-	sh.Add("trg/events_observed", bs.Events)
-	sh.Add("trg/select_nodes", int64(res.Select.NumNodes()))
-	sh.Add("trg/select_edges", int64(res.Select.NumEdges()))
-	sh.Add("trg/place_nodes", int64(res.Place.NumNodes()))
-	sh.Add("trg/place_edges", int64(res.Place.NumEdges()))
-	sh.AddHistogram("trg/q_procs", bs.QLenHist[:], bs.QLenSum, bs.QSteps)
-	sh.Observe("trg/q_max_procs", int64(bs.MaxQLen))
-	return b, nil
 }
 
 // scoreLayouts scores layouts on b's testing trace under cfg by exact

@@ -67,23 +67,18 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		return nil, fmt.Errorf("experiments: negative perturbed run count %d", opts.Runs)
 	}
 	par := opts.parallelism()
-	pairs, benches, err := opts.prepareSuite(par)
+	benches, err := forSuite(&opts, cache.PaperConfig, keep)
 	if err != nil {
 		return nil, err
 	}
 
-	// Cell layout: per benchmark, per algorithm, run -1 (unperturbed)
-	// followed by runs 0..Runs-1.
+	// Cell layout: per benchmark, per algorithm (one panel), run -1
+	// (unperturbed) followed by runs 0..Runs-1; panel j's layouts are
+	// layouts[j*perAlg:(j+1)*perAlg].
 	perAlg := opts.Runs + 1
 	perBench := len(figure5Algs) * perAlg
-	layouts := make([][][]*program.Layout, len(pairs)) // [bi][ai][run+1]
-	for bi := range pairs {
-		layouts[bi] = make([][]*program.Layout, len(figure5Algs))
-		for ai := range figure5Algs {
-			layouts[bi][ai] = make([]*program.Layout, perAlg)
-		}
-	}
-	err = runParallel(par, len(pairs)*perBench,
+	layouts := make([]*program.Layout, len(benches)*perBench)
+	err = runParallel(par, len(layouts),
 		func() *telemetry.Shard { return opts.Telemetry.Shard() },
 		func(sh *telemetry.Shard, i int) error {
 			bi, rest := i/perBench, i%perBench
@@ -98,33 +93,30 @@ func Figure5(opts Options) (*Figure5Result, error) {
 			stop()
 			if err != nil {
 				if run < 0 {
-					return fmt.Errorf("%s/%s unperturbed: %w", pairs[bi].Bench.Name, alg, err)
+					return fmt.Errorf("%s/%s unperturbed: %w", benches[bi].pair.Bench.Name, alg, err)
 				}
-				return fmt.Errorf("%s/%s run %d: %w", pairs[bi].Bench.Name, alg, run, err)
+				return fmt.Errorf("%s/%s run %d: %w", benches[bi].pair.Bench.Name, alg, run, err)
 			}
-			layouts[bi][ai][run+1] = layout
+			layouts[i] = layout
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	// rates mirrors layouts: [bi][ai][run+1].
-	rates := make([][][]float64, len(pairs))
-	for bi := range pairs {
-		rates[bi] = make([][]float64, len(figure5Algs))
-	}
-	err = runParallel(par, len(pairs)*len(figure5Algs),
+	// rates[j] holds panel j's miss rates, in layout order.
+	rates := make([][]float64, len(benches)*len(figure5Algs))
+	err = runParallel(par, len(rates),
 		func() *telemetry.Shard { return opts.Telemetry.Shard() },
 		func(sh *telemetry.Shard, j int) error {
 			bi, ai := j/len(figure5Algs), j%len(figure5Algs)
 			stop := sh.Time("figure5/score_wall")
 			defer stop()
-			mr, err := scoreLayouts(cache.PaperConfig, benches[bi], layouts[bi][ai], sh)
+			mr, err := scoreLayouts(cache.PaperConfig, benches[bi], layouts[j*perAlg:(j+1)*perAlg], sh)
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, figure5Algs[ai], err)
+				return fmt.Errorf("%s/%s: %w", benches[bi].pair.Bench.Name, figure5Algs[ai], err)
 			}
-			rates[bi][ai] = mr
+			rates[j] = mr
 			return nil
 		})
 	if err != nil {
@@ -132,15 +124,16 @@ func Figure5(opts Options) (*Figure5Result, error) {
 	}
 
 	out := &Figure5Result{Runs: opts.Runs, Scale: opts.Scale}
-	for bi, pair := range pairs {
+	for bi, b := range benches {
 		fb := Figure5Bench{
-			Name:        pair.Bench.Name,
+			Name:        b.pair.Bench.Name,
 			Sorted:      map[AlgorithmName][]float64{},
 			Unperturbed: map[AlgorithmName]float64{},
 		}
 		for ai, alg := range figure5Algs {
-			fb.Unperturbed[alg] = rates[bi][ai][0]
-			sorted := rates[bi][ai][1:]
+			panel := rates[bi*len(figure5Algs)+ai]
+			fb.Unperturbed[alg] = panel[0]
+			sorted := panel[1:]
 			sort.Float64s(sorted)
 			fb.Sorted[alg] = sorted
 		}

@@ -45,11 +45,10 @@ type Figure6Result struct {
 // conflate metric quality with train/test input divergence.
 func Figure6(opts Options) (*Figure6Result, error) {
 	opts.setDefaults()
-	pair := tracegen.Lookup(tracegen.Suite(opts.Scale), "go")
-	if pair == nil {
-		return nil, fmt.Errorf("experiments: go benchmark missing from suite")
-	}
-	b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
+	// Figure 6 studies go under any benchmark filter: the store keeps the
+	// whole suite.
+	pair := tracegen.Lookup(opts.Store.pairs, "go")
+	b, err := opts.Store.bench(opts.Telemetry.Shard(), pair, pair.Test, cache.PaperConfig.SizeBytes)
 	if err != nil {
 		return nil, err
 	}

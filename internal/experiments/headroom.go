@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // HeadroomRow compares GBSC to a simulated-annealing optimizer of the same
@@ -34,19 +35,9 @@ type HeadroomResult struct {
 func Headroom(opts Options) (*HeadroomResult, error) {
 	opts.setDefaults()
 	const steps = 60_000
-	pairs, err := opts.suite()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]HeadroomRow, len(pairs))
-	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
-		pair := pairs[i]
-		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
-		if err != nil {
-			return err
-		}
-		prog := pair.Bench.Prog
-		row := HeadroomRow{Name: pair.Bench.Name}
+	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *HeadroomRow) error {
+		prog := b.pair.Bench.Prog
+		row.Name = b.pair.Bench.Name
 
 		items, err := core.Assign(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
@@ -82,7 +73,6 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 			return err
 		}
 		row.AnnealMetric = metrics.TRGConflict(al, b.trgRes.Place, b.trgRes.Chunker, cache.PaperConfig)
-		rows[i] = row
 		return nil
 	})
 	if err != nil {

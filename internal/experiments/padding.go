@@ -35,7 +35,7 @@ func Padding(opts Options) (*PaddingResult, error) {
 		pair = pairs[0]
 	}
 	sh := opts.Telemetry.Shard()
-	b, err := prepare(pair, cache.PaperConfig, sh)
+	b, err := opts.Store.bench(sh, pair, pair.Test, cache.PaperConfig.SizeBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // PageLocalityRow compares the standard Section 4.3 linearization with the
@@ -33,18 +34,8 @@ type PageLocalityResult struct {
 func PageLocality(opts Options) (*PageLocalityResult, error) {
 	opts.setDefaults()
 	const pageBytes = 8192
-	pairs, err := opts.suite()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]PageLocalityRow, len(pairs))
-	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
-		pair := pairs[i]
-		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
-		if err != nil {
-			return err
-		}
-		prog := pair.Bench.Prog
+	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *PageLocalityRow) error {
+		pair, prog := b.pair, b.pair.Bench.Prog
 
 		std, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
@@ -61,7 +52,7 @@ func PageLocality(opts Options) (*PageLocalityResult, error) {
 			return err
 		}
 
-		row := PageLocalityRow{Name: pair.Bench.Name}
+		row.Name = pair.Bench.Name
 		if row.StdMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, std); err != nil {
 			return err
 		}
@@ -82,7 +73,6 @@ func PageLocality(opts Options) (*PageLocalityResult, error) {
 		}
 		row.StdTLB = stdTLB.MissRate()
 		row.PageTLB = pageTLB.MissRate()
-		rows[i] = row
 		return nil
 	})
 	if err != nil {

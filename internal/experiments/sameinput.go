@@ -34,13 +34,11 @@ func SameInput(opts Options) (*SameInputResult, error) {
 		pair = pairs[0]
 	}
 	// Train and test on the same input.
-	same := *pair
-	same.Test = same.Train
-	b, err := prepare(&same, cache.PaperConfig, opts.Telemetry.Shard())
+	sh := opts.Telemetry.Shard()
+	b, err := opts.Store.bench(sh, pair, pair.Train, cache.PaperConfig.SizeBytes)
 	if err != nil {
 		return nil, err
 	}
-	sh := opts.Telemetry.Shard()
 	layouts := make([]*program.Layout, len(figure5Algs))
 	for i, alg := range figure5Algs {
 		if layouts[i], err = buildLayout(alg, b, cache.PaperConfig, nil, sh); err != nil {

@@ -101,13 +101,12 @@ type figure5State struct {
 // result is byte-identical at every worker count.
 func Sampling(opts Options) (*SamplingResult, error) {
 	opts.setDefaults()
-	par := opts.parallelism()
-	pairs, benches, err := opts.prepareSuite(par)
+	benches, err := forSuite(&opts, cache.PaperConfig, keep)
 	if err != nil {
 		return nil, err
 	}
 
-	out := &SamplingResult{Scale: opts.Scale, Cells: make([]SamplingCell, len(pairs)*len(figure5Algs))}
+	out := &SamplingResult{Scale: opts.Scale, Cells: make([]SamplingCell, len(benches)*len(figure5Algs))}
 	// A plan is layout-independent, so one evaluator serves all of a
 	// benchmark's layouts.
 	evals := make([]*sample.Evaluator, len(benches))
@@ -123,7 +122,7 @@ func Sampling(opts Options) (*SamplingResult, error) {
 		out.TotalEvents += int64(plan.TotalEvents)
 		out.ReplayedEvents += plan.EventsReplayed()
 	}
-	err = runParallel(par, len(out.Cells),
+	err = runParallel(opts.parallelism(), len(out.Cells),
 		func() *figure5State {
 			return &figure5State{sim: cache.MustNewSim(cache.PaperConfig), sh: opts.Telemetry.Shard()}
 		},
@@ -132,16 +131,16 @@ func Sampling(opts Options) (*SamplingResult, error) {
 			b, alg := benches[bi], figure5Algs[ai]
 			layout, err := buildLayout(alg, b, cache.PaperConfig, nil, st.sh)
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
+				return fmt.Errorf("%s/%s: %w", b.pair.Bench.Name, alg, err)
 			}
 			exact := st.sim.RunCompiled(b.ctTest, layout).MissRate()
 			ests, err := evals[bi].MissRateBatch(cache.MustNewBatchSim(cache.PaperConfig), []*program.Layout{layout})
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", pairs[bi].Bench.Name, alg, err)
+				return fmt.Errorf("%s/%s: %w", b.pair.Bench.Name, alg, err)
 			}
 			est := ests[0]
 			st.sh.Observe("sample/abs_err_ppm", int64(math.Round(math.Abs(est.MissRate-exact)*1e6)))
-			out.Cells[i] = SamplingCell{Bench: pairs[bi].Bench.Name, Alg: alg, Exact: exact, Est: est}
+			out.Cells[i] = SamplingCell{Bench: b.pair.Bench.Name, Alg: alg, Exact: exact, Est: est}
 			return nil
 		})
 	if err != nil {

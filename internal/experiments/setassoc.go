@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/program"
+	"repro/internal/telemetry"
 	"repro/internal/trg"
 )
 
@@ -38,19 +39,8 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 		LineBytes: cache.PaperConfig.LineBytes,
 		Assoc:     2,
 	}
-	pairs, err := opts.suite()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SetAssocRow, len(pairs))
-	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
-		pair := pairs[i]
-		sh := opts.Telemetry.Shard()
-		b, err := prepare(pair, cache.PaperConfig, sh)
-		if err != nil {
-			return err
-		}
-		prog := pair.Bench.Prog
+	rows, err := forSuite(&opts, cache.PaperConfig, func(sh *telemetry.Shard, b *bench, row *SetAssocRow) error {
+		pair, prog := b.pair, b.pair.Bench.Prog
 
 		// Pair database for the associative cost model.
 		trgPairs, db, err := trg.BuildPairs(prog, b.train, trg.Options{
@@ -93,7 +83,7 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 		if err != nil {
 			return err
 		}
-		rows[i] = SetAssocRow{
+		*row = SetAssocRow{
 			Name:          pair.Bench.Name,
 			DefaultMR:     mrs[0],
 			DirectGBSCMR:  mrs[1],

@@ -10,6 +10,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/popular"
 	"repro/internal/split"
+	"repro/internal/telemetry"
 	"repro/internal/trg"
 )
 
@@ -33,19 +34,9 @@ type SplittingResult struct {
 // Splitting evaluates procedure splitting combined with GBSC placement.
 func Splitting(opts Options) (*SplittingResult, error) {
 	opts.setDefaults()
-	pairs, err := opts.suite()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SplittingRow, len(pairs))
-	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
-		pair := pairs[i]
-		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
-		if err != nil {
-			return err
-		}
-		prog := pair.Bench.Prog
-		row := SplittingRow{Name: pair.Bench.Name}
+	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *SplittingRow) error {
+		prog := b.pair.Bench.Prog
+		row.Name = b.pair.Bench.Name
 
 		plain, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
@@ -95,11 +86,8 @@ func Splitting(opts Options) (*SplittingResult, error) {
 		}); err != nil {
 			return err
 		}
-		if row.SplitGBSC, err = cache.RunTraceClassified(cache.PaperConfig, slayout, stest); err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
+		row.SplitGBSC, err = cache.RunTraceClassified(cache.PaperConfig, slayout, stest)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/program"
+	"repro/internal/telemetry"
 )
 
 // SweepCell is one (benchmark, cache geometry) measurement.
@@ -38,61 +39,62 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 		{SizeBytes: 16384, LineBytes: 32, Assoc: 1},
 		{SizeBytes: 8192, LineBytes: 32, Assoc: 2},
 	}
-	pairs, err := opts.suite()
-	if err != nil {
-		return nil, err
+	byGeom := make([][]SweepCell, len(geometries))
+	for gi, cfg := range geometries {
+		var err error
+		byGeom[gi], err = forSuite(&opts, cfg, func(sh *telemetry.Shard, b *bench, cell *SweepCell) error {
+			return sweepCell(sh, b, cfg, cell)
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	// Every (benchmark, geometry) cell retrains from scratch, so the grid
-	// is fully independent and shards flat across workers.
-	cells := make([]SweepCell, len(pairs)*len(geometries))
-	err = forEach(opts.parallelism(), len(cells), func(i int) error {
-		sh := opts.Telemetry.Shard()
-		pair, cfg := pairs[i/len(geometries)], geometries[i%len(geometries)]
-		b, err := prepare(pair, cfg, sh)
-		if err != nil {
-			return err
+	var cells []SweepCell
+	for bi := range byGeom[0] {
+		for gi := range geometries {
+			cells = append(cells, byGeom[gi][bi])
 		}
-		prog := pair.Bench.Prog
-		cell := SweepCell{Name: pair.Bench.Name, Cache: cfg}
-
-		def := program.DefaultLayout(prog)
-		if err := checkPacked(cell.Name+"/sweep-default", prog, def); err != nil {
-			return err
-		}
-		phl, err := baseline.PHLayout(prog, b.wcgFull)
-		if err != nil {
-			return err
-		}
-		if err := checkPacked(cell.Name+"/sweep-ph", prog, phl); err != nil {
-			return err
-		}
-		// GBSC trained against the direct-mapped view of the geometry
-		// (the Section 6 pair database handles 2-way natively; for
-		// the sweep we measure how the direct-mapped placement holds
-		// up, the more common deployment). prepare built the TRGs for
-		// this cache size.
-		dm := cache.Config{SizeBytes: cfg.SizeBytes, LineBytes: cfg.LineBytes, Assoc: 1}
-		gl, err := core.Place(prog, b.trgRes, b.pop, dm)
-		if err != nil {
-			return err
-		}
-		if err := checkAligned(cell.Name+"/sweep-gbsc", prog, gl, b.pop, dm); err != nil {
-			return err
-		}
-		// The cell's three candidates score one after another through one
-		// compiled simulator (the 2-way geometries take the LRU walk).
-		rates, err := scoreLayouts(cfg, b, []*program.Layout{def, phl, gl}, sh)
-		if err != nil {
-			return err
-		}
-		cell.Default, cell.PH, cell.GBSC = rates[0], rates[1], rates[2]
-		cells[i] = cell
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return &SweepResult{Cells: cells}, nil
+}
+
+// sweepCell places and scores b's default, PH and GBSC layouts on cfg; b's
+// TRGs are built for cfg's cache size.
+func sweepCell(sh *telemetry.Shard, b *bench, cfg cache.Config, cell *SweepCell) error {
+	prog := b.pair.Bench.Prog
+	*cell = SweepCell{Name: b.pair.Bench.Name, Cache: cfg}
+
+	def := program.DefaultLayout(prog)
+	if err := checkPacked(cell.Name+"/sweep-default", prog, def); err != nil {
+		return err
+	}
+	phl, err := baseline.PHLayout(prog, b.wcgFull)
+	if err != nil {
+		return err
+	}
+	if err := checkPacked(cell.Name+"/sweep-ph", prog, phl); err != nil {
+		return err
+	}
+	// GBSC trained against the direct-mapped view of the geometry
+	// (the Section 6 pair database handles 2-way natively; for
+	// the sweep we measure how the direct-mapped placement holds
+	// up, the more common deployment).
+	dm := cache.Config{SizeBytes: cfg.SizeBytes, LineBytes: cfg.LineBytes, Assoc: 1}
+	gl, err := core.Place(prog, b.trgRes, b.pop, dm)
+	if err != nil {
+		return err
+	}
+	if err := checkAligned(cell.Name+"/sweep-gbsc", prog, gl, b.pop, dm); err != nil {
+		return err
+	}
+	// The cell's three candidates score one after another through one
+	// compiled simulator (the 2-way geometries take the LRU walk).
+	rates, err := scoreLayouts(cfg, b, []*program.Layout{def, phl, gl}, sh)
+	if err != nil {
+		return err
+	}
+	cell.Default, cell.PH, cell.GBSC = rates[0], rates[1], rates[2]
+	return nil
 }
 
 // Render prints the grid grouped by benchmark.

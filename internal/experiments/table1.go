@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/program"
+	"repro/internal/telemetry"
 )
 
 // Table1Row mirrors one row of the paper's Table 1.
@@ -39,18 +40,8 @@ type Table1Result struct {
 // Table1 regenerates the paper's Table 1 for the synthetic suite.
 func Table1(opts Options) (*Table1Result, error) {
 	opts.setDefaults()
-	pairs, err := opts.suite()
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table1Row, len(pairs))
-	err = forEach(opts.parallelism(), len(pairs), func(i int) error {
-		pair := pairs[i]
-		b, err := prepare(pair, cache.PaperConfig, opts.Telemetry.Shard())
-		if err != nil {
-			return err
-		}
-		prog := pair.Bench.Prog
+	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *Table1Row) error {
+		pair, prog := b.pair, b.pair.Bench.Prog
 		def := program.DefaultLayout(prog)
 		if err := checkPacked(pair.Bench.Name+"/table1-default", prog, def); err != nil {
 			return err
@@ -59,7 +50,7 @@ func Table1(opts Options) (*Table1Result, error) {
 		if err != nil {
 			return err
 		}
-		rows[i] = Table1Row{
+		*row = Table1Row{
 			Name:            pair.Bench.Name,
 			TotalSize:       prog.TotalSize(),
 			ProcCount:       prog.NumProcs(),
