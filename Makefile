@@ -1,14 +1,15 @@
 # Development and CI entry points. `make ci` is the gate every change must
 # pass: formatting, vet + the custom lint suite, build, the full test suite
 # under the race detector (the experiment worker pool runs concurrently in
-# several tests, so -race is mandatory, not optional), and one iteration of
-# every benchmark as a smoke test of the measurement loop.
+# several tests, so -race is mandatory, not optional), one iteration of
+# every benchmark as a smoke test of the measurement loop, and the pipeline
+# benchmark module.
 
 GO ?= go
 
-.PHONY: ci fmt fmt-check vet lint build test race bench bench-json experiments golden-smoke
+.PHONY: ci fmt fmt-check vet lint build test race bench perfbench bench-json experiments golden-smoke
 
-ci: fmt-check vet lint build race bench
+ci: fmt-check vet lint build race bench perfbench
 
 fmt:
 	gofmt -w .
@@ -54,6 +55,14 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# The pipeline benchmark is its own module (perfbench/go.mod), so the root
+# `./...` never builds it: vet and test it here, so a change to an internal
+# API it uses fails locally, not first in CI. Its tests pin the seed-1
+# outputs to perfbench/expected.json and the figure5 grid to
+# experiments.Figure5.
+perfbench:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Machine-readable record of the pipeline hot paths (ns/op, B/op,
 # allocs/op), converted to JSON by cmd/benchjson (each row names its own

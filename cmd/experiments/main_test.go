@@ -95,9 +95,12 @@ func TestBenchListWithSpaces(t *testing.T) {
 }
 
 // The whole smoke evaluation reproduces the CI golden, which was produced
-// with every step preparing its own inputs, from one shared store: its
-// report counts the 12 traces (6 benchmarks × 2 inputs) and 18 TRGs (4, 8
-// and 16 KB) once each.
+// with every step preparing its own inputs and placing its own layouts,
+// from one shared store: its report counts the 12 traces (6 benchmarks × 2
+// inputs) and 18 TRGs (4, 8 and 16 KB) once each, and one placement per
+// distinct layout: the default, PH and HKC layouts once per benchmark, and
+// GBSC once per benchmark and cache size, plus one per perturbed Figure 5
+// cell (3 runs of each algorithm on each benchmark).
 func TestSmokeGolden(t *testing.T) {
 	want, err := os.ReadFile("../../ci_smoke_output.txt")
 	if err != nil {
@@ -131,5 +134,10 @@ func TestSmokeGolden(t *testing.T) {
 	}
 	if n := rep.Timers["trg/build_wall"].Count; n != 18 {
 		t.Errorf("trg/build_wall count = %d, want 18", n)
+	}
+	for alg, want := range map[string]int64{"Default": 6, "PH": 24, "HKC": 24, "GBSC": 36} {
+		if n := rep.Counters["placements/"+alg]; n != want {
+			t.Errorf("placements/%s = %d, want %d", alg, n, want)
+		}
 	}
 }

@@ -216,16 +216,3 @@ func MissRate(cfg Config, layout *program.Layout, tr *trace.Trace) (float64, err
 	}
 	return st.MissRate(), nil
 }
-
-// MissRateCompiled replays a precompiled trace through a fresh simulation
-// and returns the miss rate. Callers replaying the same trace against many
-// layouts should compile it once (CompileTrace) and use this instead of
-// MissRate so the per-event extent/repeat resolution is not repeated per
-// layout.
-func MissRateCompiled(cfg Config, ct *CompiledTrace, layout *program.Layout) (float64, error) {
-	sim, err := NewSim(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return sim.RunCompiled(ct, layout).MissRate(), nil
-}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/program"
+	"repro/internal/telemetry"
 	"repro/internal/trg"
 )
 
@@ -53,61 +54,74 @@ func Ablations(opts Options) (*AblationsResult, error) {
 	for i, b := range benches {
 		rows[i].Name = b.pair.Bench.Name
 	}
-	err = forEach(opts.parallelism(), len(benches)*numVariants, func(i int) error {
-		bi, vi := i/numVariants, i%numVariants
-		b, prog := benches[bi], benches[bi].pair.Bench.Prog
-
-		// gbscFrom places and scores GBSC from r; gbscAt does so from a TRG
-		// built with o's changes to the stored TRG's options.
-		gbscFrom := func(r *trg.Result) (float64, error) {
-			l, err := core.Place(prog, r, b.pop, cache.PaperConfig)
+	err = runParallel(opts.parallelism(), len(benches)*numVariants,
+		func() *telemetry.Shard { return opts.Telemetry.Shard() },
+		func(sh *telemetry.Shard, i int) error {
+			bi, vi := i/numVariants, i%numVariants
+			b, row := benches[bi], &rows[bi]
+			l, err := ablationLayout(&opts, sh, b, vi)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			if err := checkAligned(rows[bi].Name+"/ablation-gbsc", prog, l, b.pop, cache.PaperConfig); err != nil {
-				return 0, err
-			}
-			return cache.MissRateCompiled(cache.PaperConfig, b.ctTest, l)
-		}
-		gbscAt := func(o trg.Options) (float64, error) {
-			o.CacheBytes, o.Popular = cache.PaperConfig.SizeBytes, b.pop
-			r, err := trg.Build(prog, b.train, o)
+			mr, err := scoreLayouts(cache.PaperConfig, b, []*program.Layout{l}, sh)
 			if err != nil {
-				return 0, err
+				return err
 			}
-			return gbscFrom(r)
-		}
-
-		var err error
-		switch vi {
-		case 0:
-			rows[bi].Full, err = gbscFrom(b.trgRes)
-		case 1:
-			maxProc := 0
-			for _, pr := range prog.Procs {
-				if pr.Size > maxProc {
-					maxProc = pr.Size
-				}
-			}
-			rows[bi].NoChunking, err = gbscAt(trg.Options{ChunkSize: maxProc})
-		case 2:
-			rows[bi].QHalf, err = gbscAt(trg.Options{QFactor: 1})
-		case 3:
-			rows[bi].QDouble, err = gbscAt(trg.Options{QFactor: 4})
-		case 4:
-			var phTRG *program.Layout
-			if phTRG, err = baseline.PHLayout(prog, b.trgRes.Select); err == nil {
-				if err = checkPacked(rows[bi].Name+"/ph+trg", prog, phTRG); err == nil {
-					rows[bi].PHWithTRG, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, phTRG)
-				}
-			}
-		}
-		return err
-	})
+			fields := []*float64{&row.Full, &row.NoChunking, &row.QHalf, &row.QDouble, &row.PHWithTRG}
+			*fields[vi] = mr[0]
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	return &AblationsResult{Rows: rows}, nil
+}
+
+// ablationLayout places and checks b's layout for variant vi, in
+// AblationRow's field order: the store's GBSC layout, GBSC from a TRG built
+// with one change to the stored TRG's options, and PH driven by
+// TRG_select.
+func ablationLayout(opts *Options, sh *telemetry.Shard, b *bench, vi int) (*program.Layout, error) {
+	prog := b.pair.Bench.Prog
+	o := trg.Options{CacheBytes: cache.PaperConfig.SizeBytes, Popular: b.pop}
+	switch vi {
+	case 0:
+		ls, err := opts.Store.layouts(sh, b, cache.PaperConfig, AlgGBSC)
+		if err != nil {
+			return nil, err
+		}
+		return ls[0], nil
+	case 1:
+		for _, pr := range prog.Procs {
+			o.ChunkSize = max(o.ChunkSize, pr.Size)
+		}
+	case 2:
+		o.QFactor = 1
+	case 3:
+		o.QFactor = 4
+	case 4:
+		l, err := baseline.PHLayout(prog, b.trgRes.Select)
+		if err != nil {
+			return nil, err
+		}
+		if err := checkPacked(b.pair.Bench.Name+"/ph+trg", prog, l); err != nil {
+			return nil, err
+		}
+		return l, nil
+	}
+	context := b.pair.Bench.Name + "/ablation-gbsc"
+	r, _, err := buildTRG(context, prog, b.train, o)
+	if err != nil {
+		return nil, err
+	}
+	l, err := core.Place(prog, r, b.pop, cache.PaperConfig)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkAligned(context, prog, l, b.pop, cache.PaperConfig); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // Render prints the ablation table.

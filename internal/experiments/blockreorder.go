@@ -134,7 +134,7 @@ func BlockReorder(opts Options) (*BlockReorderResult, error) {
 	}
 	run := func(name string, train, test *trace.Trace) (float64, error) {
 		pop := popular.Select(prog, train, popular.Options{})
-		r, err := trg.Build(prog, train, trg.Options{CacheBytes: cfg.SizeBytes, Popular: pop})
+		r, _, err := buildTRG("blockreorder/"+name, prog, train, trg.Options{CacheBytes: cfg.SizeBytes, Popular: pop})
 		if err != nil {
 			return 0, err
 		}

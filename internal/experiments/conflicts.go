@@ -5,10 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/baseline"
 	"repro/internal/cache"
-	"repro/internal/core"
-	"repro/internal/program"
 	"repro/internal/telemetry"
 )
 
@@ -32,51 +29,16 @@ type ConflictsResult struct {
 // on each benchmark's testing trace.
 func Conflicts(opts Options) (*ConflictsResult, error) {
 	opts.setDefaults()
-	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *ConflictRow) error {
-		prog := b.pair.Bench.Prog
+	rows, err := forSuite(&opts, cache.PaperConfig, func(sh *telemetry.Shard, b *bench, row *ConflictRow) error {
 		row.Name = b.pair.Bench.Name
-
-		phl, err := baseline.PHLayout(prog, b.wcgFull)
+		layouts, err := opts.Store.layouts(sh, b, cache.PaperConfig, AlgDefault, AlgPH, AlgHKC, AlgGBSC)
 		if err != nil {
 			return err
 		}
-		if err := checkPacked(row.Name+"/PH", prog, phl); err != nil {
-			return err
-		}
-		hkcl, err := baseline.HKC(prog, b.wcgPop, b.pop, cache.PaperConfig)
-		if err != nil {
-			return err
-		}
-		if err := checkGeneral(row.Name+"/HKC", prog, hkcl, b.pop, cache.PaperConfig); err != nil {
-			return err
-		}
-		gbscl, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
-		if err != nil {
-			return err
-		}
-		if err := checkAligned(row.Name+"/GBSC", prog, gbscl, b.pop, cache.PaperConfig); err != nil {
-			return err
-		}
-		def := program.DefaultLayout(prog)
-		if err := checkPacked(row.Name+"/default", prog, def); err != nil {
-			return err
-		}
-
-		layouts := []struct {
-			dst    *cache.ClassifiedStats
-			layout *program.Layout
-		}{
-			{&row.Default, def},
-			{&row.PH, phl},
-			{&row.HKC, hkcl},
-			{&row.GBSC, gbscl},
-		}
-		for _, l := range layouts {
-			cs, _, err := cache.RunCompiledClassified(cache.PaperConfig, b.ctTest, l.layout)
-			if err != nil {
+		for k, dst := range []*cache.ClassifiedStats{&row.Default, &row.PH, &row.HKC, &row.GBSC} {
+			if *dst, _, err = cache.RunCompiledClassified(cache.PaperConfig, b.ctTest, layouts[k]); err != nil {
 				return err
 			}
-			*l.dst = cs
 		}
 		return nil
 	})

@@ -41,9 +41,10 @@ type Options struct {
 	// disables instrumentation at zero cost.
 	Telemetry *telemetry.Registry
 	// Store, when non-nil, serves prepared inputs (traces, profile graphs,
-	// TRGs) to every call at its scale, so calls that share it build each
-	// input once. Nil, or a store of another scale, makes the call prepare
-	// its own. Outputs are identical either way.
+	// TRGs) and the unperturbed default, PH, HKC and GBSC layouts to every
+	// call at its scale, so calls that share it build each input and place
+	// each layout once. Nil, or a store of another scale, makes the call
+	// prepare and place its own. Outputs are identical either way.
 	Store *Store
 }
 

@@ -17,14 +17,16 @@ import (
 	"repro/internal/trg"
 )
 
-// AlgorithmName identifies one of the compared placement algorithms.
+// AlgorithmName identifies a layout algorithm: one of the paper's three,
+// or the link-order default they are all compared against.
 type AlgorithmName string
 
-// The three algorithms of the paper's comparison.
+// The three algorithms of the paper's comparison, and the default layout.
 const (
-	AlgPH   AlgorithmName = "PH"
-	AlgHKC  AlgorithmName = "HKC"
-	AlgGBSC AlgorithmName = "GBSC"
+	AlgPH      AlgorithmName = "PH"
+	AlgHKC     AlgorithmName = "HKC"
+	AlgGBSC    AlgorithmName = "GBSC"
+	AlgDefault AlgorithmName = "Default"
 )
 
 // Figure5Bench holds one benchmark's panel of Figure 5: for each algorithm,
@@ -56,11 +58,11 @@ var figure5Algs = []AlgorithmName{AlgPH, AlgHKC, AlgGBSC}
 //
 // The grid runs in two phases sharded across Options.Parallel workers.
 // Phase one places every benchmark × algorithm × run cell; every cell
-// derives its RNG from (Seed, run) alone. Phase two scores each
-// (benchmark, algorithm) panel's layouts by exact compiled replay of the
-// testing trace. Results land in index-addressed slots, so the result —
-// and the rendered output — is byte-identical to the serial run
-// regardless of scheduling.
+// derives its RNG from (Seed, run) alone, and the unperturbed cells take
+// the store's layouts. Phase two scores each (benchmark, algorithm)
+// panel's layouts by exact compiled replay of the testing trace. Results
+// land in index-addressed slots, so the result — and the rendered output —
+// is byte-identical to the serial run regardless of scheduling.
 func Figure5(opts Options) (*Figure5Result, error) {
 	opts.setDefaults()
 	if opts.Runs < 0 {
@@ -83,19 +85,20 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		func(sh *telemetry.Shard, i int) error {
 			bi, rest := i/perBench, i%perBench
 			ai, run := rest/perAlg, rest%perAlg-1
-			alg := figure5Algs[ai]
-			var rng *rand.Rand
-			if run >= 0 {
-				rng = rand.New(rand.NewSource(opts.Seed + int64(run)*7919))
-			}
-			stop := sh.Time("figure5/cell_wall")
-			layout, err := buildLayout(alg, benches[bi], cache.PaperConfig, rng, sh)
-			stop()
-			if err != nil {
-				if run < 0 {
-					return fmt.Errorf("%s/%s unperturbed: %w", benches[bi].pair.Bench.Name, alg, err)
+			b, alg := benches[bi], figure5Algs[ai]
+			defer sh.Time("figure5/cell_wall")()
+			if run < 0 {
+				ls, err := opts.Store.layouts(sh, b, cache.PaperConfig, alg)
+				if err != nil {
+					return err
 				}
-				return fmt.Errorf("%s/%s run %d: %w", benches[bi].pair.Bench.Name, alg, run, err)
+				layouts[i] = ls[0]
+				return nil
+			}
+			rng := rand.New(rand.NewSource(opts.Seed + int64(run)*7919))
+			layout, err := buildLayout(alg, b, cache.PaperConfig, rng, sh)
+			if err != nil {
+				return fmt.Errorf("run %d: %w", run, err)
 			}
 			layouts[i] = layout
 			return nil
@@ -142,8 +145,10 @@ func Figure5(opts Options) (*Figure5Result, error) {
 	return out, nil
 }
 
-// buildLayout computes a placement with optionally perturbed profile data
-// (rng nil = unperturbed) and verifies it before returning.
+// buildLayout computes alg's layout of b for cfg from optionally perturbed
+// profile data (rng nil = unperturbed) and verifies it for its algorithm's
+// layout class before returning. Unperturbed layouts come from the store,
+// which builds each one here once.
 // Counters recorded into sh are per-job work, never per-worker, so shard
 // merges agree at any parallelism.
 func buildLayout(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, sh *telemetry.Shard) (*program.Layout, error) {
@@ -154,9 +159,12 @@ func buildLayout(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, 
 		return perturb.Graph(g, perturb.DefaultScale, rng)
 	}
 	prog := b.pair.Bench.Prog
+	context := b.pair.Bench.Name + "/" + string(alg)
 	var layout *program.Layout
 	var err error
 	switch alg {
+	case AlgDefault:
+		layout = program.DefaultLayout(prog)
 	case AlgPH:
 		layout, err = baseline.PHLayout(prog, maybePerturb(b.wcgFull))
 	case AlgHKC:
@@ -178,14 +186,13 @@ func buildLayout(alg AlgorithmName, b *bench, cfg cache.Config, rng *rand.Rand, 
 			sh.Add("gbsc/cross_edges", m.CrossEdges)
 		}
 	default:
-		return nil, fmt.Errorf("unknown algorithm %q", alg)
+		return nil, fmt.Errorf("%s: unknown algorithm", context)
 	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", context, err)
 	}
-	context := b.pair.Bench.Name + "/" + string(alg)
 	switch alg {
-	case AlgPH:
+	case AlgDefault, AlgPH:
 		err = checkPacked(context, prog, layout)
 	case AlgGBSC:
 		err = checkAligned(context, prog, layout, b.pop, cfg)

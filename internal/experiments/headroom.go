@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
+	"repro/internal/program"
 	"repro/internal/telemetry"
 )
 
@@ -35,7 +36,7 @@ type HeadroomResult struct {
 func Headroom(opts Options) (*HeadroomResult, error) {
 	opts.setDefaults()
 	const steps = 60_000
-	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *HeadroomRow) error {
+	rows, err := forSuite(&opts, cache.PaperConfig, func(sh *telemetry.Shard, b *bench, row *HeadroomRow) error {
 		prog := b.pair.Bench.Prog
 		row.Name = b.pair.Bench.Name
 
@@ -53,9 +54,6 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 		}); err != nil {
 			return err
 		}
-		if row.GBSCMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, gl); err != nil {
-			return err
-		}
 		row.GBSCMetric = metrics.TRGConflict(gl, b.trgRes.Place, b.trgRes.Chunker, cache.PaperConfig)
 
 		al, err := anneal.Place(prog, b.trgRes, b.pop, cache.PaperConfig, anneal.Options{
@@ -69,10 +67,12 @@ func Headroom(opts Options) (*HeadroomResult, error) {
 		if err := checkAligned(row.Name+"/headroom-anneal", prog, al, b.pop, cache.PaperConfig); err != nil {
 			return err
 		}
-		if row.AnnealMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, al); err != nil {
+		row.AnnealMetric = metrics.TRGConflict(al, b.trgRes.Place, b.trgRes.Chunker, cache.PaperConfig)
+		mrs, err := scoreLayouts(cache.PaperConfig, b, []*program.Layout{gl, al}, sh)
+		if err != nil {
 			return err
 		}
-		row.AnnealMetric = metrics.TRGConflict(al, b.trgRes.Place, b.trgRes.Chunker, cache.PaperConfig)
+		row.GBSCMR, row.AnnealMR = mrs[0], mrs[1]
 		return nil
 	})
 	if err != nil {

@@ -94,7 +94,7 @@ func Optimality(opts Options) (*OptimalityResult, error) {
 		if err := checkAligned(fmt.Sprintf("optimality/seed%d/optimal", seed), prog, opt.Layout, nil, tiny); err != nil {
 			return nil, err
 		}
-		trgRes, err := trg.Build(prog, tr, trg.Options{CacheBytes: tiny.SizeBytes, ChunkSize: 32})
+		trgRes, _, err := buildTRG(fmt.Sprintf("optimality/seed%d", seed), prog, tr, trg.Options{CacheBytes: tiny.SizeBytes, ChunkSize: 32})
 		if err != nil {
 			return nil, err
 		}

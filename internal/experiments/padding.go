@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/tracegen"
 )
@@ -39,21 +38,18 @@ func Padding(opts Options) (*PaddingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout, err := core.Place(pair.Bench.Prog, b.trgRes, b.pop, cache.PaperConfig)
+	base, err := opts.Store.layouts(sh, b, cache.PaperConfig, AlgGBSC)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkAligned(pair.Bench.Name+"/padding-base", pair.Bench.Prog, layout, b.pop, cache.PaperConfig); err != nil {
-		return nil, err
-	}
-	padded := layout.PadAll(cache.PaperConfig.LineBytes)
+	padded := base[0].PadAll(cache.PaperConfig.LineBytes)
 	// The padded variant deliberately inserts gaps; only the universal
 	// invariants apply.
 	if err := checkGeneral(pair.Bench.Name+"/padding-padded", pair.Bench.Prog, padded, b.pop, cache.PaperConfig); err != nil {
 		return nil, err
 	}
 	// Both variants score in one walk of the testing trace.
-	mrs, err := scoreLayouts(cache.PaperConfig, b, []*program.Layout{layout, padded}, sh)
+	mrs, err := scoreLayouts(cache.PaperConfig, b, []*program.Layout{base[0], padded}, sh)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/program"
 	"repro/internal/telemetry"
 )
 
@@ -34,16 +35,14 @@ type PageLocalityResult struct {
 func PageLocality(opts Options) (*PageLocalityResult, error) {
 	opts.setDefaults()
 	const pageBytes = 8192
-	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *PageLocalityRow) error {
+	rows, err := forSuite(&opts, cache.PaperConfig, func(sh *telemetry.Shard, b *bench, row *PageLocalityRow) error {
 		pair, prog := b.pair, b.pair.Bench.Prog
 
-		std, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
+		ls, err := opts.Store.layouts(sh, b, cache.PaperConfig, AlgGBSC)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(pair.Bench.Name+"/pagelocal-std", prog, std, b.pop, cache.PaperConfig); err != nil {
-			return err
-		}
+		std := ls[0]
 		paged, err := core.PlacePageAware(prog, b.trgRes, b.pop, cache.PaperConfig)
 		if err != nil {
 			return err
@@ -53,12 +52,11 @@ func PageLocality(opts Options) (*PageLocalityResult, error) {
 		}
 
 		row.Name = pair.Bench.Name
-		if row.StdMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, std); err != nil {
+		mrs, err := scoreLayouts(cache.PaperConfig, b, []*program.Layout{std, paged}, sh)
+		if err != nil {
 			return err
 		}
-		if row.PageMR, err = cache.MissRateCompiled(cache.PaperConfig, b.ctTest, paged); err != nil {
-			return err
-		}
+		row.StdMR, row.PageMR = mrs[0], mrs[1]
 		row.StdPages = metrics.Pages(std, b.test, pageBytes)
 		row.PagePages = metrics.Pages(paged, b.test, pageBytes)
 

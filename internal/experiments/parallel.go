@@ -90,10 +90,3 @@ func runParallel[S any](p, n int, newState func() S, job func(state S, i int) er
 	wg.Wait()
 	return firstErr
 }
-
-// forEach is runParallel without per-worker state.
-func forEach(p, n int, job func(i int) error) error {
-	return runParallel(p, n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
-		return job(i)
-	})
-}

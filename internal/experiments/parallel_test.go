@@ -132,7 +132,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 		const n = 100
 		var mu sync.Mutex
 		counts := make([]int, n)
-		err := forEach(p, n, func(i int) error {
+		err := runParallel(p, n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 			mu.Lock()
 			counts[i]++
 			mu.Unlock()
@@ -155,7 +155,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	errA := errors.New("fail at 7")
 	errB := errors.New("fail at 13")
 	for _, p := range []int{1, 4, 16} {
-		err := forEach(p, 50, func(i int) error {
+		err := runParallel(p, 50, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
 			switch i {
 			case 7:
 				return errA

@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cache"
-	"repro/internal/program"
 	"repro/internal/tracegen"
 )
 
@@ -39,11 +38,9 @@ func SameInput(opts Options) (*SameInputResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	layouts := make([]*program.Layout, len(figure5Algs))
-	for i, alg := range figure5Algs {
-		if layouts[i], err = buildLayout(alg, b, cache.PaperConfig, nil, sh); err != nil {
-			return nil, err
-		}
+	layouts, err := opts.Store.layouts(sh, b, cache.PaperConfig, figure5Algs...)
+	if err != nil {
+		return nil, err
 	}
 	mrs, err := scoreLayouts(cache.PaperConfig, b, layouts, sh)
 	if err != nil {

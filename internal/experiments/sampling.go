@@ -7,7 +7,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cache"
-	"repro/internal/program"
 	"repro/internal/sample"
 	"repro/internal/telemetry"
 )
@@ -86,14 +85,6 @@ func (r *SamplingResult) ReplayFraction() float64 {
 	return float64(r.ReplayedEvents) / float64(r.TotalEvents)
 }
 
-// figure5State is one worker's scratch in the per-cell driver of the
-// sampling study: a reusable cache simulator plus a telemetry shard (nil
-// when telemetry is off).
-type figure5State struct {
-	sim *cache.Sim
-	sh  *telemetry.Shard
-}
-
 // Sampling measures the sampled estimator against the exact oracle on the
 // real benchmark suite: each testing trace gets one window plan, and each
 // (benchmark, algorithm) layout is scored both ways. The grid is sharded
@@ -123,24 +114,25 @@ func Sampling(opts Options) (*SamplingResult, error) {
 		out.ReplayedEvents += plan.EventsReplayed()
 	}
 	err = runParallel(opts.parallelism(), len(out.Cells),
-		func() *figure5State {
-			return &figure5State{sim: cache.MustNewSim(cache.PaperConfig), sh: opts.Telemetry.Shard()}
-		},
-		func(st *figure5State, i int) error {
+		func() *telemetry.Shard { return opts.Telemetry.Shard() },
+		func(sh *telemetry.Shard, i int) error {
 			bi, ai := i/len(figure5Algs), i%len(figure5Algs)
 			b, alg := benches[bi], figure5Algs[ai]
-			layout, err := buildLayout(alg, b, cache.PaperConfig, nil, st.sh)
+			layouts, err := opts.Store.layouts(sh, b, cache.PaperConfig, alg)
+			if err != nil {
+				return err
+			}
+			exact, err := scoreLayouts(cache.PaperConfig, b, layouts, sh)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", b.pair.Bench.Name, alg, err)
 			}
-			exact := st.sim.RunCompiled(b.ctTest, layout).MissRate()
-			ests, err := evals[bi].MissRateBatch(cache.MustNewBatchSim(cache.PaperConfig), []*program.Layout{layout})
+			ests, err := evals[bi].MissRateBatch(cache.MustNewBatchSim(cache.PaperConfig), layouts)
 			if err != nil {
 				return fmt.Errorf("%s/%s: %w", b.pair.Bench.Name, alg, err)
 			}
 			est := ests[0]
-			st.sh.Observe("sample/abs_err_ppm", int64(math.Round(math.Abs(est.MissRate-exact)*1e6)))
-			out.Cells[i] = SamplingCell{Bench: b.pair.Bench.Name, Alg: alg, Exact: exact, Est: est}
+			sh.Observe("sample/abs_err_ppm", int64(math.Round(math.Abs(est.MissRate-exact[0])*1e6)))
+			out.Cells[i] = SamplingCell{Bench: b.pair.Bench.Name, Alg: alg, Exact: exact[0], Est: est}
 			return nil
 		})
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/invariant"
-	"repro/internal/program"
 	"repro/internal/telemetry"
 	"repro/internal/trg"
 )
@@ -42,29 +41,21 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 	rows, err := forSuite(&opts, cache.PaperConfig, func(sh *telemetry.Shard, b *bench, row *SetAssocRow) error {
 		pair, prog := b.pair, b.pair.Bench.Prog
 
-		// Pair database for the associative cost model.
-		trgPairs, db, err := trg.BuildPairs(prog, b.train, trg.Options{
+		// Pair database for the associative cost model. BuildPairs takes
+		// the stored TRG's options, so its graphs equal the stored, checked
+		// ones the placement reads.
+		_, db, err := trg.BuildPairs(prog, b.train, trg.Options{
 			CacheBytes: cache.PaperConfig.SizeBytes,
 			Popular:    b.pop,
 		})
 		if err != nil {
 			return err
 		}
-
-		defLayout := program.DefaultLayout(prog)
-		if err := checkPacked(pair.Bench.Name+"/setassoc-default", prog, defLayout); err != nil {
-			return err
-		}
-
-		dmLayout, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
+		layouts, err := opts.Store.layouts(sh, b, cache.PaperConfig, AlgDefault, AlgGBSC)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(pair.Bench.Name+"/setassoc-direct", prog, dmLayout, b.pop, cache.PaperConfig); err != nil {
-			return err
-		}
-
-		asLayout, err := core.PlaceAssoc(prog, trgPairs, db, b.pop, assocCfg)
+		asLayout, err := core.PlaceAssoc(prog, b.trgRes, db, b.pop, assocCfg)
 		if err != nil {
 			return err
 		}
@@ -77,9 +68,9 @@ func SetAssoc(opts Options) (*SetAssocResult, error) {
 			return err
 		}
 
-		// The three candidates score one after another on the 2-way
-		// geometry, through the engine's LRU walk.
-		mrs, err := scoreLayouts(assocCfg, b, []*program.Layout{defLayout, dmLayout, asLayout}, sh)
+		// The default, direct-mapped GBSC and Section 6 layouts score one
+		// after another on the 2-way geometry, through the engine's LRU walk.
+		mrs, err := scoreLayouts(assocCfg, b, append(layouts, asLayout), sh)
 		if err != nil {
 			return err
 		}

@@ -34,18 +34,15 @@ type SplittingResult struct {
 // Splitting evaluates procedure splitting combined with GBSC placement.
 func Splitting(opts Options) (*SplittingResult, error) {
 	opts.setDefaults()
-	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *SplittingRow) error {
+	rows, err := forSuite(&opts, cache.PaperConfig, func(sh *telemetry.Shard, b *bench, row *SplittingRow) error {
 		prog := b.pair.Bench.Prog
 		row.Name = b.pair.Bench.Name
 
-		plain, err := core.Place(prog, b.trgRes, b.pop, cache.PaperConfig)
+		plain, err := opts.Store.layouts(sh, b, cache.PaperConfig, AlgGBSC)
 		if err != nil {
 			return err
 		}
-		if err := checkAligned(row.Name+"/splitting-plain", prog, plain, b.pop, cache.PaperConfig); err != nil {
-			return err
-		}
-		if row.GBSC, _, err = cache.RunCompiledClassified(cache.PaperConfig, b.ctTest, plain); err != nil {
+		if row.GBSC, _, err = cache.RunCompiledClassified(cache.PaperConfig, b.ctTest, plain[0]); err != nil {
 			return err
 		}
 
@@ -67,7 +64,7 @@ func Splitting(opts Options) (*SplittingResult, error) {
 			return err
 		}
 		spop := popular.Select(sp.Prog, strain, popular.Options{})
-		sres, err := trg.Build(sp.Prog, strain, trg.Options{
+		sres, _, err := buildTRG(row.Name+"/splitting-split", sp.Prog, strain, trg.Options{
 			CacheBytes: cache.PaperConfig.SizeBytes,
 			Popular:    spop,
 		})

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/popular"
+	"repro/internal/program"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -17,11 +18,12 @@ import (
 
 // Store holds the prepared inputs of one run at one scale: the suite's
 // programs, each benchmark input's trace and its compilation, each
-// training profile's popular set and WCGs, and one checked TRG per cache
-// size. Every entry is built at most once, by the first call that needs
-// it, recording its telemetry into that call's shard; concurrent callers
-// of one key wait for the build and share its result or its error.
-// Entries are read-only once built and live as long as the store.
+// training profile's popular set and WCGs, one checked TRG per cache size,
+// and each algorithm's checked, unperturbed layout. Every entry is built
+// at most once, by the first call that needs it, recording its telemetry
+// into that call's shard; concurrent callers of one key wait for the build
+// and share its result or its error. Entries are read-only once built and
+// live as long as the store.
 //
 // The store owns the programs: tracegen.Suite builds new ones on every
 // call, and a compiled trace replays only layouts of the program it was
@@ -32,6 +34,7 @@ type Store struct {
 	traces   memo[traceKey, *compiledTrace]
 	profiles memo[traceKey, *profile]
 	trgs     memo[trgKey, *trg.Result]
+	placed   memo[layoutKey, *program.Layout]
 }
 
 // NewStore returns an empty store for the suite at scale, the
@@ -48,6 +51,15 @@ type traceKey struct{ bench, input string }
 type trgKey struct {
 	train      traceKey
 	cacheBytes int
+}
+
+// layoutKey names an unperturbed layout: its training input, its
+// algorithm, and the cache geometry the algorithm reads, zero for the
+// default and PH layouts, which read none.
+type layoutKey struct {
+	train traceKey
+	alg   AlgorithmName
+	cfg   cache.Config
 }
 
 // compiledTrace is one benchmark input's trace and its compilation for
@@ -86,8 +98,8 @@ func (m *memo[K, V]) get(k K, build func() (V, error)) (V, error) {
 
 // The builders below record every counter and histogram once per entry,
 // a deterministic function of its key, so shard merges agree at any
-// worker count. prepare/wall times each build; a build fetches the
-// entries it reads before its timer starts.
+// worker count. prepare/wall times each input's build, not a layout's; a
+// build fetches the entries it reads before its timer starts.
 
 // trace returns pair's input in, generated and compiled.
 func (s *Store) trace(sh *telemetry.Shard, pair *tracegen.Pair, in tracegen.Input) *compiledTrace {
@@ -124,14 +136,10 @@ func (s *Store) trg(sh *telemetry.Shard, pair *tracegen.Pair, cacheBytes int) (*
 	key := trgKey{traceKey{pair.Bench.Name, pair.Train.Name}, cacheBytes}
 	return s.trgs.get(key, func() (*trg.Result, error) {
 		defer sh.Time("prepare/wall")()
-		prog := pair.Bench.Prog
 		stop := sh.Time("trg/build_wall")
-		res, bs, err := trg.BuildWithStats(prog, train, trg.Options{CacheBytes: cacheBytes, Popular: pop})
+		res, bs, err := buildTRG(pair.Bench.Name, pair.Bench.Prog, train, trg.Options{CacheBytes: cacheBytes, Popular: pop})
 		stop()
 		if err != nil {
-			return nil, fmt.Errorf("experiments: building TRG for %s: %w", pair.Bench.Name, err)
-		}
-		if err := invariant.Error(pair.Bench.Name+"/trg", invariant.CheckTRG(prog, res, bs, pop)); err != nil {
 			return nil, err
 		}
 		sh.Add("trg/events_observed", bs.Events)
@@ -143,6 +151,49 @@ func (s *Store) trg(sh *telemetry.Shard, pair *tracegen.Pair, cacheBytes int) (*
 		sh.Observe("trg/q_max_procs", int64(bs.MaxQLen))
 		return res, nil
 	})
+}
+
+// buildTRG builds prog's TRGs from train and verifies them, so no
+// placement reads an unchecked graph; name labels its errors. Every TRG of
+// the package is built here: the store's, whose statistics it records, and
+// those of the steps that change the program, the trace or the options.
+func buildTRG(name string, prog *program.Program, train *trace.Trace, o trg.Options) (*trg.Result, trg.BuildStats, error) {
+	res, bs, err := trg.BuildWithStats(prog, train, o)
+	if err != nil {
+		return nil, bs, fmt.Errorf("experiments: building TRG for %s: %w", name, err)
+	}
+	if err := invariant.Error(name+"/trg", invariant.CheckTRG(prog, res, bs, o.Popular)); err != nil {
+		return nil, bs, err
+	}
+	return res, bs, nil
+}
+
+// layouts returns b's unperturbed layouts of algs for cfg, in order, each
+// trained on b's training input. buildLayout places and checks each one
+// once, for the first call that asks; b must be prepared for cfg's cache
+// size. HKC's key holds cfg and GBSC's its direct-mapped view, the
+// geometry GBSC places for; the default and PH layouts read no geometry,
+// so every cfg shares them.
+func (s *Store) layouts(sh *telemetry.Shard, b *bench, cfg cache.Config, algs ...AlgorithmName) ([]*program.Layout, error) {
+	out := make([]*program.Layout, len(algs))
+	for i, alg := range algs {
+		key := layoutKey{train: traceKey{b.pair.Bench.Name, b.pair.Train.Name}, alg: alg}
+		switch alg {
+		case AlgHKC:
+			key.cfg = cfg
+		case AlgGBSC:
+			key.cfg = cfg
+			key.cfg.Assoc = 1
+		}
+		l, err := s.placed.get(key, func() (*program.Layout, error) {
+			return buildLayout(alg, b, key.cfg, nil, sh)
+		})
+		if err != nil {
+			return nil, err
+		}
+		out[i] = l
+	}
+	return out, nil
 }
 
 // bench is one benchmark's prepared inputs as a driver reads them: the

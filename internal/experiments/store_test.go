@@ -8,6 +8,7 @@ import (
 	"go/token"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,30 +161,107 @@ func TestStoreSharedAcrossCalls(t *testing.T) {
 // its own programs would hand the replay layouts of programs its compiled
 // traces do not know.
 func TestOnlyStoreGeneratesInputs(t *testing.T) {
-	files, err := filepath.Glob("*.go")
+	fset := token.NewFileSet()
+	for _, f := range packageFiles(t, fset) {
+		if fset.Position(f.Pos()).Filename == "store.go" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if selects(n, "tracegen", "Suite", "Generate") {
+				t.Errorf("%s: calls tracegen.%s outside the store", fset.Position(n.Pos()), n.(*ast.SelectorExpr).Sel.Name)
+			}
+			return true
+		})
+	}
+}
+
+// Steps sharing a store place each unperturbed layout once: one default,
+// PH and HKC layout per benchmark, and GBSC for the direct-mapped 4, 8 and
+// 16 KB caches, which the sweep's 2-way 8 KB geometry shares with the
+// paper cache. The steps run at once, so several of them ask for one
+// layout concurrently.
+func TestStorePlacesEachLayoutOnce(t *testing.T) {
+	opts := smallOpts()
+	opts.Store = NewStore(opts.Scale)
+	opts.Telemetry = telemetry.NewRegistry()
+	var wg sync.WaitGroup
+	for _, step := range []func(Options) error{
+		discard(Table1), discard(Conflicts), discard(CacheSweep), discard(SetAssoc), discard(SameInput),
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := step(opts); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	counters := opts.Telemetry.Snapshot().Counters
+	n := int64(len(opts.Benchmarks))
+	for alg, want := range map[AlgorithmName]int64{AlgDefault: n, AlgPH: n, AlgHKC: n, AlgGBSC: 3 * n} {
+		if got := counters["placements/"+string(alg)]; got != want {
+			t.Errorf("placements/%s = %d, want %d", alg, got, want)
+		}
+	}
+}
+
+// discard adapts an experiment to a step that reports only its error.
+func discard[R any](run func(Options) (R, error)) func(Options) error {
+	return func(o Options) error {
+		_, err := run(o)
+		return err
+	}
+}
+
+// Only buildTRG builds TRGs, so every TRG a placement reads, stored or
+// not, passes invariant.CheckTRG first.
+func TestOnlyBuildTRGBuildsTRGs(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, f := range packageFiles(t, fset) {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "buildTRG" {
+				continue
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if selects(n, "trg", "Build", "BuildWithStats") {
+					t.Errorf("%s: builds a TRG outside buildTRG", fset.Position(n.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}
+
+// packageFiles parses the package's non-test files.
+func packageFiles(t *testing.T, fset *token.FileSet) []*ast.File {
+	t.Helper()
+	names, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") || name == "store.go" {
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "tracegen" && (sel.Sel.Name == "Suite" || sel.Sel.Name == "Generate") {
-				t.Errorf("%s: calls tracegen.%s outside the store", fset.Position(sel.Pos()), sel.Sel.Name)
-			}
-			return true
-		})
+		files = append(files, f)
 	}
+	return files
+}
+
+// selects reports whether n selects one of names from package pkg.
+func selects(n ast.Node, pkg string, names ...string) bool {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == pkg && slices.Contains(names, sel.Sel.Name)
 }
 
 // A failed TRG build fails every driver that reads it with the build's

@@ -5,10 +5,7 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/baseline"
 	"repro/internal/cache"
-	"repro/internal/core"
-	"repro/internal/program"
 	"repro/internal/telemetry"
 )
 
@@ -43,7 +40,22 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 	for gi, cfg := range geometries {
 		var err error
 		byGeom[gi], err = forSuite(&opts, cfg, func(sh *telemetry.Shard, b *bench, cell *SweepCell) error {
-			return sweepCell(sh, b, cfg, cell)
+			// GBSC is trained against the direct-mapped view of the
+			// geometry (the Section 6 pair database handles 2-way
+			// natively; the sweep measures how the direct-mapped
+			// placement holds up, the more common deployment). The cell's
+			// three layouts score one after another through one compiled
+			// simulator (the 2-way geometries take the LRU walk).
+			layouts, err := opts.Store.layouts(sh, b, cfg, AlgDefault, AlgPH, AlgGBSC)
+			if err != nil {
+				return err
+			}
+			rates, err := scoreLayouts(cfg, b, layouts, sh)
+			if err != nil {
+				return err
+			}
+			*cell = SweepCell{Name: b.pair.Bench.Name, Cache: cfg, Default: rates[0], PH: rates[1], GBSC: rates[2]}
+			return nil
 		})
 		if err != nil {
 			return nil, err
@@ -56,45 +68,6 @@ func CacheSweep(opts Options) (*SweepResult, error) {
 		}
 	}
 	return &SweepResult{Cells: cells}, nil
-}
-
-// sweepCell places and scores b's default, PH and GBSC layouts on cfg; b's
-// TRGs are built for cfg's cache size.
-func sweepCell(sh *telemetry.Shard, b *bench, cfg cache.Config, cell *SweepCell) error {
-	prog := b.pair.Bench.Prog
-	*cell = SweepCell{Name: b.pair.Bench.Name, Cache: cfg}
-
-	def := program.DefaultLayout(prog)
-	if err := checkPacked(cell.Name+"/sweep-default", prog, def); err != nil {
-		return err
-	}
-	phl, err := baseline.PHLayout(prog, b.wcgFull)
-	if err != nil {
-		return err
-	}
-	if err := checkPacked(cell.Name+"/sweep-ph", prog, phl); err != nil {
-		return err
-	}
-	// GBSC trained against the direct-mapped view of the geometry
-	// (the Section 6 pair database handles 2-way natively; for
-	// the sweep we measure how the direct-mapped placement holds
-	// up, the more common deployment).
-	dm := cache.Config{SizeBytes: cfg.SizeBytes, LineBytes: cfg.LineBytes, Assoc: 1}
-	gl, err := core.Place(prog, b.trgRes, b.pop, dm)
-	if err != nil {
-		return err
-	}
-	if err := checkAligned(cell.Name+"/sweep-gbsc", prog, gl, b.pop, dm); err != nil {
-		return err
-	}
-	// The cell's three candidates score one after another through one
-	// compiled simulator (the 2-way geometries take the LRU walk).
-	rates, err := scoreLayouts(cfg, b, []*program.Layout{def, phl, gl}, sh)
-	if err != nil {
-		return err
-	}
-	cell.Default, cell.PH, cell.GBSC = rates[0], rates[1], rates[2]
-	return nil
 }
 
 // Render prints the grid grouped by benchmark.

@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/cache"
-	"repro/internal/program"
 	"repro/internal/telemetry"
 )
 
@@ -40,13 +39,13 @@ type Table1Result struct {
 // Table1 regenerates the paper's Table 1 for the synthetic suite.
 func Table1(opts Options) (*Table1Result, error) {
 	opts.setDefaults()
-	rows, err := forSuite(&opts, cache.PaperConfig, func(_ *telemetry.Shard, b *bench, row *Table1Row) error {
+	rows, err := forSuite(&opts, cache.PaperConfig, func(sh *telemetry.Shard, b *bench, row *Table1Row) error {
 		pair, prog := b.pair, b.pair.Bench.Prog
-		def := program.DefaultLayout(prog)
-		if err := checkPacked(pair.Bench.Name+"/table1-default", prog, def); err != nil {
+		def, err := opts.Store.layouts(sh, b, cache.PaperConfig, AlgDefault)
+		if err != nil {
 			return err
 		}
-		mr, err := cache.MissRateCompiled(cache.PaperConfig, b.ctTest, def)
+		mr, err := scoreLayouts(cache.PaperConfig, b, def, sh)
 		if err != nil {
 			return err
 		}
@@ -62,7 +61,7 @@ func Table1(opts Options) (*Table1Result, error) {
 			TestInput:       pair.Test.Name,
 			TestEvents:      b.test.Len(),
 			TestRefs:        b.test.NumLineRefs(prog, cache.PaperConfig.LineBytes),
-			DefaultMissRate: mr,
+			DefaultMissRate: mr[0],
 			AvgQSize:        b.trgRes.AvgQProcs,
 		}
 		return nil
