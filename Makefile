@@ -86,9 +86,13 @@ perfbench:
 BENCHTIME ?= 1s
 GBSC_BENCHES = ^(BenchmarkHeaviestEdge|BenchmarkBestAlignment|BenchmarkBestAlignmentAssoc|BenchmarkMergeNodes|BenchmarkGBSCPlacement|BenchmarkPHPlacement|BenchmarkHKCPlacement|BenchmarkWCGBuild|BenchmarkPerturbGraph|BenchmarkRunTrace|BenchmarkRunTraceClassified|BenchmarkCompileTrace|BenchmarkRunCompiledSerial16|BenchmarkRunCompiledLRU16|BenchmarkRunCompiledPaperDM|BenchmarkRunCompiledPaperLRU|BenchmarkOptimalSearch)$$
 
-# TRG ingest throughput (BENCH_trg.json): the one TRG builder in
-# events/sec on the paper-scale vortex training trace.
-TRG_BENCHES = ^(BenchmarkTRGBuildSerial)$$
+# Profile ingest throughput (BENCH_trg.json), in events/sec: the one TRG
+# builder on the paper-scale vortex training trace
+# (BenchmarkTRGBuildSerial) and on all six paper-scale training traces with
+# their popular sets (BenchmarkTRGBuildSuite, the builds of perfbench's
+# place pass), and the binary trace decoder on the same six traces
+# (BenchmarkTraceDecode).
+TRG_BENCHES = ^(BenchmarkTRGBuildSerial|BenchmarkTRGBuildSuite|BenchmarkTraceDecode)$$
 
 # Sampled evaluation (BENCH_sample.json): the exact-vs-sampled per-layout
 # replay pair on the scale-1.0 trace (the ≥10× speedup headline) and plan

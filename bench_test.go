@@ -11,7 +11,9 @@ package repro
 // full-scale numbers recorded in EXPERIMENTS.md.
 
 import (
+	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/baseline"
@@ -280,6 +282,82 @@ func BenchmarkTRGBuildSerial(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
+
+// BenchmarkTRGBuildSuite builds both TRGs of all six paper-scale training
+// traces per iteration, each with its popular set at the paper's 8 KB
+// cache: the builds perfbench's place pass makes. It reports ingest
+// throughput as events/sec over the six traces.
+func BenchmarkTRGBuildSuite(b *testing.B) {
+	ins := suiteTraining()
+	opts := make([]trg.Options, len(ins))
+	events := 0
+	for i, in := range ins {
+		opts[i] = trg.Options{
+			CacheBytes: cache.PaperConfig.SizeBytes,
+			Popular:    popular.Select(in.pair.Bench.Prog, in.tr, popular.Options{}),
+		}
+		events += in.tr.Len()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, in := range ins {
+			res, err := trg.Build(in.pair.Bench.Prog, in.tr, opts[j])
+			if err != nil {
+				b.Fatal(err)
+			}
+			graphSink = res.Place
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// BenchmarkTraceDecode decodes the binary encodings of the six paper-scale
+// training traces per iteration, as cmd/layout reads a profile and
+// perfbench's place pass decodes its inputs, and reports events/sec.
+func BenchmarkTraceDecode(b *testing.B) {
+	var encs [][]byte
+	events := 0
+	for _, in := range suiteTraining() {
+		var buf bytes.Buffer
+		if err := in.tr.WriteBinary(&buf); err != nil {
+			b.Fatal(err)
+		}
+		encs = append(encs, buf.Bytes())
+		events += in.tr.Len()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, enc := range encs {
+			tr, err := trace.ReadBinary(bytes.NewReader(enc))
+			if err != nil {
+				b.Fatal(err)
+			}
+			traceSink = tr
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// traceSink keeps the decoded traces live.
+var traceSink *trace.Trace
+
+// trainingInput is one suite benchmark with its paper-scale training trace.
+type trainingInput struct {
+	pair *tracegen.Pair
+	tr   *trace.Trace
+}
+
+// suiteTraining generates the six paper-scale (-scale 1.0) training traces
+// once per test binary, for the benchmarks that read all of them.
+var suiteTraining = sync.OnceValue(func() []trainingInput {
+	var ins []trainingInput
+	for _, pair := range tracegen.Suite(1.0) {
+		ins = append(ins, trainingInput{pair: pair, tr: pair.Bench.Trace(pair.Train)})
+	}
+	return ins
+})
 
 // vortexTraining returns the paper-scale (-scale 1.0) vortex benchmark and
 // its training trace, the suite's largest.

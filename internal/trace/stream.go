@@ -138,10 +138,36 @@ func NewReader(r io.Reader) (*Reader, error) {
 // fields are range-checked before the narrowing to int32: a corrupt or
 // adversarial varint must fail with a positioned error, not silently
 // truncate to a negative or wrapped value.
+//
+// An event that lies whole in the bytes already buffered, with every field
+// in range, is decoded from them in place. Any other event, among them
+// each one that would fail, is read a byte at a time by next, which is
+// therefore the one place that reports errors; neither path reads from the
+// underlying reader until the buffer is empty.
 func (r *Reader) Next() (Event, error) {
 	if !r.streaming && r.remaining == 0 {
 		return Event{}, io.EOF
 	}
+	buf, _ := r.br.Peek(r.br.Buffered()) // never reads: the bytes are buffered
+	p, n1 := binary.Uvarint(buf)
+	if n1 <= 0 || p > math.MaxInt32 {
+		return r.next()
+	}
+	ext, n2 := binary.Uvarint(buf[n1:])
+	if n2 <= 0 || ext > math.MaxInt32 {
+		return r.next()
+	}
+	rep, n3 := binary.Uvarint(buf[n1+n2:])
+	if n3 <= 0 || rep > math.MaxInt32 {
+		return r.next()
+	}
+	_, _ = r.br.Discard(n1 + n2 + n3) // cannot fail: the bytes are buffered
+	return r.decoded(p, ext, rep), nil
+}
+
+// next decodes the next event one byte at a time, reporting a truncated,
+// overflowing or out-of-range field with its event position.
+func (r *Reader) next() (Event, error) {
 	p, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		if r.streaming && err == io.EOF {
@@ -166,6 +192,11 @@ func (r *Reader) Next() (Event, error) {
 	if rep > math.MaxInt32 {
 		return Event{}, fmt.Errorf("trace: event %d: repeat %d out of range", r.index, rep)
 	}
+	return r.decoded(p, ext, rep), nil
+}
+
+// decoded counts one event whose fields were read and range-checked.
+func (r *Reader) decoded(p, ext, rep uint64) Event {
 	if !r.streaming {
 		r.remaining--
 	}
@@ -174,7 +205,7 @@ func (r *Reader) Next() (Event, error) {
 		Proc:   program.ProcID(p),
 		Extent: int32(ext),
 		Repeat: int32(rep),
-	}, nil
+	}
 }
 
 // ReadAll drains the reader into an in-memory Trace. The declared count of

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/program"
@@ -235,5 +239,57 @@ func TestStreamRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A long trace crosses many ends of the reader's buffer, so some events
+// straddle one; read whole or a byte or half a buffer at a time, every
+// event decodes as written. A field out of range deep in such a stream,
+// or one cut off by its end, still fails naming its event.
+func TestReaderAcrossBufferEnds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var fields []uint64
+	for i := 0; i < 5000; i++ {
+		for f := 0; f < 3; f++ {
+			fields = append(fields, uint64(rng.Int63n(1<<uint(rng.Intn(32)))))
+		}
+	}
+	raw := rawTrace(5000, fields...)
+	want := make([]Event, 5000)
+	for i := range want {
+		want[i] = Event{Proc: program.ProcID(fields[3*i]), Extent: int32(fields[3*i+1]), Repeat: int32(fields[3*i+2])}
+	}
+	readers := func(b []byte) map[string]io.Reader {
+		return map[string]io.Reader{
+			"whole": bytes.NewReader(b),
+			"byte":  iotest.OneByteReader(bytes.NewReader(b)),
+			"half":  iotest.HalfReader(bytes.NewReader(b)),
+		}
+	}
+	for name, r := range readers(raw) {
+		got, err := ReadBinary(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got.Events, want) {
+			t.Fatalf("%s: decoded events differ from the written ones", name)
+		}
+	}
+
+	bad := append([]uint64(nil), fields...)
+	bad[3*4321+1] = uint64(math.MaxInt32) + 1
+	cut := rawTrace(5000, fields[:3*4000+1]...)
+	for name, c := range map[string]struct {
+		raw  []byte
+		want string
+	}{
+		"extent out of range": {rawTrace(5000, bad...), "event 4321: extent"},
+		"cut after a proc":    {cut, "event 4000: reading extent"},
+	} {
+		for rname, r := range readers(c.raw) {
+			if _, err := ReadBinary(r); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, read %s: error %v, want one naming %q", name, rname, err, c.want)
+			}
+		}
 	}
 }

@@ -3,8 +3,6 @@ package trg
 import (
 	"fmt"
 
-	"repro/internal/graph"
-	"repro/internal/popular"
 	"repro/internal/program"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -17,19 +15,29 @@ import (
 // entry and return, and Result can be taken at any point — no trace is ever
 // materialized.
 //
-// Observe only counts: each interleaving is one probe into a flat table
-// per TRG, and the graphs are built from the counts when Result is called.
+// Observe only counts: each TRG numbers its possible nodes densely, and
+// each interleaving is one increment in a row of its k×k matrix (or, for
+// a TRG of more than 1,448 possible nodes, one probe into a flat table).
+// The graphs are built from the counts when Result is called.
 type Builder struct {
 	prog    *program.Program
 	chunker *program.Chunker
-	pop     *popular.Set // nil keeps every procedure
+	// selIndex[p] is procedure p's index in sel, or none when p is not
+	// popular; placeFirst[i] is the place index of the first chunk of the
+	// procedure at sel index i, whose chunks have consecutive indices.
+	selIndex   []BlockID
+	placeFirst []BlockID
 
-	sel   graph.EdgeCounter
-	place graph.EdgeCounter
+	sel   counter
+	place counter
 	db    *PairDB // nil unless pair tracking enabled
 
 	qSel   *Queue
 	qPlace *Queue
+
+	// pending counts the activations since the matrices were last
+	// spilled; it never exceeds wrapLimit.
+	pending uint64
 
 	qLenSum int64
 	qSteps  int64
@@ -59,11 +67,17 @@ type BuildStats struct {
 
 // NewBuilder creates an online TRG builder. Set trackPairs to also build
 // the Section 6 pair database (more expensive: O(k²) per activation in the
-// Q population k).
+// Q population k). The popular set, if any, must have been selected for
+// prog.
 func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder, error) {
 	opts.setDefaults()
 	if opts.CacheBytes <= 0 || opts.QFactor <= 0 {
 		return nil, fmt.Errorf("trg: non-positive cache bytes/Q factor %+v", opts)
+	}
+	pop := opts.Popular
+	if pop != nil && len(pop.Counts) != prog.NumProcs() {
+		return nil, fmt.Errorf("trg: the popular set was selected for a program of %d procedures, this one has %d",
+			len(pop.Counts), prog.NumProcs())
 	}
 	chunker, err := program.NewChunker(prog, opts.ChunkSize)
 	if err != nil {
@@ -72,15 +86,34 @@ func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder,
 	if trackPairs && chunker.NumChunks() > maxPairBlocks {
 		return nil, fmt.Errorf("trg: the pair database keys at most %d chunks, the program has %d", maxPairBlocks, chunker.NumChunks())
 	}
+	// TRG_select's nodes are the popular procedures and TRG_place's their
+	// chunks, both in ascending ID order.
+	selIndex := make([]BlockID, prog.NumProcs())
+	var procs, chunks, placeFirst []BlockID
+	for p := range selIndex {
+		id := program.ProcID(p)
+		if pop != nil && !pop.Contains(id) {
+			selIndex[p] = none
+			continue
+		}
+		selIndex[p] = BlockID(len(procs))
+		procs = append(procs, BlockID(id))
+		placeFirst = append(placeFirst, BlockID(len(chunks)))
+		first := chunker.FirstChunk(id)
+		for c := first; c < first+program.ChunkID(chunker.NumProcChunks(id)); c++ {
+			chunks = append(chunks, BlockID(c))
+		}
+	}
 	bound := opts.CacheBytes * opts.QFactor
 	b := &Builder{
-		prog:    prog,
-		chunker: chunker,
-		pop:     opts.Popular,
-		sel:     graph.NewEdgeCounter(prog.NumProcs()),
-		place:   graph.NewEdgeCounter(chunker.NumChunks()),
-		qSel:    NewQueue(bound),
-		qPlace:  NewQueue(bound),
+		prog:       prog,
+		chunker:    chunker,
+		selIndex:   selIndex,
+		placeFirst: placeFirst,
+		sel:        newCounter(procs, prog.NumProcs()),
+		place:      newCounter(chunks, chunker.NumChunks()),
+		qSel:       NewQueue(bound),
+		qPlace:     NewQueue(bound),
 	}
 	if trackPairs {
 		b.db = NewPairDB()
@@ -92,19 +125,22 @@ func NewBuilder(prog *program.Program, opts Options, trackPairs bool) (*Builder,
 // database, when enabled).
 func (b *Builder) Observe(e trace.Event) {
 	p := e.Proc
-	if b.pop != nil && !b.pop.Contains(p) {
+	i := b.selIndex[p]
+	if i == none {
 		return
 	}
+	if b.pending >= wrapLimit {
+		b.sel.spill()
+		b.place.spill()
+		b.pending = 0
+	}
+	b.pending++
 	b.events++
 	ext := e.ExtentBytes(b.prog)
 
 	// Procedure granularity → TRG_select. Q is charged with the executed
 	// extent, the activation's cache footprint.
-	id := BlockID(p)
-	b.sel.AddNode(id)
-	b.qSel.Touch(id, ext, func(between BlockID) {
-		b.sel.Add(id, between)
-	})
+	b.sel.touch(b.qSel, i, ext, nil)
 	qLen := b.qSel.Len()
 	b.qLenSum += int64(qLen)
 	b.qSteps++
@@ -113,22 +149,20 @@ func (b *Builder) Observe(e trace.Event) {
 	}
 	b.qHist[telemetry.BucketIndex(int64(qLen))]++
 
-	// Chunk granularity → TRG_place (+ pair database). Chunk i of p holds
-	// min(chunkSize, size − i·chunkSize) bytes of the procedure.
+	// Chunk granularity → TRG_place (+ pair database). Chunk j of p holds
+	// min(chunkSize, size − j·chunkSize) bytes of the procedure.
 	cs := b.chunker.ChunkSize()
 	size := b.prog.Size(p)
 	n := program.CeilDiv(ext, cs)
-	first := BlockID(b.chunker.FirstChunk(p))
-	for i := 0; i < n; i++ {
-		cid := first + BlockID(i)
-		b.place.AddNode(cid)
-		inc := func(between BlockID) { b.place.Add(cid, between) }
+	first := b.placeFirst[i]
+	ids := b.place.ids
+	for j := 0; j < n; j++ {
+		c := first + BlockID(j)
+		var pairs func(r, s BlockID)
 		if b.db != nil {
-			b.qPlace.TouchPairs(cid, min(cs, size-i*cs), inc,
-				func(r, s BlockID) { b.db.Add(cid, r, s) })
-		} else {
-			b.qPlace.Touch(cid, min(cs, size-i*cs), inc)
+			pairs = func(r, s BlockID) { b.db.Add(ids[c], ids[r], ids[s]) }
 		}
+		b.place.touch(b.qPlace, c, min(cs, size-j*cs), pairs)
 	}
 }
 
@@ -137,13 +171,14 @@ func (b *Builder) Observe(e trace.Event) {
 func (b *Builder) Events() int64 { return b.events }
 
 // Result returns a snapshot of the graphs built so far. Each call builds
-// fresh graphs from the interleaving counts, in O(E) for the E edges
-// counted so far, so a snapshot is independent of the builder and of
-// every other snapshot: later Observe calls do not change it.
+// fresh graphs from the interleaving counts, in O(k²) for a TRG of k
+// possible nodes counted in its matrix and in O(E) for one counted in the
+// flat table, so a snapshot is independent of the builder and of every
+// other snapshot: later Observe calls do not change it.
 func (b *Builder) Result() *Result {
 	res := &Result{
-		Select:  b.sel.Graph(),
-		Place:   b.place.Graph(),
+		Select:  b.sel.graph(),
+		Place:   b.place.graph(),
 		Chunker: b.chunker,
 	}
 	if b.qSteps > 0 {

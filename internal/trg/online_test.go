@@ -284,7 +284,8 @@ func sameResult(t *testing.T, ctx string, got, want *Result) {
 // mid-stream snapshot, across cache and chunk sizes, with the popular
 // filter and pair tracking each on and off. Snapshots taken mid-stream
 // must still match the oracle's graphs at that point once the whole
-// trace has been observed.
+// trace has been observed. These programs are small enough that both
+// TRGs count in their matrices.
 func TestBuilderMatchesOracle(t *testing.T) {
 	for seed := 0; seed < trgSeeds(t); seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -297,36 +298,9 @@ func TestBuilderMatchesOracle(t *testing.T) {
 						ctx := fmt.Sprintf("seed %d cache %d chunk %d popular %v pairs %v",
 							seed, cacheBytes, chunkSize, filter != nil, pairs)
 						opts := Options{CacheBytes: cacheBytes, ChunkSize: chunkSize, Popular: filter}
-						b, err := NewBuilder(prog, opts, pairs)
-						if err != nil {
-							t.Fatalf("%s: %v", ctx, err)
-						}
-						o := newOracleBuilder(prog, opts, pairs)
-						var snaps, oracleSnaps []*Result
-						cut := rng.Intn(len(tr.Events))
-						for i, e := range tr.Events {
-							if i == cut || i == 2*cut {
-								snaps = append(snaps, b.Result())
-								// The oracle's graphs are live: copy them.
-								r := o.Result()
-								oracleSnaps = append(oracleSnaps, &Result{
-									Select: r.Select.Clone(), Place: r.Place.Clone(),
-									Chunker: r.Chunker, AvgQProcs: r.AvgQProcs,
-								})
-							}
-							b.Observe(e)
-							o.Observe(e)
-						}
-						sameResult(t, ctx, b.Result(), o.Result())
-						for i := range snaps {
-							sameResult(t, fmt.Sprintf("%s snapshot %d", ctx, i), snaps[i], oracleSnaps[i])
-						}
-						if b.BuildStats() != o.stats {
-							t.Fatalf("%s: BuildStats = %+v, oracle %+v", ctx, b.BuildStats(), o.stats)
-						}
-						if pairs && !o.samePairs(b.Pairs()) {
-							t.Fatalf("%s: pair database differs from the oracle (%d vs %d entries)",
-								ctx, b.Pairs().Len(), len(o.pairs))
+						b := matchOracle(t, ctx, prog, tr, opts, pairs, rng.Intn(len(tr.Events)))
+						if b.sel.m == nil || b.place.m == nil {
+							t.Fatalf("%s: a TRG of %d or %d nodes left its matrix", ctx, len(b.sel.ids), len(b.place.ids))
 						}
 					}
 				}
@@ -335,26 +309,80 @@ func TestBuilderMatchesOracle(t *testing.T) {
 	}
 }
 
+// matchOracle feeds tr to the builder and to the oracle side by side and
+// fails the test unless they agree: the graphs at the end and in
+// snapshots taken before events cut and 2·cut, the build statistics and
+// the pair database. It returns the builder.
+func matchOracle(t *testing.T, ctx string, prog *program.Program, tr *trace.Trace, opts Options, pairs bool, cut int) *Builder {
+	t.Helper()
+	b, err := NewBuilder(prog, opts, pairs)
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	o := newOracleBuilder(prog, opts, pairs)
+	var snaps, oracleSnaps []*Result
+	for i, e := range tr.Events {
+		if i == cut || i == 2*cut {
+			snaps = append(snaps, b.Result())
+			// The oracle's graphs are live: copy them.
+			r := o.Result()
+			oracleSnaps = append(oracleSnaps, &Result{
+				Select: r.Select.Clone(), Place: r.Place.Clone(),
+				Chunker: r.Chunker, AvgQProcs: r.AvgQProcs,
+			})
+		}
+		b.Observe(e)
+		o.Observe(e)
+	}
+	sameResult(t, ctx, b.Result(), o.Result())
+	for i := range snaps {
+		sameResult(t, fmt.Sprintf("%s snapshot %d", ctx, i), snaps[i], oracleSnaps[i])
+	}
+	if b.BuildStats() != o.stats {
+		t.Fatalf("%s: BuildStats = %+v, oracle %+v", ctx, b.BuildStats(), o.stats)
+	}
+	if pairs && !o.samePairs(b.Pairs()) {
+		t.Fatalf("%s: pair database differs from the oracle (%d vs %d entries)",
+			ctx, b.Pairs().Len(), len(o.pairs))
+	}
+	return b
+}
+
 // Once every edge and node of a trace has been counted, observing it
 // again allocates nothing: Q, the counters and the node lists are all
-// reused.
+// reused, whether the TRGs count in their matrices or, for a program of
+// more blocks than a matrix may hold, in the flat table.
 func TestObserveAllocatesNothingInSteadyState(t *testing.T) {
 	prog, tr := oracleWorkload(rand.New(rand.NewSource(5)))
 	pop := popular.Select(prog, tr, popular.Options{Coverage: 0.8, MinCount: 2})
-	for _, filter := range []*popular.Set{nil, pop} {
-		b, err := NewBuilder(prog, Options{CacheBytes: 256, ChunkSize: 64, Popular: filter}, false)
+	bigProg, bigTr := fallbackWorkload(rand.New(rand.NewSource(5)))
+	for _, c := range []struct {
+		name   string
+		prog   *program.Program
+		tr     *trace.Trace
+		filter *popular.Set
+		dense  bool
+	}{
+		{"all procedures", prog, tr, nil, true},
+		{"popular", prog, tr, pop, true},
+		{"fallback", bigProg, bigTr, nil, false},
+	} {
+		b, err := NewBuilder(c.prog, Options{CacheBytes: 256, ChunkSize: 64, Popular: c.filter}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if (b.sel.m != nil) != c.dense || (b.place.m != nil) != c.dense {
+			t.Fatalf("%s: matrices in use %v and %v, want %v", c.name, b.sel.m != nil, b.place.m != nil, c.dense)
+		}
 		pass := func() {
-			for _, e := range tr.Events {
+			for _, e := range c.tr.Events {
 				b.Observe(e)
 			}
 		}
 		pass()
 		pass()
 		if n := testing.AllocsPerRun(5, pass); n != 0 {
-			t.Errorf("popular %v: Observe allocated %v times per pass in steady state", filter != nil, n)
+			t.Errorf("%s: Observe allocated %v times per pass in steady state", c.name, n)
 		}
 	}
 }

@@ -7,11 +7,13 @@ package trg
 
 // BlockID is a code-block identifier at whatever granularity the caller
 // tracks (program.ProcID for TRG_select, program.ChunkID for TRG_place).
-// It is a dense non-negative index: Q and the builder keep per-ID slot
-// arrays grown to the largest ID seen.
+// It is a dense non-negative index: Q keeps per-ID slot arrays grown to
+// the largest ID seen, and the builder runs each Q on its TRG's node
+// indices (count.go).
 type BlockID = int32
 
-// none terminates Q's linked list.
+// none terminates Q's linked list and marks a procedure outside the
+// builder's popular set.
 const none BlockID = -1
 
 // Queue is the ordered set Q of recently referenced code blocks. Blocks are
@@ -75,12 +77,30 @@ func (q *Queue) Blocks() []BlockID {
 //
 // fn may be nil when the caller only wants Q maintenance.
 func (q *Queue) Touch(id BlockID, size int, fn func(between BlockID)) {
-	if q.Contains(id) {
-		if fn != nil {
-			for b := q.next[id]; b != none; b = q.next[b] {
-				fn(b)
-			}
+	if fn != nil && q.Contains(id) {
+		for b := q.next[id]; b != none; b = q.next[b] {
+			fn(b)
 		}
+	}
+	q.push(id, size)
+}
+
+// Count is Touch counting each interleaving in row instead of calling a
+// function: row[b] grows by one for every block b between the two
+// consecutive references to id, so row must cover every ID in Q.
+func (q *Queue) Count(id BlockID, size int, row []uint32) {
+	if q.Contains(id) {
+		for b := q.next[id]; b != none; b = q.next[b] {
+			row[b]++
+		}
+	}
+	q.push(id, size)
+}
+
+// push moves id to the newest end, appending it if it is not in Q, and
+// evicts from the oldest end: steps 2 and 3 of Touch.
+func (q *Queue) push(id BlockID, size int) {
+	if q.Contains(id) {
 		q.unlink(id)
 	} else {
 		q.grow(id)
